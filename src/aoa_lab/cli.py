@@ -123,9 +123,7 @@ def cmd_analytic(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = _cli_params(args.lambda1, args.lambda2)
-    if args.slots <= args.warmup:
-        raise DomainError(f"slots ({args.slots}) must exceed warmup ({args.warmup})")
-    nb = max(1, min(20, args.slots - args.warmup))
+    nb = max(1, min(validation.N_BATCHES, args.slots - args.warmup))
     _, means, stderrs = engine.run_batched(p, args.slots, args.seed, args.warmup, n_batches=nb)
     rows = [OutputRow(p.lambda1, p.lambda2, "sim", m, float(means[i]),
                       float(stderrs[i]) if nb > 1 else 0.0,
@@ -193,8 +191,7 @@ def cmd_sweep(args) -> int:
     methods = _parse_methods(args.methods)
     report = validation.sweep(points, methods, args.slots, args.seed,
                               tol_rel=args.tol_rel, warmup=args.warmup,
-                              tail_eps=args.tail_eps,
-                              max_workers=validation.default_workers())
+                              tail_eps=args.tail_eps)
     rows = _report_rows(report, methods, args.slots, args.seed)
     try:
         with open(args.out, "w", newline="") as fh:
@@ -212,8 +209,7 @@ def cmd_validate(args) -> int:
     points = _parse_grid(args.grid)
     report = validation.sweep(points, validation.METHOD_ORDER, args.slots, args.seed,
                               tol_rel=args.tol_rel, warmup=args.warmup,
-                              tail_eps=args.tail_eps,
-                              max_workers=validation.default_workers())
+                              tail_eps=args.tail_eps)
     for r in report.rows:
         verdict = "PASS" if r.passed else "FAIL"
         print(f"{verdict} lambda1={_fmt(r.params.lambda1)} lambda2={_fmt(r.params.lambda2)} "

@@ -19,9 +19,9 @@ to 1 on an actuation, else +1; aoai resets to the end-of-slot aoi on an
 actuation (the age of the packet just consumed), else +1.
 
 `step` / `run_trace` implement this one readable slot at a time and are the
-reference semantics.  `run` simulates long horizons through a chunked kernel
-(numba-compiled when available) that is property-tested to agree bit for bit
-with the reference.
+reference semantics.  `run` and `run_batched` simulate long horizons by
+scanning chunks of slots through a table tabulated from the same slot rules
+(`_step_core`); tests replay the scan against `step` bit for bit.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ import numpy as np
 
 from .core import AgeVector, Params, SlotEvents, SystemState
 from .errors import DomainError
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _HAVE_NUMBA = False
 
 __all__ = [
     "EngineState",
@@ -96,8 +89,9 @@ def initial_state() -> EngineState:
 def _step_core(cache: int, battery: int, data: int, energy: int):
     """One slot of occupancy dynamics; returns (cache', battery', actuated).
 
-    Single source of the slot semantics: `step`, the fast kernels, and the
-    Markov-chain builders all derive their transitions from this function.
+    Single source of the slot semantics: `step`, the scan table
+    `_TRANSITIONS`, and the Markov-chain builders all derive their
+    transitions from this function.
     """
     data_available = cache | data
     energy_available = battery | energy
@@ -171,61 +165,37 @@ def read_events_csv(path) -> list[SlotEvents]:
 
 
 # ---------------------------------------------------------------------------
-# Fast path: chunked kernel over packed event codes (bit0 = data, bit1 = energy).
+# Chunked simulation: a scan over packed event codes (bit0 = data, bit1 = energy).
 # ---------------------------------------------------------------------------
 
 
-def _scan_events_py(code: bytes, cache: int, battery: int,
-                    act_out: bytearray, state_out: bytearray) -> tuple[int, int]:
-    t = 0
-    for c in code:
-        d = c & 1
-        ea = battery | (c >> 1)
-        if (cache | d) & ea:
-            act_out[t] = 1
-            battery = (c >> 1) if battery else 0
-            cache = 0
-        else:
-            battery = battery | (c >> 1)
-            cache = cache | d
-        state_out[t] = cache * 2 + battery  # 0=(0,0), 1=(0,1), 2=(1,0)
-        t += 1
-    return cache, battery
+def _transition_table() -> bytes:
+    """`_step_core` tabulated for the scan.
+
+    Index: state * 4 + code, with state = cache * 2 + battery (0=(0,0), 1=(0,1),
+    2=(1,0)) and code = data | energy << 1.  Entry: state' | actuated << 2.
+    """
+    table = bytearray(12)
+    for state in range(3):
+        for code in range(4):
+            c2, b2, act = _step_core(state >> 1, state & 1, code & 1, code >> 1)
+            table[state * 4 + code] = (c2 * 2 + b2) | (act << 2)
+    return bytes(table)
 
 
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _scan_events_nb(code, cache, battery, act_out, state_out):  # pragma: no cover
-        for t in range(code.shape[0]):
-            c = np.int64(code[t])
-            d = c & 1
-            e = c >> 1
-            if (cache | d) & (battery | e):
-                act_out[t] = 1
-                battery = e if battery else 0
-                cache = 0
-            else:
-                battery = battery | e
-                cache = cache | d
-            state_out[t] = cache * 2 + battery
-        return cache, battery
+_TRANSITIONS = _transition_table()
 
 
 def _scan_events(code: np.ndarray, cache: int, battery: int):
     """Run the occupancy recursion over one chunk; returns (act, state, C, B)."""
-    n = code.shape[0]
-    if _HAVE_NUMBA:
-        act = np.zeros(n, dtype=np.uint8)
-        st = np.zeros(n, dtype=np.uint8)
-        cache, battery = _scan_events_nb(code, cache, battery, act, st)
-    else:
-        act_ba = bytearray(n)
-        st_ba = bytearray(n)
-        cache, battery = _scan_events_py(code.tobytes(), cache, battery, act_ba, st_ba)
-        act = np.frombuffer(bytes(act_ba), dtype=np.uint8)
-        st = np.frombuffer(bytes(st_ba), dtype=np.uint8)
-    return act.astype(bool), st, cache, battery
+    table = _TRANSITIONS
+    entry = cache * 2 + battery
+    # The assignment expression carries the state through the comprehension,
+    # which runs faster than a for loop that stores each entry by index.
+    packed = np.frombuffer(
+        bytes([entry := table[(entry & 3) * 4 + c] for c in code.tobytes()]), dtype=np.uint8)
+    state = entry & 3
+    return (packed >> 2).astype(bool), packed & 3, state >> 1, state & 1
 
 
 @dataclass
@@ -314,19 +284,7 @@ def run(p: Params, slots: int, seed: int, warmup: int = 1000) -> RunSummary:
     The first `warmup` slots are excluded from the averages.  Identical
     (p, slots, seed, warmup) always produce a bit-identical summary.
     """
-    if slots < 1:
-        raise DomainError(f"slots must be positive, got {slots}")
-    acc = _simulate(p, slots, seed, warmup, n_batches=1)
-    measured = slots - warmup
-    return RunSummary(
-        slots=slots,
-        mean_aoi=int(acc.sum_aoi.sum()) / measured,
-        mean_aoa=int(acc.sum_aoa.sum()) / measured,
-        mean_aoai=int(acc.sum_aoai.sum()) / measured,
-        actuation_count=acc.actuations,
-        seed=seed,
-        warmup=warmup,
-    )
+    return run_batched(p, slots, seed, warmup, n_batches=1)[0]
 
 
 def run_batched(p: Params, slots: int, seed: int, warmup: int = 1000,
@@ -335,7 +293,8 @@ def run_batched(p: Params, slots: int, seed: int, warmup: int = 1000,
 
     Returns (RunSummary, means, stderrs) where means/stderrs are length-3
     arrays ordered (aoi, aoa, aoai) and the standard error comes from the
-    sample standard deviation of the `n_batches` batch means.
+    sample standard deviation of the `n_batches` batch means (NaN when
+    `n_batches` is 1).
     """
     acc = _simulate(p, slots, seed, warmup, n_batches=n_batches)
     measured = slots - warmup

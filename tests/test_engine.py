@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aoa_lab import analytic
+from aoa_lab import analytic, engine
 from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params
-from aoa_lab.engine import (EngineState, _scan_events, _scan_events_py,
-                            _simulate, events_from_arrays, initial_state,
+from aoa_lab.engine import (EngineState, _scan_events, _simulate,
+                            events_from_arrays, initial_state,
                             occupancy_distribution, read_events_csv, run,
                             run_batched, run_trace, step)
 from aoa_lab.errors import DomainError
@@ -124,33 +124,55 @@ class TestTrajectoryProperties:
 
 
 class TestKernels:
-    def test_python_and_accelerated_kernels_agree(self):
+    def test_scan_matches_step_replay_from_each_start_state(self):
         rng = np.random.default_rng(1234)
-        for n in (1, 7, 1000, 30000):
-            code = rng.integers(0, 4, size=n).astype(np.uint8)
-            act_ba, st_ba = bytearray(n), bytearray(n)
-            c_py, b_py = _scan_events_py(code.tobytes(), 0, 0, act_ba, st_ba)
-            act, stt, c, b = _scan_events(code, 0, 0)
-            assert (np.frombuffer(bytes(act_ba), dtype=np.uint8).astype(bool) == act).all()
-            assert (np.frombuffer(bytes(st_ba), dtype=np.uint8) == stt).all()
-            assert (c_py, b_py) == (c, b)
+        for cache, battery in ((0, 0), (0, 1), (1, 0)):
+            for n in (1, 7, 1000, 5000):
+                code = rng.integers(0, 4, size=n).astype(np.uint8)
+                act, stt, c, b = _scan_events(code, cache, battery)
+                state = _state(cache, battery, 1, 1, 1)
+                for t, x in enumerate(code.tolist()):
+                    state, actuated = step(state, SlotEvents(bool(x & 1), bool(x >> 1)))
+                    assert act[t] == actuated
+                    assert stt[t] == state.system.cache * 2 + state.system.battery
+                assert (c, b) == (state.system.cache, state.system.battery)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.05, max_value=1.0),
            st.floats(min_value=0.05, max_value=1.0),
            st.integers(min_value=1, max_value=2 ** 63 - 1),
-           st.integers(min_value=2, max_value=1500))
-    def test_fast_path_matches_reference_step_loop(self, l1, l2, seed, slots):
+           st.integers(min_value=2, max_value=1500),
+           st.sampled_from([engine._CHUNK, 7]),
+           st.integers(min_value=0, max_value=200),
+           st.integers(min_value=1, max_value=4))
+    # A 7-slot chunk makes every carry (occupancy, last arrival, last
+    # actuation, aoi at the last actuation) cross chunk edges inside the
+    # warmup and inside each measured batch.
+    @example(0.3, 0.6, 5, 1000, 7, 100, 4)
+    def test_fast_path_matches_reference_step_loop(self, l1, l2, seed, slots, chunk,
+                                                   warmup, n_batches):
+        warmup = min(warmup, slots - 1)
+        n_batches = min(n_batches, slots - warmup)
         p = make_params(l1, l2)
         # Reconstruct the exact event stream the fast path consumes.
         u = np.random.default_rng(seed).random((slots, 2))
         events = [SlotEvents(bool(u[t, 0] < l1), bool(u[t, 1] < l2)) for t in range(slots)]
         traj = run_trace(events)
-        acc = _simulate(p, slots, seed, warmup=0, n_batches=1)
-        assert int(acc.sum_aoi.sum()) == sum(s.ages.aoi for s, _ in traj)
-        assert int(acc.sum_aoa.sum()) == sum(s.ages.aoa for s, _ in traj)
-        assert int(acc.sum_aoai.sum()) == sum(s.ages.aoai for s, _ in traj)
-        assert acc.actuations == sum(act for _, act in traj)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CHUNK", chunk)
+            acc = _simulate(p, slots, seed, warmup=warmup, n_batches=n_batches)
+        edges = acc.batch_edges.tolist()
+        assert edges[0] == warmup and edges[-1] == slots
+        for b in range(n_batches):
+            batch = traj[edges[b]:edges[b + 1]]
+            assert acc.sum_aoi[b] == sum(s.ages.aoi for s, _ in batch)
+            assert acc.sum_aoa[b] == sum(s.ages.aoa for s, _ in batch)
+            assert acc.sum_aoai[b] == sum(s.ages.aoai for s, _ in batch)
+        measured = traj[warmup:]
+        occupancy = np.bincount([s.system.cache * 2 + s.system.battery for s, _ in measured],
+                                minlength=3)
+        assert acc.occupancy.tolist() == occupancy.tolist()
+        assert acc.actuations == sum(act for _, act in measured)
         last = traj[-1][0].system
         assert (acc.final_cache, acc.final_battery) == (last.cache, last.battery)
 
@@ -214,13 +236,22 @@ class TestRun:
         occ = occupancy_distribution(make_params(0.5, 0.5), 1_000_000, seed=13)
         assert 0.5 * np.abs(occ - np.array([0.4, 0.4, 0.2])).sum() < 0.01
 
-    def test_dispatcher_fallback_without_numba(self, monkeypatch):
-        import aoa_lab.engine as eng
-
-        p = make_params(0.6, 0.3)
-        fast = run(p, 30_000, seed=3, warmup=100)
-        monkeypatch.setattr(eng, "_HAVE_NUMBA", False)
-        assert run(p, 30_000, seed=3, warmup=100) == fast
+    @pytest.mark.parametrize("l1, l2, seed, slots, expected, expected_stderrs", [
+        (0.1, 0.3, 3, 5_000_001,
+         (9.986689340530239, 9.804566752437138, 10.162281023748545, 477369),
+         (0.015362188518301009, 0.015606831972805286, 0.014924940972902404)),
+        (1.0, 0.3, 2, 2_100_000,
+         (1.0, 3.336772748928061, 3.336772748928061, 628829),
+         (0.0, 0.003761845853990246, 0.003761845853990246)),
+    ])
+    def test_seeded_runs_across_chunk_edges_match_frozen_values(
+            self, l1, l2, seed, slots, expected, expected_stderrs):
+        # Frozen values: a change to the draw order, the scan or the age sums
+        # shows here.  Both runs span several `_CHUNK`-slot chunks.
+        summary, _, stderrs = run_batched(make_params(l1, l2), slots, seed, warmup=1000)
+        assert (summary.mean_aoi, summary.mean_aoa, summary.mean_aoai,
+                summary.actuation_count) == expected
+        assert tuple(stderrs.tolist()) == expected_stderrs
 
     def test_actuation_rate_matches_age_one_mass(self):
         p = make_params(0.2, 0.1)
