@@ -55,6 +55,11 @@ SYSTEM_STATES = ((0, 0), (0, 1), (1, 0))
 
 TAIL_MASS_LIMIT = 1e-6
 
+# Largest truncated chain a builder accepts.  The AoAI chain at the CLI floor,
+# (0.01, 0.5) with cap 2302, has 2 653 055 states; at lambda1 = 1e-4 its
+# cap of 230 257 would give 2.65e10 states, more than memory holds.
+MAX_CHAIN_STATES = 3_000_000
+
 
 @dataclass(frozen=True)
 class SystemChain:
@@ -155,6 +160,12 @@ def choose_cap(p: Params, tail_eps: float) -> int:
     return cap
 
 
+def _check_size(kind: str, cap: int, n_states: int) -> None:
+    if n_states > MAX_CHAIN_STATES:
+        raise CapError(f"{kind} chain at cap {cap} has {n_states} states, "
+                       f"above the limit of {MAX_CHAIN_STATES}")
+
+
 def _a_priori_tail_mass(r: float, cap: int) -> float:
     return r ** cap / (1.0 - r) if r > 0.0 else 0.0
 
@@ -164,10 +175,12 @@ def build_aoa_chain(p: Params, cap: int) -> TruncatedChain:
 
     Level 1 holds exactly (1,0,0) and (1,0,1); every level 2..cap holds
     (A,0,0), (A,0,1), (A,1,0).  (A,1,1) is infeasible and (1,1,0) impossible
-    because an actuation empties the cache.
+    because an actuation empties the cache.  Raises CapError when the
+    3*cap - 1 states exceed MAX_CHAIN_STATES.
     """
     if cap < 2:
         raise DomainError(f"cap must be >= 2, got {cap}")
+    _check_size("aoa", cap, 3 * cap - 1)
     states = [(1, 0, 0), (1, 0, 1)]
     for a in range(2, cap + 1):
         states += [(a, 0, 0), (a, 0, 1), (a, 1, 0)]
@@ -195,9 +208,11 @@ def build_aoai_chain(p: Params, cap: int) -> TruncatedChain:
     (a charged battery with a cached packet would already have actuated).
     A state with aoi < aoai necessarily holds a cached packet of age aoi;
     cache occupancy is inferred from that when generating transitions.
+    Raises CapError when the cap*(cap+3)/2 states exceed MAX_CHAIN_STATES.
     """
     if cap < 2:
         raise DomainError(f"cap must be >= 2, got {cap}")
+    _check_size("aoai", cap, cap * (cap + 3) // 2)
     states = []
     for ai in range(1, cap + 1):
         states += [(ai, i, 0) for i in range(1, ai + 1)]

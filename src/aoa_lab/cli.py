@@ -123,8 +123,9 @@ def cmd_analytic(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = _cli_params(args.lambda1, args.lambda2)
-    nb = max(1, min(validation.N_BATCHES, args.slots - args.warmup))
-    _, means, stderrs = engine.run_batched(p, args.slots, args.seed, args.warmup, n_batches=nb)
+    warmup = validation.default_warmup(args.slots) if args.warmup is None else args.warmup
+    nb = max(1, min(validation.N_BATCHES, args.slots - warmup))
+    _, means, stderrs = engine.run_batched(p, args.slots, args.seed, warmup, n_batches=nb)
     rows = [OutputRow(p.lambda1, p.lambda2, "sim", m, float(means[i]),
                       float(stderrs[i]) if nb > 1 else 0.0,
                       slots=args.slots, seed=args.seed)
@@ -278,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_lambdas(sp)
     sp.add_argument("--slots", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--warmup", type=int, default=1000)
+    sp.add_argument("--warmup", type=int, default=None,
+                    help="slots left out of the averages (default min(1000, slots // 10))")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_simulate)
 

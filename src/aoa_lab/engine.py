@@ -19,14 +19,22 @@ to 1 on an actuation, else +1; aoai resets to the end-of-slot aoi on an
 actuation (the age of the packet just consumed), else +1.
 
 `step` / `run_trace` implement this one readable slot at a time and are the
-reference semantics.  `run` and `run_batched` simulate long horizons by
-scanning chunks of slots through a table tabulated from the same slot rules
-(`_step_core`); tests replay the scan against `step` bit for bit.
+reference semantics.  `run` and `run_batched` simulate long horizons in
+chunks of slots, in two vectorised stages:
+
+* the occupancy scan looks up 8-slot blocks of event codes in a table that
+  composes the one-slot table of the same slot rules (`_step_core`), so one
+  Python step per block carries the state; tests replay the scan against
+  `step` bit for bit;
+* the age sums are renewal-reward sums over the arrival and actuation slots:
+  an age that restarts at a and runs n slots adds n*a + n*(n-1)/2, so no
+  per-slot age is stored, and every batch sum is an exact integer.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -185,17 +193,81 @@ def _transition_table() -> bytes:
 
 _TRANSITIONS = _transition_table()
 
+_BLOCK = 8  # slots per block code: 8 two-bit event codes fill a uint16
+_BLOCK_WEIGHTS = (4 ** np.arange(_BLOCK)).astype(np.uint16)
+
+
+@functools.cache
+def _block_table() -> tuple[np.ndarray, bytes]:
+    """`_TRANSITIONS` composed over 8-slot blocks; built on first use.
+
+    Index [state, block], where slot i of the block holds its event code in
+    bits 2i..2i+1 of `block`.  Entry (little-endian uint64): byte i is the
+    `_TRANSITIONS` entry of slot i, end-of-slot state | actuated << 2, so
+    byte 7 also holds the state after the block.  Also returns those final
+    states as bytes indexed by state << 16 | block, for the pass that
+    carries the state from block to block.
+    """
+    step = np.frombuffer(_TRANSITIONS, dtype=np.uint8)
+    block = np.arange(1 << 16)
+    state = np.repeat(np.arange(3, dtype=np.uint8)[:, None], 1 << 16, axis=1)
+    table = np.zeros((3, 1 << 16, _BLOCK), dtype=np.uint8)
+    for i in range(_BLOCK):
+        table[:, :, i] = step[state * 4 + ((block >> (2 * i)) & 3)]
+        state = table[:, :, i] & 3
+    table = table.view("<u8")[:, :, 0]
+    table.flags.writeable = False
+    return table, state.tobytes()
+
 
 def _scan_events(code: np.ndarray, cache: int, battery: int):
-    """Run the occupancy recursion over one chunk; returns (act, state, C, B)."""
-    table = _TRANSITIONS
+    """Run the occupancy recursion over one chunk; returns (act, state, C, B).
+
+    The codes are packed into 8-slot uint16 block codes, the tail padded with
+    code 0 (no data, no energy), which leaves every state unchanged.  One
+    Python pass over the blocks carries the state through `_block_table`;
+    one gather of the blocks' entries then gives each slot's end-of-slot
+    state and actuation bit.
+    """
+    k = len(code)
+    n_blocks = -(-k // _BLOCK)
+    padded = np.zeros(n_blocks * _BLOCK, dtype=np.uint16)
+    padded[:k] = code
+    blocks = padded.reshape(n_blocks, _BLOCK) @ _BLOCK_WEIGHTS
+    table, final = _block_table()
     entry = cache * 2 + battery
     # The assignment expression carries the state through the comprehension,
     # which runs faster than a for loop that stores each entry by index.
-    packed = np.frombuffer(
-        bytes([entry := table[(entry & 3) * 4 + c] for c in code.tobytes()]), dtype=np.uint8)
-    state = entry & 3
-    return (packed >> 2).astype(bool), packed & 3, state >> 1, state & 1
+    ends = bytes([entry := final[entry << 16 | b] for b in memoryview(blocks)])
+    starts = np.empty(n_blocks, dtype=np.intp)
+    starts[0] = cache * 2 + battery
+    starts[1:] = np.frombuffer(ends, dtype=np.uint8)[:-1]
+    packed = table[starts, blocks].view(np.uint8)[:k]
+    return packed > 3, packed & 3, entry >> 1, entry & 1
+
+
+def _age_sums(starts: np.ndarray, base, q: np.ndarray) -> np.ndarray:
+    """Sum of an age over each slot range [q[i], q[i+1]), for sorted q.
+
+    The age restarts at `base[j]` (a scalar `base` is used at every start)
+    at slot `starts[j]`, sorted and at or before q[0], and grows by one each
+    slot until the next start.  A segment that starts at age a and lasts n
+    slots adds n*a + n*(n-1)/2, so only the start slots are needed, and every
+    sum is an exact int64.
+    """
+    base = np.broadcast_to(base, starts.shape)
+    j = np.searchsorted(starts, q, side="right") - 1
+    m = q - starts[j]
+    # Each range gains the part of its last segment before its end, loses
+    # the part of its first segment before its start, and adds the whole
+    # segments j[i] .. j[i+1]-1 in between.
+    sums = np.diff(m * base[j] + m * (m - 1) // 2)
+    n = np.diff(starts)
+    for i in np.flatnonzero(np.diff(j)).tolist():
+        lo, hi = j[i], j[i + 1]
+        span = n[lo:hi]
+        sums[i] += int(span @ base[lo:hi]) + (int(span @ span) - int(starts[hi] - starts[lo])) // 2
+    return sums
 
 
 @dataclass
@@ -228,9 +300,9 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
     # Carries across chunks: global index of the last arrival / actuation
     # (-1 when none yet; the virtual slot -1 carries age 1) and the end-of-slot
     # aoi at the last actuation.
-    last_d = np.int64(-1)
-    last_a = np.int64(-1)
-    aoi_at_last_act = np.int64(1)
+    last_d = -1
+    last_a = -1
+    aoi_at_last_act = 1
     sI = np.zeros(n_batches, dtype=np.int64)
     sA = np.zeros(n_batches, dtype=np.int64)
     sAI = np.zeros(n_batches, dtype=np.int64)
@@ -246,32 +318,32 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
         code = d.astype(np.uint8) | (e.astype(np.uint8) << 1)
         act, st, cache, battery = _scan_events(code, cache, battery)
 
-        g = np.arange(done, done + k, dtype=np.int64)
-        ld = np.maximum.accumulate(np.where(d, g, last_d))
-        aoi = g - ld + 1
-        la = np.maximum.accumulate(np.where(act, g, last_a))
-        aoa = g - la + 1
-        aoi_at_act = np.where(la >= done, aoi[np.maximum(la - done, 0)], aoi_at_last_act)
-        aoai = aoi_at_act + (g - la)
+        # Renewal-reward age sums from the event slots alone (chunk-local).
+        # Each list of event slots is led by the carried last event, at a
+        # negative slot.  Batch edges are query points; a batch outside the
+        # chunk clips to an empty range.
+        pd = np.flatnonzero(d)
+        pa = np.flatnonzero(act)
+        sd = np.concatenate(([last_d - done], pd))
+        sa = np.concatenate(([last_a - done], pa))
+        # The aoi at an actuation: sd[cumsum(d)[t]] is the last arrival at or
+        # before slot t.
+        aoi_at_act = pa - sd[np.cumsum(d, dtype=np.int32)[pa]] + 1
+        q = np.clip(edges - done, 0, k)
+        sI += _age_sums(sd, 1, q)
+        sA += _age_sums(sa, 1, q)
+        base_aoai = np.concatenate(([aoi_at_last_act], aoi_at_act))
+        sAI += _age_sums(sa, base_aoai, q)
 
         lo_meas = max(warmup - done, 0)
-        if lo_meas < k:
-            occupancy += np.bincount(st[lo_meas:], minlength=3)
-            actuations += int(act[lo_meas:].sum())
-            b_first = int(np.searchsorted(edges, done + lo_meas, side="right")) - 1
-            b_last = int(np.searchsorted(edges, done + k - 1, side="right")) - 1
-            for b in range(max(b_first, 0), min(b_last, n_batches - 1) + 1):
-                lo = max(int(edges[b]) - done, lo_meas)
-                hi = min(int(edges[b + 1]) - done, k)
-                if hi > lo:
-                    sI[b] += int(aoi[lo:hi].sum())
-                    sA[b] += int(aoa[lo:hi].sum())
-                    sAI[b] += int(aoai[lo:hi].sum())
+        in_window = st[lo_meas:]
+        battery_only, cache_only = (np.count_nonzero(in_window == s) for s in (1, 2))
+        occupancy += [len(in_window) - battery_only - cache_only, battery_only, cache_only]
+        actuations += len(pa) - int(np.searchsorted(pa, lo_meas))
 
-        last_d = ld[-1]
-        last_a = la[-1]
-        if la[-1] >= done:
-            aoi_at_last_act = aoi[la[-1] - done]
+        last_d = done + int(sd[-1])
+        last_a = done + int(sa[-1])
+        aoi_at_last_act = int(base_aoai[-1])
         done += k
 
     return _RunAccumulator(edges, sI, sA, sAI, actuations, occupancy, cache, battery)

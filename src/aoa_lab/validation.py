@@ -45,6 +45,11 @@ SERIES_ROUNDING_BOUND = 1e-12
 N_BATCHES = 20
 
 
+def default_warmup(slots: int) -> int:
+    """Warmup slots of a simulation run when none is given: min(1000, slots // 10)."""
+    return min(1000, slots // 10)
+
+
 @dataclass(frozen=True)
 class CrossCheckResult:
     """Agreement scorecard of one metric at one parameter point.
@@ -142,7 +147,7 @@ def cross_check(
 
     if "sim" in methods:
         if warmup is None:
-            warmup = min(1000, slots // 10)
+            warmup = default_warmup(slots)
         nb = max(1, min(N_BATCHES, slots - warmup))
         _, means, stderrs = engine.run_batched(p, slots, seed, warmup, n_batches=nb)
         for i, metric in enumerate(METRICS):

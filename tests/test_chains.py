@@ -1,12 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
 from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, avg_aoa,
                               avg_aoai)
-from aoa_lab.chains import (SYSTEM_STATES, aoa_series_mean, build_aoa_chain,
-                            build_aoai_chain, build_system_chain, choose_cap,
-                            level_masses, mean_age, occupancy_marginals,
-                            seed_masses, stationary)
+from aoa_lab.chains import (MAX_CHAIN_STATES, SYSTEM_STATES, aoa_series_mean,
+                            build_aoa_chain, build_aoai_chain, build_system_chain,
+                            choose_cap, level_masses, mean_age,
+                            occupancy_marginals, seed_masses, stationary)
 from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params, shorthand
 from aoa_lab.engine import EngineState, step
 from aoa_lab.errors import (CapError, ConvergenceError, DomainError,
@@ -86,6 +88,19 @@ class TestChooseCap:
 
     def test_saturated_corner(self):
         assert choose_cap(make_params(1.0, 1.0), 1e-10) >= 2
+
+    def test_oversized_chains_rejected_before_building(self):
+        p = make_params(1e-4, 0.5)
+        cap = choose_cap(p, 1e-10)
+        start = time.perf_counter()
+        with pytest.raises(CapError):
+            build_aoai_chain(p, cap)  # 2.65e10 states
+        with pytest.raises(CapError):
+            build_aoa_chain(p, MAX_CHAIN_STATES // 3 + 1)
+        assert time.perf_counter() - start < 1.0
+        # The CLI floor stays under the limit.
+        floor_cap = choose_cap(make_params(0.01, 0.5), 1e-10)
+        assert floor_cap * (floor_cap + 3) // 2 <= MAX_CHAIN_STATES
 
 
 class TestAoaChainStructure:

@@ -88,6 +88,14 @@ class TestSimulate:
                              "--slots", "100", "--warmup", "100")
         assert code == 2
 
+    def test_short_run_uses_the_validate_warmup_rule(self, capsys):
+        # Without --warmup a 500-slot run warms up for 50 slots, as `validate`
+        # would, instead of failing on a 1000-slot warmup.
+        code, out, _ = run_cli(capsys, "simulate", "--lambda1", "0.5", "--lambda2", "0.5",
+                               "--slots", "500")
+        assert code == 0
+        assert [r["metric"] for r in csv_rows(out)] == ["aoi", "aoa", "aoai"]
+
     def test_deterministic_per_seed(self, capsys):
         args = ("simulate", "--lambda1", "0.5", "--lambda2", "0.5",
                 "--slots", "50000", "--seed", "5")

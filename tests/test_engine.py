@@ -127,7 +127,7 @@ class TestKernels:
     def test_scan_matches_step_replay_from_each_start_state(self):
         rng = np.random.default_rng(1234)
         for cache, battery in ((0, 0), (0, 1), (1, 0)):
-            for n in (1, 7, 1000, 5000):
+            for n in (1, 7, 8, 9, 16, 17, 1000, 5000):
                 code = rng.integers(0, 4, size=n).astype(np.uint8)
                 act, stt, c, b = _scan_events(code, cache, battery)
                 state = _state(cache, battery, 1, 1, 1)
@@ -138,17 +138,21 @@ class TestKernels:
                 assert (c, b) == (state.system.cache, state.system.battery)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.floats(min_value=0.05, max_value=1.0),
-           st.floats(min_value=0.05, max_value=1.0),
+    @given(st.floats(min_value=0.001, max_value=1.0),
+           st.floats(min_value=0.001, max_value=1.0),
            st.integers(min_value=1, max_value=2 ** 63 - 1),
            st.integers(min_value=2, max_value=1500),
-           st.sampled_from([engine._CHUNK, 7]),
+           st.sampled_from([engine._CHUNK, 7, 8, 9]),
            st.integers(min_value=0, max_value=200),
            st.integers(min_value=1, max_value=4))
     # A 7-slot chunk makes every carry (occupancy, last arrival, last
     # actuation, aoi at the last actuation) cross chunk edges inside the
-    # warmup and inside each measured batch.
+    # warmup and inside each measured batch; 7, 8 and 9 cut chunks short of,
+    # at and past the 8-slot block of the scan.  Rates down to 0.001 draw
+    # chunks and runs without an arrival or an actuation.
     @example(0.3, 0.6, 5, 1000, 7, 100, 4)
+    @example(1.0, 1.0, 3, 300, 9, 20, 3)  # an arrival and an actuation every slot
+    @example(0.001, 0.5, 1, 50, 8, 10, 2)  # no arrival, so no actuation
     def test_fast_path_matches_reference_step_loop(self, l1, l2, seed, slots, chunk,
                                                    warmup, n_batches):
         warmup = min(warmup, slots - 1)
@@ -243,11 +247,15 @@ class TestRun:
         (1.0, 0.3, 2, 2_100_000,
          (1.0, 3.336772748928061, 3.336772748928061, 628829),
          (0.0, 0.003761845853990246, 0.003761845853990246)),
+        (0.05, 0.05, 1, 10_000_000,
+         (19.944430343034302, 23.27245904590459, 27.94295919591959, 339227),
+         (0.032789565060840416, 0.03458039650170059, 0.045651123460611336)),
     ])
     def test_seeded_runs_across_chunk_edges_match_frozen_values(
             self, l1, l2, seed, slots, expected, expected_stderrs):
         # Frozen values: a change to the draw order, the scan or the age sums
-        # shows here.  Both runs span several `_CHUNK`-slot chunks.
+        # shows here.  Every run spans several `_CHUNK`-slot chunks; the
+        # last is the `simulate` run of the benchmark's `sim` workload.
         summary, _, stderrs = run_batched(make_params(l1, l2), slots, seed, warmup=1000)
         assert (summary.mean_aoi, summary.mean_aoa, summary.mean_aoai,
                 summary.actuation_count) == expected
