@@ -9,12 +9,12 @@ Three chains are covered:
 * the actuated-information chain over states (aoai, aoi, battery), truncated
   at a level cap.
 
-Transitions are generated procedurally from the slot-engine semantics (the
-same `_step_core` the simulator uses) rather than transcribed from their
-printed matrix patterns; the test suite pins the generated rows to those
-patterns.  Truncation keeps levels <= cap and drops transitions to higher
-levels, leaving boundary rows substochastic; the stationary solve then
-returns the renormalized quasi-stationary distribution together with an
+The builders read their transitions from `engine._TRANSITIONS`, the table of
+`_step_core` that the simulator's scan reads, rather than transcribing the
+printed matrix patterns; the test suite pins the rows to those patterns and to
+`engine.step`.  Truncation keeps levels <= cap and drops transitions to higher
+levels, leaving boundary rows substochastic; the stationary solve then returns
+the renormalized quasi-stationary distribution together with an
 estimate of the stationary mass lost beyond the cap.
 
 A third, semi-analytic route to the average actuation age is provided by
@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .analytic import aoa_seed_probs
 from .core import Params, shorthand
-from .engine import _step_core
+from .engine import _TRANSITIONS
 from .errors import CapError, ConvergenceError, DomainError, TruncationError
 
 __all__ = [
@@ -115,23 +115,35 @@ class StationaryDist:
     method: str
 
 
-def _event_outcomes(p: Params):
-    """The four (probability, data, energy) slot outcomes, zero-probability ones dropped."""
+def _transitions(p: Params, occ: np.ndarray, successor) -> sp.coo_matrix:
+    """Transition matrix of a chain whose state k has occupancy code occ[k].
+
+    For each slot outcome of positive probability, in the order w, x, y, z,
+    `_TRANSITIONS` gives every state's next occupancy code and actuation bit,
+    and successor(data, occ2, actuated) the next state's index.  Indices past
+    the last state, the levels above a cap, are dropped.
+    """
     s = shorthand(p)
-    for prob, d, e in ((s.w, 1, 1), (s.x, 1, 0), (s.y, 0, 1), (s.z, 0, 0)):
+    table = np.frombuffer(_TRANSITIONS, dtype=np.uint8)
+    n = len(occ)
+    parts = []
+    # Event code data | energy << 1 of each outcome, as `_TRANSITIONS` indexes it.
+    for prob, code in ((s.w, 3), (s.x, 1), (s.y, 2), (s.z, 0)):
         if prob > 0.0:
-            yield prob, d, e
+            entry = table[occ * 4 + code]
+            col = successor(code & 1, entry & 3, entry >> 2)
+            row = np.flatnonzero(col < n)
+            parts.append((np.full(len(row), prob), row, col[row]))
+    probs, rows, cols = (np.concatenate(x) for x in zip(*parts))
+    return sp.coo_matrix((probs, (rows, cols)), shape=(n, n))
 
 
 def build_system_chain(p: Params) -> SystemChain:
-    """The 3-state occupancy chain, rows generated from the slot semantics."""
-    index = {s: i for i, s in enumerate(SYSTEM_STATES)}
-    mat = np.zeros((3, 3))
-    for (c, b), i in index.items():
-        for prob, d, e in _event_outcomes(p):
-            c2, b2, _ = _step_core(c, b, d, e)
-            mat[i, index[(c2, b2)]] += prob
-    return SystemChain(p, mat)
+    """The 3-state occupancy chain; state k has occupancy code k.
+
+    Densifying the COO matrix adds each entry's outcomes in the order w, x, y, z.
+    """
+    return SystemChain(p, _transitions(p, np.arange(3), lambda data, occ2, act: occ2).toarray())
 
 
 def _decay_rate(p: Params) -> float:
@@ -170,35 +182,30 @@ def _a_priori_tail_mass(r: float, cap: int) -> float:
     return r ** cap / (1.0 - r) if r > 0.0 else 0.0
 
 
+def _truncated_chain(kind, p, cap, states, occ, successor) -> TruncatedChain:
+    r = _decay_rate(p)
+    return TruncatedChain(kind, p, tuple(zip(*(x.tolist() for x in states))),
+                          _transitions(p, occ, successor).tocsr(), cap,
+                          _a_priori_tail_mass(r, cap), r)
+
+
 def build_aoa_chain(p: Params, cap: int) -> TruncatedChain:
     """Truncated actuation-age chain over states (age, cache, battery).
 
     Level 1 holds exactly (1,0,0) and (1,0,1); every level 2..cap holds
     (A,0,0), (A,0,1), (A,1,0).  (A,1,1) is infeasible and (1,1,0) impossible
-    because an actuation empties the cache.  Raises CapError when the
-    3*cap - 1 states exceed MAX_CHAIN_STATES.
+    because an actuation empties the cache.  (1,c,b) is at index occ = 2c + b
+    and (A,c,b) at 3A - 4 + occ.  Raises CapError when the 3*cap - 1 states
+    exceed MAX_CHAIN_STATES.
     """
     if cap < 2:
         raise DomainError(f"cap must be >= 2, got {cap}")
     _check_size("aoa", cap, 3 * cap - 1)
-    states = [(1, 0, 0), (1, 0, 1)]
-    for a in range(2, cap + 1):
-        states += [(a, 0, 0), (a, 0, 1), (a, 1, 0)]
-    index = {s: i for i, s in enumerate(states)}
-    rows, cols, vals = [], [], []
-    for (a, c, b), i in index.items():
-        for prob, d, e in _event_outcomes(p):
-            c2, b2, act = _step_core(c, b, d, e)
-            a2 = 1 if act else a + 1
-            if a2 > cap:
-                continue
-            rows.append(i)
-            cols.append(index[(a2, c2, b2)])
-            vals.append(prob)
-    n = len(states)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    r = _decay_rate(p)
-    return TruncatedChain("aoa", p, tuple(states), mat, cap, _a_priori_tail_mass(r, cap), r)
+    occ = np.concatenate(([0, 1], np.tile([0, 1, 2], cap - 1)))
+    age = np.concatenate(([1, 1], np.repeat(np.arange(2, cap + 1), 3)))
+    # An actuation restarts the age at 1; level age + 1 starts at 3*age - 1.
+    return _truncated_chain("aoa", p, cap, (age, occ >> 1, occ & 1), occ,
+                            lambda data, occ2, act: np.where(act, occ2, 3 * age - 1 + occ2))
 
 
 def build_aoai_chain(p: Params, cap: int) -> TruncatedChain:
@@ -207,33 +214,25 @@ def build_aoai_chain(p: Params, cap: int) -> TruncatedChain:
     Constraints: aoi <= aoai always, and battery = 1 only when aoai = aoi
     (a charged battery with a cached packet would already have actuated).
     A state with aoi < aoai necessarily holds a cached packet of age aoi;
-    cache occupancy is inferred from that when generating transitions.
-    Raises CapError when the cap*(cap+3)/2 states exceed MAX_CHAIN_STATES.
+    cache occupancy is inferred from that.  Level ai starts at index
+    (ai-1)(ai+2)/2 and (ai,i,b) is at (ai-1)(ai+2)/2 + i - 1 + b.  Raises
+    CapError when the cap*(cap+3)/2 states exceed MAX_CHAIN_STATES.
     """
     if cap < 2:
         raise DomainError(f"cap must be >= 2, got {cap}")
     _check_size("aoai", cap, cap * (cap + 3) // 2)
-    states = []
-    for ai in range(1, cap + 1):
-        states += [(ai, i, 0) for i in range(1, ai + 1)]
-        states.append((ai, ai, 1))
-    index = {s: i for i, s in enumerate(states)}
-    rows, cols, vals = [], [], []
-    for (ai, aoi, b), row in index.items():
-        c = 1 if (aoi < ai and b == 0) else 0
-        for prob, d, e in _event_outcomes(p):
-            c2, b2, act = _step_core(c, b, d, e)
-            aoi2 = 1 if d else aoi + 1
-            ai2 = aoi2 if act else ai + 1
-            if ai2 > cap:
-                continue
-            rows.append(row)
-            cols.append(index[(ai2, aoi2, b2)])
-            vals.append(prob)
-    n = len(states)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    r = _decay_rate(p)
-    return TruncatedChain("aoai", p, tuple(states), mat, cap, _a_priori_tail_mass(r, cap), r)
+    aoai = np.repeat(np.arange(1, cap + 1), np.arange(2, cap + 2))
+    offset = np.arange(len(aoai)) - (aoai - 1) * (aoai + 2) // 2
+    battery = (offset == aoai).astype(np.int64)
+    aoi = offset + 1 - battery
+    occ = 2 * (aoi < aoai) + battery
+
+    def successor(data, occ2, act):
+        aoi2 = 1 if data else aoi + 1
+        aoai2 = np.where(act, aoi2, aoai + 1)
+        return (aoai2 - 1) * (aoai2 + 2) // 2 + aoi2 - 1 + (occ2 & 1)
+
+    return _truncated_chain("aoai", p, cap, (aoai, aoi, battery), occ, successor)
 
 
 def stationary(chain, tol: float = 1e-13, maxiter: int = 10 ** 6) -> StationaryDist:

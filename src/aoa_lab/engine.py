@@ -97,9 +97,9 @@ def initial_state() -> EngineState:
 def _step_core(cache: int, battery: int, data: int, energy: int):
     """One slot of occupancy dynamics; returns (cache', battery', actuated).
 
-    Single source of the slot semantics: `step`, the scan table
-    `_TRANSITIONS`, and the Markov-chain builders all derive their
-    transitions from this function.
+    Single source of the slot semantics: `step` calls it, and the 12-entry
+    table `_TRANSITIONS` tabulates it for the simulator's scan and for the
+    Markov-chain builders, which read their transitions from that table.
     """
     data_available = cache | data
     energy_available = battery | energy
@@ -141,8 +141,8 @@ def run_trace(events: Sequence[SlotEvents]) -> list[tuple[EngineState, bool]]:
 def read_events_csv(path) -> list[SlotEvents]:
     """Parse an event-trace file: header `t,data,energy`, one {0,1} row per slot.
 
-    Slots must be numbered consecutively from 1.  Raises DomainError naming
-    the offending line on any malformed content.
+    Slots must be numbered consecutively from 1; blank lines take no number.
+    Raises DomainError naming the offending line on any malformed content.
     """
     events = []
     with open(path, newline="") as fh:
@@ -162,8 +162,8 @@ def read_events_csv(path) -> list[SlotEvents]:
                 t, d, e = (int(x.strip()) for x in row)
             except ValueError:
                 raise DomainError(f"line {lineno}: non-integer value in {row!r}") from None
-            if t != lineno - 1:
-                raise DomainError(f"line {lineno}: slot index must be {lineno - 1}, got {t}")
+            if t != len(events) + 1:
+                raise DomainError(f"line {lineno}: slot index must be {len(events) + 1}, got {t}")
             if d not in (0, 1) or e not in (0, 1):
                 raise DomainError(f"line {lineno}: data and energy must be 0 or 1, got {d},{e}")
             events.append(SlotEvents(bool(d), bool(e)))

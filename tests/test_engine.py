@@ -299,6 +299,15 @@ class TestEventsCsv:
         with pytest.raises(DomainError, match="line 3"):
             read_events_csv(self._write(tmp_path, "t,data,energy\n1,0,0\n5,0,0\n"))
 
+    def test_blank_line_takes_no_slot_number(self, tmp_path):
+        plain = read_events_csv(self._write(tmp_path, "t,data,energy\n1,0,0\n2,1,0\n"))
+        gapped = read_events_csv(self._write(tmp_path, "t,data,energy\n1,0,0\n\n2,1,0\n"))
+        assert gapped == plain == [SlotEvents(False, False), SlotEvents(True, False)]
+
+    def test_slot_error_names_physical_line_after_blank(self, tmp_path):
+        with pytest.raises(DomainError, match="line 4: slot index must be 2, got 3"):
+            read_events_csv(self._write(tmp_path, "t,data,energy\n1,0,0\n\n3,1,0\n"))
+
     def test_non_integer_rejected(self, tmp_path):
         with pytest.raises(DomainError, match="line 2"):
             read_events_csv(self._write(tmp_path, "t,data,energy\n1,x,0\n"))
