@@ -4,9 +4,9 @@ A single-packet cache holds the freshest unactuated data packet and a
 single-packet battery holds one energy packet; the actuator fires whenever
 both resources are available in a slot.  The package computes the average
 age of information (aoi), age of actuation (aoa), and age of actuated
-information (aoai) by three independent routes -- Monte Carlo simulation,
-closed formulas, and truncated Markov-chain numerics -- and cross-validates
-them against each other.
+information (aoai) by four independent routes -- Monte Carlo simulation,
+closed formulas, truncated Markov-chain numerics, and the level series of
+the actuation age -- and cross-validates them against each other.
 """
 
 from .analytic import (AoaiSeedProbs, AoaSeedProbs, MetricAverages,

@@ -123,13 +123,10 @@ def cmd_analytic(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = _cli_params(args.lambda1, args.lambda2)
-    warmup = validation.default_warmup(args.slots) if args.warmup is None else args.warmup
-    nb = max(1, min(validation.N_BATCHES, args.slots - warmup))
-    _, means, stderrs = engine.run_batched(p, args.slots, args.seed, warmup, n_batches=nb)
-    rows = [OutputRow(p.lambda1, p.lambda2, "sim", m, float(means[i]),
-                      float(stderrs[i]) if nb > 1 else 0.0,
+    estimates = validation.sim_estimates(p, args.slots, args.seed, args.warmup)
+    rows = [OutputRow(p.lambda1, p.lambda2, "sim", m, mean, err,
                       slots=args.slots, seed=args.seed)
-            for i, m in enumerate(validation.METRICS)]
+            for m, (mean, err) in zip(validation.METRICS, estimates)]
     _emit(rows, args.json)
     return 0
 

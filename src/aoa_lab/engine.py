@@ -22,13 +22,17 @@ actuation (the age of the packet just consumed), else +1.
 reference semantics.  `run` and `run_batched` simulate long horizons in
 chunks of slots, in two vectorised stages:
 
-* the occupancy scan looks up 8-slot blocks of event codes in a table that
-  composes the one-slot table of the same slot rules (`_step_core`), so one
-  Python step per block carries the state; tests replay the scan against
-  `step` bit for bit;
+* the occupancy scan bit-packs the data and energy flags into 8-slot
+  blocks and looks them up in a table that composes the one-slot table of
+  the same slot rules (`_step_core`).  It runs on two levels: vectorised
+  gathers compose the maps of groups of 64 blocks, one Python step per group
+  carries the state, and more gathers hand each block its start state.
+  Tests replay the scan against `step` bit for bit;
 * the age sums are renewal-reward sums over the arrival and actuation slots:
   an age that restarts at a and runs n slots adds n*a + n*(n-1)/2, so no
-  per-slot age is stored, and every batch sum is an exact integer.
+  per-slot age is stored, and every batch sum is an exact integer.  The
+  packet of each actuation is read from the scan's cache states, not from
+  a running count of arrivals over the chunk.
 """
 
 from __future__ import annotations
@@ -173,7 +177,7 @@ def read_events_csv(path) -> list[SlotEvents]:
 
 
 # ---------------------------------------------------------------------------
-# Chunked simulation: a scan over packed event codes (bit0 = data, bit1 = energy).
+# Chunked simulation: a scan over bit-packed data and energy flags.
 # ---------------------------------------------------------------------------
 
 
@@ -193,80 +197,110 @@ def _transition_table() -> bytes:
 
 _TRANSITIONS = _transition_table()
 
-_BLOCK = 8  # slots per block code: 8 two-bit event codes fill a uint16
-_BLOCK_WEIGHTS = (4 ** np.arange(_BLOCK)).astype(np.uint16)
+_BLOCK = 8  # slots per block: a byte of data bits and a byte of energy bits
+_GROUP = 64  # blocks per group of the scan's first level
 
 
 @functools.cache
-def _block_table() -> tuple[np.ndarray, bytes]:
+def _block_table() -> tuple[np.ndarray, np.ndarray]:
     """`_TRANSITIONS` composed over 8-slot blocks; built on first use.
 
-    Index [state, block], where slot i of the block holds its event code in
-    bits 2i..2i+1 of `block`.  Entry (little-endian uint64): byte i is the
-    `_TRANSITIONS` entry of slot i, end-of-slot state | actuated << 2, so
-    byte 7 also holds the state after the block.  Also returns those final
-    states as bytes indexed by state << 16 | block, for the pass that
-    carries the state from block to block.
+    A block is `data bits | energy bits << 8`, bit i of each byte holding
+    slot i, so `np.packbits(..., bitorder="little")` of the data and energy
+    flags gives the two bytes.  Both returned arrays are indexed by
+    `block << 2 | state` (index 3 of each block repeats state 0 and is never
+    read):
+
+    * `table`, little-endian uint64: byte i is the `_TRANSITIONS` entry of
+      slot i, end-of-slot state | actuated << 2;
+    * `final`, uint8: the state after the block, for the passes that carry
+      the state from block to block.
     """
     step = np.frombuffer(_TRANSITIONS, dtype=np.uint8)
-    block = np.arange(1 << 16)
-    state = np.repeat(np.arange(3, dtype=np.uint8)[:, None], 1 << 16, axis=1)
-    table = np.zeros((3, 1 << 16, _BLOCK), dtype=np.uint8)
+    block = np.arange(1 << 16)[:, None]
+    state = np.array([0, 1, 2, 0], dtype=np.uint8)[None, :]
+    table = np.zeros((1 << 16, 4, _BLOCK), dtype=np.uint8)
     for i in range(_BLOCK):
-        table[:, :, i] = step[state * 4 + ((block >> (2 * i)) & 3)]
+        code = (block >> i & 1) | (block >> (_BLOCK + i) & 1) << 1
+        table[:, :, i] = step[state * 4 + code]
         state = table[:, :, i] & 3
-    table = table.view("<u8")[:, :, 0]
-    table.flags.writeable = False
-    return table, state.tobytes()
+    table = table.view("<u8").ravel()
+    final = state.ravel()
+    table.flags.writeable = final.flags.writeable = False
+    return table, final
 
 
-def _scan_events(code: np.ndarray, cache: int, battery: int):
+def _scan_events(data: np.ndarray, energy: np.ndarray, cache: int, battery: int):
     """Run the occupancy recursion over one chunk; returns (act, state, C, B).
 
-    The codes are packed into 8-slot uint16 block codes, the tail padded with
-    code 0 (no data, no energy), which leaves every state unchanged.  One
-    Python pass over the blocks carries the state through `_block_table`;
-    one gather of the blocks' entries then gives each slot's end-of-slot
-    state and actuation bit.
+    The data and energy flags are bit-packed into 8-slot blocks, the tail
+    padded with empty slots, which leave every state unchanged.  The scan has
+    two levels over groups of 64 blocks.  First, 64 vectorised gathers in
+    `_block_table`'s final states compose each group's map from the 3 start
+    states to its end state, and one Python pass over the groups carries the
+    state through those maps.  Then 64 more gathers give each block's start
+    state, and one gather of the blocks' table entries gives each slot's
+    end-of-slot state and actuation bit.
     """
-    k = len(code)
-    n_blocks = -(-k // _BLOCK)
-    padded = np.zeros(n_blocks * _BLOCK, dtype=np.uint16)
-    padded[:k] = code
-    blocks = padded.reshape(n_blocks, _BLOCK) @ _BLOCK_WEIGHTS
+    k = len(data)
     table, final = _block_table()
+    n_blocks = -(-k // _BLOCK)
+    n_groups = -(-n_blocks // _GROUP)
+    bits = np.zeros((n_groups * _GROUP, 2), dtype=np.uint8)
+    bits[:n_blocks, 0] = np.packbits(data, bitorder="little")
+    bits[:n_blocks, 1] = np.packbits(energy, bitorder="little")
+    # Row j holds block j of every group, shifted to leave the state's 2 bits.
+    rows = bits.view("<u2").reshape(n_groups, _GROUP).T.astype(np.intp, order="C") << 2
+    maps = np.tile(np.arange(3, dtype=np.uint8), (n_groups, 1))  # [group, start state]
+    for row in rows:
+        maps = final[row[:, None] + maps]
+    group_maps = maps.tobytes()
     entry = cache * 2 + battery
     # The assignment expression carries the state through the comprehension,
     # which runs faster than a for loop that stores each entry by index.
-    ends = bytes([entry := final[entry << 16 | b] for b in memoryview(blocks)])
-    starts = np.empty(n_blocks, dtype=np.intp)
-    starts[0] = cache * 2 + battery
-    starts[1:] = np.frombuffer(ends, dtype=np.uint8)[:-1]
-    packed = table[starts, blocks].view(np.uint8)[:k]
+    ends = bytes([entry := group_maps[g + entry] for g in range(0, 3 * n_groups, 3)])
+    state = np.empty(n_groups, dtype=np.uint8)
+    state[0] = cache * 2 + battery
+    state[1:] = np.frombuffer(ends, dtype=np.uint8)[:-1]
+    index = np.empty_like(rows)
+    for row, out in zip(rows, index):
+        np.add(row, state, out=out)
+        state = final[out]
+    packed = table[index.T.ravel()].view(np.uint8)[:k]
     return packed > 3, packed & 3, entry >> 1, entry & 1
 
 
-def _age_sums(starts: np.ndarray, base, q: np.ndarray) -> np.ndarray:
-    """Sum of an age over each slot range [q[i], q[i+1]), for sorted q.
+def _age_sums(starts: np.ndarray, bases, q: np.ndarray) -> np.ndarray:
+    """Sums of ages over each slot range [q[i], q[i+1]), for sorted q.
 
-    The age restarts at `base[j]` (a scalar `base` is used at every start)
-    at slot `starts[j]`, sorted and at or before q[0], and grows by one each
-    slot until the next start.  A segment that starts at age a and lasts n
-    slots adds n*a + n*(n-1)/2, so only the start slots are needed, and every
-    sum is an exact int64.
+    Returns one row per entry of `bases`.  Each age restarts at `base[j]` (a
+    scalar `base` is used at every start) at slot `starts[j]`, sorted and at
+    or before q[0], and grows by one each slot until the next start.  A
+    segment that starts at age a and lasts n slots adds n*a + n*(n-1)/2, so
+    only the start slots are needed, and every sum is an exact int64.  The
+    search and the gaps between starts are shared by all the bases.
     """
-    base = np.broadcast_to(base, starts.shape)
     j = np.searchsorted(starts, q, side="right") - 1
     m = q - starts[j]
     # Each range gains the part of its last segment before its end, loses
     # the part of its first segment before its start, and adds the whole
     # segments j[i] .. j[i+1]-1 in between.
-    sums = np.diff(m * base[j] + m * (m - 1) // 2)
+    ramp = np.diff(m * (m - 1) // 2)
     n = np.diff(starts)
-    for i in np.flatnonzero(np.diff(j)).tolist():
-        lo, hi = j[i], j[i + 1]
+    hops = [(i, j[i], j[i + 1]) for i in np.flatnonzero(np.diff(j)).tolist()]
+    for i, lo, hi in hops:
         span = n[lo:hi]
-        sums[i] += int(span @ base[lo:hi]) + (int(span @ span) - int(starts[hi] - starts[lo])) // 2
+        ramp[i] += (int(span @ span) - int(starts[hi] - starts[lo])) // 2
+    sums = np.empty((len(bases), len(ramp)), dtype=np.int64)
+    for row, base in zip(sums, bases):
+        if np.ndim(base) == 0:  # n[lo:hi] sums to starts[hi] - starts[lo]
+            row[:] = ramp + base * np.diff(m)
+            for i, lo, hi in hops:
+                row[i] += base * int(starts[hi] - starts[lo])
+        else:
+            row[:] = ramp + np.diff(m * base[j])
+            for i, lo, hi in hops:
+                row[i] += int(n[lo:hi] @ base[lo:hi])
     return sums
 
 
@@ -309,14 +343,18 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
     occupancy = np.zeros(3, dtype=np.int64)
     actuations = 0
 
+    # One draw buffer for every chunk: a fresh one would fault in its pages
+    # each time.  Drawing into it consumes the generator exactly as
+    # `rng.random((k, 2))` does.
+    u = np.empty((min(_CHUNK, slots), 2))
     done = 0
     while done < slots:
         k = min(_CHUNK, slots - done)
-        u = rng.random((k, 2))  # per slot: data draw first, then energy draw
-        d = u[:, 0] < l1
-        e = u[:, 1] < l2
-        code = d.astype(np.uint8) | (e.astype(np.uint8) << 1)
-        act, st, cache, battery = _scan_events(code, cache, battery)
+        rng.random(out=u[:k])  # per slot: data draw first, then energy draw
+        d = u[:k, 0] < l1
+        e = u[:k, 1] < l2
+        cache_in = cache
+        act, st, cache, battery = _scan_events(d, e, cache, battery)
 
         # Renewal-reward age sums from the event slots alone (chunk-local).
         # Each list of event slots is led by the carried last event, at a
@@ -326,14 +364,25 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
         pa = np.flatnonzero(act)
         sd = np.concatenate(([last_d - done], pd))
         sa = np.concatenate(([last_a - done], pa))
-        # The aoi at an actuation: sd[cumsum(d)[t]] is the last arrival at or
-        # before slot t.
-        aoi_at_act = pa - sd[np.cumsum(d, dtype=np.int32)[pa]] + 1
-        q = np.clip(edges - done, 0, k)
-        sI += _age_sums(sd, 1, q)
-        sA += _age_sums(sa, 1, q)
+        # The aoi at an actuation.  The cache holds the last arrival until it
+        # is actuated, so an arrival is actuated, once, iff the cache is empty
+        # when the next arrival comes (or at the chunk end): the actuated
+        # arrivals, in order, are the packets of `pa`.  The carried arrival
+        # counts only if it was still cached when the chunk began.
+        held = np.empty(k, dtype=bool)  # the cache at the end of slot t - 1
+        held[0] = cache_in
+        np.equal(st[:-1], 2, out=held[1:])
+        used = np.empty(len(sd), dtype=bool)  # sd[j] is actuated in this chunk
+        np.logical_not(held[pd], out=used[:-1])
+        used[-1] = not cache
+        used[0] &= bool(cache_in)
+        aoi_at_act = pa - sd[used] + 1
         base_aoai = np.concatenate(([aoi_at_last_act], aoi_at_act))
-        sAI += _age_sums(sa, base_aoai, q)
+        q = np.clip(edges - done, 0, k)
+        sI += _age_sums(sd, (1,), q)[0]
+        sums = _age_sums(sa, (1, base_aoai), q)
+        sA += sums[0]
+        sAI += sums[1]
 
         lo_meas = max(warmup - done, 0)
         in_window = st[lo_meas:]

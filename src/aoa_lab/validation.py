@@ -50,6 +50,21 @@ def default_warmup(slots: int) -> int:
     return min(1000, slots // 10)
 
 
+def sim_estimates(p: Params, slots: int, seed: int,
+                  warmup: Optional[int] = None) -> list[tuple[float, float]]:
+    """The simulation route: (mean, standard error) of each metric in `METRICS`.
+
+    The measured slots are split into min(`N_BATCHES`, slots - warmup)
+    batches; a run too short for two batches has no batch-means error and
+    reports 0.0.  `warmup` defaults to `default_warmup(slots)`.
+    """
+    if warmup is None:
+        warmup = default_warmup(slots)
+    nb = max(1, min(N_BATCHES, slots - warmup))
+    _, means, stderrs = engine.run_batched(p, slots, seed, warmup, n_batches=nb)
+    return [(float(m), float(s) if nb > 1 else 0.0) for m, s in zip(means, stderrs)]
+
+
 @dataclass(frozen=True)
 class CrossCheckResult:
     """Agreement scorecard of one metric at one parameter point.
@@ -146,13 +161,8 @@ def cross_check(
     caps = {}
 
     if "sim" in methods:
-        if warmup is None:
-            warmup = default_warmup(slots)
-        nb = max(1, min(N_BATCHES, slots - warmup))
-        _, means, stderrs = engine.run_batched(p, slots, seed, warmup, n_batches=nb)
-        for i, metric in enumerate(METRICS):
-            err = float(stderrs[i]) if nb > 1 else 0.0
-            by_metric[metric]["sim"] = (float(means[i]), err)
+        for metric, estimate in zip(METRICS, sim_estimates(p, slots, seed, warmup)):
+            by_metric[metric]["sim"] = estimate
 
     if "chain" in methods:
         cap = chains.choose_cap(p, tail_eps)

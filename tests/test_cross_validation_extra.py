@@ -62,8 +62,7 @@ class TestKernelFuzz:
         rng = np.random.default_rng(99)
         for l1, l2 in [(0.05, 0.95), (0.5, 0.5), (0.95, 0.05), (1.0, 0.3), (0.3, 1.0)]:
             u = rng.random((1_000_000, 2))
-            code = (u[:, 0] < l1).astype(np.uint8) | ((u[:, 1] < l2).astype(np.uint8) << 1)
-            act, st, cache, battery = _scan_events(code, 0, 0)
+            act, st, cache, battery = _scan_events(u[:, 0] < l1, u[:, 1] < l2, 0, 0)
             assert not (st == 3).any()
             assert (cache, battery) != (1, 1)
 
@@ -80,8 +79,7 @@ class TestDistributionAgreement:
         u = np.random.default_rng(seed).random((slots, 2))
         d = u[:, 0] < p.lambda1
         e = u[:, 1] < p.lambda2
-        code = d.astype(np.uint8) | (e.astype(np.uint8) << 1)
-        act, _, _, _ = _scan_events(code, 0, 0)
+        act, _, _, _ = _scan_events(d, e, 0, 0)
         g = np.arange(slots, dtype=np.int64)
         la = np.maximum.accumulate(np.where(act, g, np.int64(-1)))
         if which == "aoa":

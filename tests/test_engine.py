@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from aoa_lab import analytic, engine
 from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params
-from aoa_lab.engine import (EngineState, _scan_events, _simulate,
-                            events_from_arrays, initial_state,
+from aoa_lab.engine import (_TRANSITIONS, EngineState, _block_table,
+                            _scan_events, _simulate, events_from_arrays,
+                            initial_state,
                             occupancy_distribution, read_events_csv, run,
                             run_batched, run_trace, step)
 from aoa_lab.errors import DomainError
@@ -125,30 +126,52 @@ class TestTrajectoryProperties:
 
 class TestKernels:
     def test_scan_matches_step_replay_from_each_start_state(self):
+        # 511..513, 4096, 4097 and 3*512 + 5 cross the edges of the scan's
+        # 64-block (512-slot) groups; 7..17 those of its 8-slot blocks.
         rng = np.random.default_rng(1234)
         for cache, battery in ((0, 0), (0, 1), (1, 0)):
-            for n in (1, 7, 8, 9, 16, 17, 1000, 5000):
-                code = rng.integers(0, 4, size=n).astype(np.uint8)
-                act, stt, c, b = _scan_events(code, cache, battery)
+            for n in (1, 7, 8, 9, 16, 17, 511, 512, 513, 1000, 3 * 512 + 5, 4096, 4097, 5000):
+                data = rng.random(n) < 0.5
+                energy = rng.random(n) < 0.5
+                act, stt, c, b = _scan_events(data, energy, cache, battery)
+                assert len(act) == len(stt) == n
                 state = _state(cache, battery, 1, 1, 1)
-                for t, x in enumerate(code.tolist()):
-                    state, actuated = step(state, SlotEvents(bool(x & 1), bool(x >> 1)))
+                for t, (x, y) in enumerate(zip(data.tolist(), energy.tolist())):
+                    state, actuated = step(state, SlotEvents(x, y))
                     assert act[t] == actuated
                     assert stt[t] == state.system.cache * 2 + state.system.battery
                 assert (c, b) == (state.system.cache, state.system.battery)
+
+    def test_block_table_entries_are_eight_slot_steps(self):
+        # A block is `data bits | energy bits << 8`, bit i holding slot i;
+        # both arrays are indexed by `block << 2 | state`.
+        table, final = _block_table()
+        rng = np.random.default_rng(77)
+        blocks = [0x0000, 0x00FF, 0xFF00, 0xFFFF] + rng.integers(0, 1 << 16, 4096).tolist()
+        for block in blocks:
+            for start in range(3):
+                entry = int(table[block << 2 | start])
+                state = start
+                for i in range(8):
+                    code = (block >> i & 1) | (block >> (8 + i) & 1) << 1
+                    expected = _TRANSITIONS[state * 4 + code]
+                    assert entry >> (8 * i) & 0xFF == expected
+                    state = expected & 3
+                assert final[block << 2 | start] == state
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=0.001, max_value=1.0),
            st.floats(min_value=0.001, max_value=1.0),
            st.integers(min_value=1, max_value=2 ** 63 - 1),
            st.integers(min_value=2, max_value=1500),
-           st.sampled_from([engine._CHUNK, 7, 8, 9]),
+           st.sampled_from([engine._CHUNK, 7, 8, 9, 511, 512, 513]),
            st.integers(min_value=0, max_value=200),
            st.integers(min_value=1, max_value=4))
     # A 7-slot chunk makes every carry (occupancy, last arrival, last
     # actuation, aoi at the last actuation) cross chunk edges inside the
     # warmup and inside each measured batch; 7, 8 and 9 cut chunks short of,
-    # at and past the 8-slot block of the scan.  Rates down to 0.001 draw
+    # at and past the 8-slot block of the scan, and 511, 512 and 513 its
+    # 64-block group.  Rates down to 0.001 draw
     # chunks and runs without an arrival or an actuation.
     @example(0.3, 0.6, 5, 1000, 7, 100, 4)
     @example(1.0, 1.0, 3, 300, 9, 20, 3)  # an arrival and an actuation every slot
