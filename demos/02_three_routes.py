@@ -26,7 +26,7 @@ aoai_mean, aoai_err = mean_age(stationary(aoai_chain), aoai_chain)
 print(f"truncated chains:  cap={cap}          aoa={aoa_mean:.9f}  "
       f"aoai={aoai_mean:.9f}   (error estimates {aoa_err:.1e}, {aoai_err:.1e})")
 
-series = aoa_series_mean(p, tail_eps=1e-14)
+series = aoa_series_mean(p)
 print(f"level series:                         aoa={series:.9f}")
 
 print("\nrelative deviations from the closed forms:")

@@ -2,16 +2,16 @@
 
 The average AoI is 1/lambda1.  The average AoA and average AoAI are rational
 functions of (lambda1, lambda2): quartic over quartic and quintic over
-quintic respectively.  Each rational function is implemented twice, once in
-the factored form grouped by powers of lambda1 (evaluated by Horner's rule)
-and once from expanded integer monomial coefficient tables; a module-import
-self-test asserts the two forms agree, guarding against transcription slips
-in the long expressions.
+quintic respectively, each written once, in a form grouped by powers of
+lambda1 and evaluated by Horner's rule.  Every literal is an integer, so the
+evaluators, and the level-1 masses below, also run exactly on `Fraction`
+inputs; the test suite checks them that way, with `==`, against means derived
+from `engine._TRANSITIONS`, the table of the slot rules in `_step_core`.
 
-Both rational functions are continuous on (0, 1]^2 except that the factored
-and expanded forms alike reduce to 0/0 at the exact double corner
-(lambda1, lambda2) = (1, 1); the corner value is the limit 1 (every slot
-actuates a fresh packet) and is returned directly there.
+Both rational functions are continuous on (0, 1]^2 except that they reduce
+to 0/0 at the exact double corner (lambda1, lambda2) = (1, 1); the corner
+value is the limit 1 (every slot actuates a fresh packet) and is returned
+directly there.
 
 Supported parameter floor: lambda >= 0.01.  The denominators there are of
 order 1e-10, far above double-precision underflow; NumericalError is raised
@@ -108,75 +108,29 @@ class AoaiSeedProbs:
 
 def avg_aoi(p: Params) -> float:
     """Average age of information: 1 / lambda1."""
-    return 1.0 / p.lambda1
-
-
-# Expanded integer monomial coefficients, row index = power of lambda1,
-# column index = power of lambda2.  Used only as a transcription cross-check
-# against the factored forms below.
-_AOA_NUM = (
-    (0, 0, 0, 0, -1),
-    (0, 0, 0, -2, 3),
-    (0, 0, -1, 3, -2),
-    (0, -2, 4, -2, 0),
-    (-1, 3, -3, 1, 0),
-)
-_AOA_DEN = (
-    (0, 0, 0, 0, 0),
-    (0, 0, 0, 0, -1),
-    (0, 0, 0, -2, 3),
-    (0, 0, -2, 5, -3),
-    (0, -1, 3, -3, 1),
-)
-_AOAI_NUM = (
-    (0, 0, 0, 0, 0, 1),
-    (0, 0, 0, 0, 3, -4),
-    (0, 0, 0, 4, -10, 6),
-    (0, 0, 4, -12, 12, -4),
-    (0, 4, -13, 15, -7, 1),
-    (1, -5, 9, -7, 2, 0),
-)
-_AOAI_DEN = (
-    (0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 1),
-    (0, 0, 0, 0, 3, -4),
-    (0, 0, 0, 4, -10, 6),
-    (0, 0, 3, -10, 11, -4),
-    (0, 1, -4, 6, -4, 1),
-)
-
-
-def _poly2(coeffs, l1: float, l2: float) -> float:
-    """Evaluate a bivariate polynomial given per-power-of-l1 rows of l2 coefficients."""
-    total = 0.0
-    for row in reversed(coeffs):
-        inner = 0.0
-        for c in reversed(row):
-            inner = inner * l2 + c
-        total = total * l1 + inner
-    return total
+    return 1 / p.lambda1
 
 
 def _aoa_factored(l1: float, l2: float) -> tuple[float, float]:
-    m = l2 - 1.0
+    m = l2 - 1
     num = ((((m * m * m) * l1
-             + (-2.0 * l2 * m * m)) * l1
-            + (-(l2 * l2) * (2.0 * l2 * l2 - 3.0 * l2 + 1.0))) * l1
-           + (l2 * l2 * l2 * (3.0 * l2 - 2.0))) * l1 - l2 ** 4
-    quad = (m * m * l1 + (l2 - 2.0 * l2 * l2)) * l1 + l2 * l2
+             + (-2 * l2 * m * m)) * l1
+            + (-(l2 * l2) * (2 * l2 * l2 - 3 * l2 + 1))) * l1
+           + (l2 * l2 * l2 * (3 * l2 - 2))) * l1 - l2 ** 4
+    quad = (m * m * l1 + (l2 - 2 * l2 * l2)) * l1 + l2 * l2
     den = l1 * l2 * (l1 * m - l2) * quad
     return num, den
 
 
 def _aoai_factored(l1: float, l2: float) -> tuple[float, float]:
-    m = l2 - 1.0
+    m = l2 - 1
     m3 = m * m * m
-    num = (((((m3 * (2.0 * l2 - 1.0)) * l1
-              + ((l2 - 4.0) * m3 * l2)) * l1
-             + (-4.0 * m3 * l2 * l2)) * l1
-            + (2.0 * l2 ** 3 * (3.0 * l2 * l2 - 5.0 * l2 + 2.0))) * l1
-           + (l2 ** 4 * (3.0 - 4.0 * l2))) * l1 + l2 ** 5
-    quad = (m * m * l1 + (l2 - 2.0 * l2 * l2)) * l1 + l2 * l2
+    num = (((((m3 * (2 * l2 - 1)) * l1
+              + ((l2 - 4) * m3 * l2)) * l1
+             + (-4 * m3 * l2 * l2)) * l1
+            + (2 * l2 ** 3 * (3 * l2 * l2 - 5 * l2 + 2))) * l1
+           + (l2 ** 4 * (3 - 4 * l2))) * l1 + l2 ** 5
+    quad = (m * m * l1 + (l2 - 2 * l2 * l2)) * l1 + l2 * l2
     reach = l1 + l2 - l1 * l2
     den = l1 * l2 * reach * reach * quad
     return num, den
@@ -229,11 +183,11 @@ def aoa_seed_probs(p: Params) -> AoaSeedProbs:
     l1, l2 = p.lambda1, p.lambda2
     if l1 == 1.0 and l2 == 1.0:
         return AoaSeedProbs(p, 1.0, 0.0)
-    q1, q2 = 1.0 - l1, 1.0 - l2
+    q1, q2 = 1 - l1, 1 - l2
     den = q1 * l2 ** 3 + l1 * l2 * q2 + q1 * q2 * l2 * l2 + l1 * l1 * q2 * q2
     if den == 0.0:
         raise NumericalError("aoa_seed_probs: denominator underflowed to zero")
-    v100 = l1 * (1.0 - q1 * q2) * q2 * l2 / den
+    v100 = l1 * (1 - q1 * q2) * q2 * l2 / den
     v101 = l1 * q1 * l2 ** 3 / den
     return AoaSeedProbs(p, v100, v101)
 
@@ -247,8 +201,8 @@ def aoai_seed_probs(p: Params) -> AoaiSeedProbs:
     l1, l2 = p.lambda1, p.lambda2
     if l1 == 1.0 and l2 == 1.0:
         return AoaiSeedProbs(p, 1.0, 0.0)
-    q1, q2 = 1.0 - l1, 1.0 - l2
-    den = l1 * l1 * q2 * q2 + l2 * l2 + l1 * l2 * (1.0 - 2.0 * l2)
+    q1, q2 = 1 - l1, 1 - l2
+    den = l1 * l1 * q2 * q2 + l2 * l2 + l1 * l2 * (1 - 2 * l2)
     if den == 0.0:
         raise NumericalError("aoai_seed_probs: denominator underflowed to zero")
     v110 = l1 * (l1 * l1 * q2 + l2) * q2 * l2 / den
@@ -272,22 +226,3 @@ def limiting_averages(p: Params) -> MetricAverages:
         return MetricAverages(1.0 / l1, 1.0 / l1, 1.0 / l1)
     raise DomainError("limiting averages are defined only when lambda1 = 1 or lambda2 = 1")
 
-
-def _self_test() -> None:
-    # Factored and expanded forms must agree; a disagreement means one of the
-    # two transcriptions is corrupt.
-    pts = [(0.5, 0.5), (0.2, 0.1), (0.9, 0.3), (0.37, 0.81), (1.0, 0.6), (0.6, 1.0), (0.01, 0.99)]
-    for l1, l2 in pts:
-        for fact, num_t, den_t, name in (
-            (_aoa_factored, _AOA_NUM, _AOA_DEN, "avg_aoa"),
-            (_aoai_factored, _AOAI_NUM, _AOAI_DEN, "avg_aoai"),
-        ):
-            num, den = fact(l1, l2)
-            ref = _poly2(num_t, l1, l2) / _poly2(den_t, l1, l2)
-            got = num / den
-            if abs(got - ref) > 1e-9 * abs(ref):
-                raise AssertionError(
-                    f"{name} transcription mismatch at ({l1}, {l2}): {got} vs {ref}")
-
-
-_self_test()

@@ -19,7 +19,8 @@ estimate of the stationary mass lost beyond the cap.
 
 A third, semi-analytic route to the average actuation age is provided by
 `aoa_series_mean`: seed the level-1 masses from their closed forms, iterate
-the level recursions, and close the sum with an exact geometric tail.
+the level recursions, and close the sum with the exact matrix-geometric
+tail of the 3x3 level map.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ __all__ = [
 SYSTEM_STATES = ((0, 0), (0, 1), (1, 0))
 
 TAIL_MASS_LIMIT = 1e-6
+
+# Level mass below which `aoa_series_mean` closes its sum in closed form.
+SERIES_TAIL_EPS = 1e-14
 
 # Largest truncated chain a builder accepts.  The AoAI chain at the CLI floor,
 # (0.01, 0.5) with cap 2302, has 2 653 055 states; at lambda1 = 1e-4 its
@@ -347,28 +351,22 @@ def seed_masses(dist: StationaryDist, chain: TruncatedChain) -> dict:
     return {s: float(pr) for s, pr in zip(chain.states, dist.probs) if s[0] == 1}
 
 
-def _tail_sum(level: int, rate: float) -> float:
-    # sum_{k>=1} (level + k) * rate**k
-    if rate <= 0.0:
-        return 0.0
-    return rate * (level * (1.0 - rate) + 1.0) / (1.0 - rate) ** 2
-
-
-def aoa_series_mean(p: Params, tail_eps: float) -> float:
+def aoa_series_mean(p: Params) -> float:
     """Average actuation age via the level recursions, seeded from closed forms.
 
-    Level components (v_{A,0,0}, v_{A,0,1}, v_{A,1,0}) evolve as
+    Level components v_A = (v_{A,0,0}, v_{A,0,1}, v_{A,1,0}) evolve as
+    v_{A+1} = v_A M with
 
         v_{A+1,0,0} = z * v_{A,0,0}
         v_{A+1,0,1} = y * v_{A,0,0} + (1-lambda1) * v_{A,0,1}
         v_{A+1,1,0} = x * v_{A,0,0} + (1-lambda2) * v_{A,1,0}
 
     The sum of A times the level mass is accumulated until a level's mass
-    drops below tail_eps, then closed with the exact geometric tail of the
-    recursion (each component is a mixture of geometric sequences).
+    drops below `SERIES_TAIL_EPS`.  The rest, sum over k >= 1 of
+    (A + k) v_A M^k 1, is closed exactly by the matrix-geometric remainder
+    v_A M (I - M)^-1 (A 1 + (I - M)^-1 1); I - M is upper triangular with
+    diagonal (1 - z, lambda1, lambda2), invertible for valid Params.
     """
-    if tail_eps <= 0.0:
-        raise DomainError(f"tail_eps must be positive, got {tail_eps}")
     seeds = aoa_seed_probs(p)
     s = shorthand(p)
     q1, q2, z = 1.0 - p.lambda1, 1.0 - p.lambda2, s.z
@@ -378,16 +376,14 @@ def aoa_series_mean(p: Params, tail_eps: float) -> float:
     while True:
         lv = a + b + c
         total += level * lv
-        if lv < tail_eps:
+        if lv < SERIES_TAIL_EPS:
             break
         a, b, c = z * a, s.y * a + q1 * b, s.x * a + q2 * c
         level += 1
         if level > 10 ** 7:  # unreachable for valid Params; loop safety net
-            raise ConvergenceError("series did not fall below tail_eps")
-    ga, g1, g2 = _tail_sum(level, z), _tail_sum(level, q1), _tail_sum(level, q2)
-    tail = a * ga + b * g1 + c * g2
-    if s.y * a > 0.0:
-        tail += s.y * a * (g1 - ga) / (q1 - z)
-    if s.x * a > 0.0:
-        tail += s.x * a * (g2 - ga) / (q2 - z)
-    return total + tail
+            raise ConvergenceError("series did not fall below SERIES_TAIL_EPS")
+    m = np.array([[z, s.y, s.x], [0.0, q1, 0.0], [0.0, 0.0, q2]])
+    i_minus_m = np.eye(3) - m
+    u = np.linalg.solve(i_minus_m, np.ones(3))
+    remainder = np.linalg.solve(i_minus_m, level + u)
+    return total + float(np.array([a, b, c]) @ m @ remainder)

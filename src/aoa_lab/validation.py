@@ -11,12 +11,16 @@ A point passes when, for every pair of routes, the relative disagreement is
 below tol_rel AND the two 3-sigma-style intervals (value plus or minus three
 times the route's uncertainty) overlap.  Uncertainty is the batch-means
 standard error for simulation and the truncation/tail bound for the chain
-and series routes; the analytic route is exact.  The overlap clause is a
-genuine statistical test: a simulated mean over `N_BATCHES` = 20 batch
-means is t-distributed with 19 degrees of freedom, so a correct simulation
-lands more than three standard errors from an exact route with probability
-2 * t.sf(3, 19) = 0.0074 per comparison.  Isolated failures at about that
-0.74 percent rate are expected sampling fluctuations.
+and series routes.  The analytic route reports 0: its rational functions are
+exact (the tests check them against the slot-rule table), and the rounding
+of their float evaluation is not reported.  That rounding is about 1e-14 on
+most of the square but grows toward the 0/0 corner (1, 1): 3e-12 at
+(0.9999, 0.9999).  The overlap clause is a genuine statistical test: a
+simulated mean over `N_BATCHES` = 20 batch means is t-distributed with 19
+degrees of freedom, so a correct simulation lands more than three standard
+errors from an exact route with probability 2 * t.sf(3, 19) = 0.0074 per
+comparison.  Isolated failures at about that 0.74 percent rate are expected
+sampling fluctuations.
 """
 
 from __future__ import annotations
@@ -175,7 +179,7 @@ def cross_check(
             caps[metric] = cap
 
     if "series" in methods:
-        by_metric["aoa"]["series"] = (chains.aoa_series_mean(p, 1e-14),
+        by_metric["aoa"]["series"] = (chains.aoa_series_mean(p),
                                       SERIES_ROUNDING_BOUND)
 
     results = []

@@ -157,7 +157,7 @@ def test_criterion_4_series_matches_closed_form(grid_points):
     bad = []
     worst = 0.0
     for p in grid_points:
-        got = chains.aoa_series_mean(p, 1e-14)
+        got = chains.aoa_series_mean(p)
         want = analytic.avg_aoa(p)
         rel = abs(got - want) / want
         worst = max(worst, rel)

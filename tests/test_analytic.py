@@ -1,14 +1,16 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from aoa_lab import engine
-from aoa_lab.analytic import (_AOA_DEN, _AOA_NUM, _AOAI_DEN, _AOAI_NUM,
-                              _aoa_factored, _aoai_factored, _poly2,
-                              aoa_seed_probs, aoai_seed_probs, averages,
+from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, averages,
                               avg_aoa, avg_aoai, avg_aoi, limiting_averages)
 from aoa_lab.core import make_params
 from aoa_lab.errors import DomainError
+from exact_law import ExactParams, slot_table_law
 
 valid_prob = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
 
@@ -55,17 +57,51 @@ class TestAvgAoai:
         assert avg_aoai(make_params(l1, l2)) == pytest.approx(expect, rel=1e-12)
 
 
-class TestTranscriptionCrossCheck:
-    @given(valid_prob, valid_prob)
-    def test_factored_equals_expanded(self, l1, l2):
-        if l1 > 0.99 and l2 > 0.99:
-            return  # ill-conditioned approach to the 0/0 double corner
-        nf, df = _aoa_factored(l1, l2)
-        ref = _poly2(_AOA_NUM, l1, l2) / _poly2(_AOA_DEN, l1, l2)
-        assert nf / df == pytest.approx(ref, rel=1e-9)
-        nf, df = _aoai_factored(l1, l2)
-        ref = _poly2(_AOAI_NUM, l1, l2) / _poly2(_AOAI_DEN, l1, l2)
-        assert nf / df == pytest.approx(ref, rel=1e-9)
+def _exact_points():
+    """24 seeded random points of ({1, ..., 10^9 - 1} / 10^9)^2, then 8 on the lambda = 1 edges."""
+    rng = random.Random(20240)
+
+    def rate():
+        return Fraction(rng.randrange(1, 10 ** 9), 10 ** 9)
+
+    edge = [Fraction(1, 100), rate(), rate(), rate()]
+    return ([(rate(), rate()) for _ in range(24)]
+            + [(Fraction(1), r) for r in edge] + [(r, Fraction(1)) for r in edge])
+
+
+class TestSlotTableLaw:
+    def test_closed_forms_equal_slot_table_law(self):
+        """Every closed form equals the law derived from `_step_core`'s table, exactly.
+
+        `slot_table_law` reads only `engine._TRANSITIONS`; the closed forms are
+        evaluated on the same `Fraction` rates, so both sides are exact and are
+        compared with `==`.
+
+        Degree bound: by Cramer's rule on the 3x3 solves of `slot_table_law`,
+        the occupancy law is degree <= 4 over degree <= 4 in (lambda1,
+        lambda2), the aoi and aoa means <= 10 over <= 10, the aoai mean (whose
+        right-hand side carries the aoi moments) <= 16 over <= 16 and the
+        level-1 masses <= 6 over <= 4.  The shipped forms are 0 over 1 (aoi),
+        7 over 8 (aoa), 9 over 10 (aoai) and <= 6 over 4 (level-1 masses).  If
+        a form N/D of at most these degrees, such as one with a wrong
+        coefficient, differs from the law A/B, then Q = N*B - A*D is a nonzero
+        polynomial of total degree <= 26.
+
+        Schwartz-Zippel: with each rate drawn uniformly from {1, ..., 10^9 - 1}
+        / 10^9, Q vanishes at one point with probability <= 26 / (10^9 - 1)
+        < 2.7e-8, so a wrong form passes all 24 random points with
+        probability < (2.7e-8)^24 < 1e-180.  A point where either side divides
+        by zero raises instead of passing.
+        """
+        for l1, l2 in _exact_points():
+            law = slot_table_law(l1, l2)
+            p = ExactParams(l1, l2)
+            aoa_seeds, aoai_seeds = aoa_seed_probs(p), aoai_seed_probs(p)
+            assert avg_aoi(p) == law["aoi"], (l1, l2)
+            assert avg_aoa(p) == law["aoa"], (l1, l2)
+            assert avg_aoai(p) == law["aoai"], (l1, l2)
+            assert (aoa_seeds.v100, aoa_seeds.v101) == law["aoa_seeds"], (l1, l2)
+            assert (aoai_seeds.v110, aoai_seeds.v111) == law["aoai_seeds"], (l1, l2)
 
 
 class TestFormulaVsSimulation:

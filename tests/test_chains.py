@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params
 from aoa_lab.engine import EngineState, step
 from aoa_lab.errors import (CapError, ConvergenceError, DomainError,
                             TruncationError)
+from aoa_lab.validation import SERIES_ROUNDING_BOUND
+from exact_law import slot_table_law
 
 
 def row_dict(chain, state):
@@ -311,7 +314,7 @@ class TestSeriesMean:
     @pytest.mark.parametrize("l1,l2", [(0.5, 0.5), (0.9, 0.9), (0.2, 0.1)])
     def test_matches_closed_form(self, l1, l2):
         p = make_params(l1, l2)
-        got = aoa_series_mean(p, 1e-14)
+        got = aoa_series_mean(p)
         want = avg_aoa(p)
         assert abs(got - want) / want < 1e-9
 
@@ -328,8 +331,44 @@ class TestSeriesMean:
         assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_saturated_corner(self):
-        assert aoa_series_mean(make_params(1.0, 1.0), 1e-14) == pytest.approx(1.0)
+        assert aoa_series_mean(make_params(1.0, 1.0)) == pytest.approx(1.0)
 
-    def test_bad_tail_eps(self):
-        with pytest.raises(DomainError):
-            aoa_series_mean(make_params(0.5, 0.5), 0.0)
+
+class TestBoundsAgainstExactLaw:
+    """Each deterministic route lies within its reported bound of the exact mean.
+
+    `slot_table_law` at the float rates is the true mean there, since
+    `Fraction(float)` is exact.  The double corner (1, 1), where its solve is
+    singular, is left out.
+    """
+
+    @pytest.mark.parametrize("tail_eps", [1e-10, 1e-7])
+    def test_chain_within_bound(self, tail_eps):
+        rates = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+        bad = []
+        for l1 in rates:
+            for l2 in rates:
+                if l1 == l2 == 1.0:
+                    continue
+                p = make_params(l1, l2)
+                law = slot_table_law(l1, l2)
+                cap = choose_cap(p, tail_eps)
+                for metric, build in (("aoa", build_aoa_chain), ("aoai", build_aoai_chain)):
+                    chain = build(p, cap)
+                    mean, bound = mean_age(stationary(chain), chain)
+                    if abs(Fraction(mean) - law[metric]) > bound:
+                        bad.append((l1, l2, metric, mean, bound))
+        assert not bad, bad
+
+    def test_series_within_rounding_bound(self):
+        rates = (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+        bad = []
+        for l1 in rates:
+            for l2 in rates:
+                if l1 == l2 == 1.0:
+                    continue
+                got = aoa_series_mean(make_params(l1, l2))
+                err = abs(Fraction(got) - slot_table_law(l1, l2)["aoa"])
+                if err > SERIES_ROUNDING_BOUND:
+                    bad.append((l1, l2, got, float(err)))
+        assert not bad, bad
