@@ -303,6 +303,13 @@ def sweep(
             for i, p in enumerate(pts)]
     workers = default_workers() if max_workers is None else max(1, max_workers)
     if workers > 1 and len(jobs) > 1:
+        # Forked workers inherit what this process has set up, so build the
+        # scan's block table and import the chain solver once, here, rather
+        # than once in every worker of every pool.
+        if "sim" in methods:
+            engine._block_table()
+        if "chain" in methods:
+            chains._splu()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_point = list(pool.map(_point_worker, jobs))
     else:

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -6,10 +7,11 @@ import pytest
 
 from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, avg_aoa,
                               avg_aoai)
-from aoa_lab.chains import (MAX_CHAIN_STATES, SYSTEM_STATES, aoa_series_mean,
-                            build_aoa_chain, build_aoai_chain, build_system_chain,
-                            choose_cap, level_masses, mean_age,
-                            occupancy_marginals, seed_masses, stationary)
+from aoa_lab.chains import (MAX_CHAIN_STATES, SYSTEM_STATES, TAIL_MASS_LIMIT,
+                            aoa_series_mean, build_aoa_chain, build_aoai_chain,
+                            build_system_chain, choose_cap, level_masses,
+                            mean_age, occupancy_marginals, seed_masses,
+                            stationary)
 from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params, shorthand
 from aoa_lab.engine import EngineState, step
 from aoa_lab.errors import (CapError, ConvergenceError, DomainError,
@@ -18,11 +20,16 @@ from aoa_lab.validation import SERIES_ROUNDING_BOUND
 from exact_law import slot_table_law
 
 
+def state_tuples(chain):
+    return [tuple(s) for s in chain.states.tolist()]
+
+
 def row_dict(chain, state):
     m = chain.matrix.tocsr()
-    i = chain.states.index(state)
+    states = state_tuples(chain)
+    i = states.index(state)
     lo, hi = m.indptr[i], m.indptr[i + 1]
-    return {chain.states[j]: v for j, v in zip(m.indices[lo:hi], m.data[lo:hi])}
+    return {states[j]: v for j, v in zip(m.indices[lo:hi], m.data[lo:hi])}
 
 
 class TestSystemChain:
@@ -57,6 +64,7 @@ class TestSystemChain:
         d = stationary(build_system_chain(make_params(0.5, 0.5)))
         np.testing.assert_allclose(d.probs, [0.4, 0.4, 0.2], atol=1e-12)
         assert d.method == "direct"
+        assert (d.sweeps, d.delta) == (0, 0.0)
         assert d.residual < 1e-12
 
     def test_stationary_absorbing_corner(self):
@@ -78,6 +86,24 @@ class TestChooseCap:
         assert choose_cap(make_params(0.5, 0.5), 1e-10) == 44
         assert choose_cap(make_params(0.99, 0.99), 1e-10) < 20
         assert choose_cap(make_params(0.05, 0.05), 1e-10) == 459
+
+    @pytest.mark.parametrize("tail_eps", [1e-10, 1e-7, 1e-4])
+    def test_cap_meets_the_tail_mass_limit_of_mean_age(self, tail_eps):
+        # The cap is ceil(log(tail_eps) / log(r)) + 10, raised where that
+        # leaves an a-priori tail mass r**cap / (1 - r) above the limit
+        # `mean_age` enforces, and then to the smallest cap within it.
+        rates = (0.01, 0.02, 0.05, 0.1, 0.3, 0.7, 1.0)
+        for l1 in rates:
+            for l2 in rates:
+                r = max(1 - l1, 1 - l2)
+                cap = choose_cap(make_params(l1, l2), tail_eps)
+                if r == 0.0:
+                    continue
+                formula = max(math.ceil(math.log(tail_eps) / math.log(r)) + 10, 2)
+                assert r ** cap / (1 - r) <= TAIL_MASS_LIMIT
+                if cap != formula:
+                    assert cap > formula
+                    assert r ** (cap - 1) / (1 - r) > TAIL_MASS_LIMIT
 
     def test_bad_eps_rejected(self):
         with pytest.raises(DomainError):
@@ -109,9 +135,10 @@ class TestChooseCap:
 class TestAoaChainStructure:
     def test_state_space_shape(self):
         ch = build_aoa_chain(make_params(0.3, 0.4), cap=6)
-        assert set(s for s in ch.states if s[0] == 1) == {(1, 0, 0), (1, 0, 1)}
+        assert ch.states.shape == (3 * 6 - 1, 3)
+        assert set(s for s in state_tuples(ch) if s[0] == 1) == {(1, 0, 0), (1, 0, 1)}
         for a in range(2, 7):
-            assert set(s for s in ch.states if s[0] == a) == {
+            assert set(s for s in state_tuples(ch) if s[0] == a) == {
                 (a, 0, 0), (a, 0, 1), (a, 1, 0)}
 
     def test_cap_below_two_rejected(self):
@@ -152,9 +179,10 @@ class TestAoaChainStructure:
 class TestAoaiChainStructure:
     def test_state_space_shape(self):
         ch = build_aoai_chain(make_params(0.3, 0.4), cap=5)
+        assert ch.states.shape == (5 * 8 // 2, 3)
         for ai in range(1, 6):
             expect = {(ai, i, 0) for i in range(1, ai + 1)} | {(ai, ai, 1)}
-            assert set(s for s in ch.states if s[0] == ai) == expect
+            assert set(s for s in state_tuples(ch) if s[0] == ai) == expect
 
     @pytest.mark.parametrize("l1,l2", [(0.3, 0.4), (0.6, 0.15)])
     def test_rows_match_printed_patterns(self, l1, l2):
@@ -204,7 +232,7 @@ class TestSemanticsTie:
         cap = 9
         ch = builder(p, cap=cap)
         probs = {(1, 1): s.w, (1, 0): s.x, (0, 1): s.y, (0, 0): s.z}
-        for state in ch.states:
+        for state in state_tuples(ch):
             expected = {}
             for (d, e), pr in probs.items():
                 if pr == 0.0:
@@ -227,8 +255,25 @@ class TestStationaryTruncated:
         masses = seed_masses(d, ch)
         assert masses[(1, 0, 0)] == pytest.approx(0.3, abs=1e-8)
         assert masses[(1, 0, 1)] == pytest.approx(0.1, abs=1e-8)
-        assert d.method == "power"
+        assert d.method == "gauss-seidel"
         assert abs(d.probs.sum() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("kind,builder", [("aoa", build_aoa_chain),
+                                              ("aoai", build_aoai_chain)])
+    def test_gauss_seidel_sweeps_on_acceptance_grid(self, kind, builder):
+        # Sweeping in level order carries every upward flow at once, so the
+        # sweep count stays far below the cap (229 at 0.1) that power
+        # iteration needed.  (1, 1), where every state resets to level 1,
+        # takes two sweeps.
+        rates = (0.1, 0.3, 0.5, 0.7, 0.9)
+        points = [(l1, l2) for l1 in rates for l2 in rates] + [(1.0, 1.0)]
+        for l1, l2 in points:
+            p = make_params(l1, l2)
+            d = stationary(builder(p, choose_cap(p, 1e-10)))
+            assert d.method == "gauss-seidel"
+            assert 1 <= d.sweeps <= 40, (l1, l2, d.sweeps)
+            assert d.delta < 1e-13
+            assert d.residual < 1e-11
 
     def test_convergence_error_on_tiny_iteration_cap(self):
         ch = build_aoa_chain(make_params(0.5, 0.5), cap=40)
@@ -270,7 +315,7 @@ class TestStationaryTruncated:
         assert masses[(1, 1, 1)] == pytest.approx(l1 * l2 * b1, abs=1e-8)
         # Diagonal balance: mass entering (k,k,0) comes from the previous
         # diagonal state plus harvests over cached states at aoi = k-1.
-        masses_by_state = dict(zip(ch.states, d.probs))
+        masses_by_state = dict(zip(state_tuples(ch), d.probs))
         s = shorthand(p)
         for k in (2, 3, 5):
             rhs = s.z * masses_by_state[(k - 1, k - 1, 0)]
@@ -342,9 +387,8 @@ class TestBoundsAgainstExactLaw:
     singular, is left out.
     """
 
-    @pytest.mark.parametrize("tail_eps", [1e-10, 1e-7])
-    def test_chain_within_bound(self, tail_eps):
-        rates = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+    @staticmethod
+    def chain_misses(rates, tail_eps):
         bad = []
         for l1 in rates:
             for l2 in rates:
@@ -358,6 +402,19 @@ class TestBoundsAgainstExactLaw:
                     mean, bound = mean_age(stationary(chain), chain)
                     if abs(Fraction(mean) - law[metric]) > bound:
                         bad.append((l1, l2, metric, mean, bound))
+        return bad
+
+    @pytest.mark.parametrize("tail_eps", [1e-10, 1e-7])
+    def test_chain_within_bound(self, tail_eps):
+        bad = self.chain_misses((0.1, 0.3, 0.5, 0.7, 0.9, 1.0), tail_eps)
+        assert not bad, bad
+
+    def test_chain_within_bound_at_small_rates(self):
+        # Down to the CLI floor, at the loosest tail_eps of the tests, where
+        # `choose_cap` raises the cap to meet `mean_age`'s tail-mass limit
+        # (from 1614 to 1833 levels at 0.01).  The five points with a 0.01
+        # rate solve AoAI chains of 1.7 million states.
+        bad = self.chain_misses((0.01, 0.02, 0.05), 1e-7)
         assert not bad, bad
 
     def test_series_within_rounding_bound(self):

@@ -123,6 +123,16 @@ class TestChain:
         assert float(row["uncertainty"]) < 1e-6
         assert row["cap"] == "44"
 
+    def test_loose_tail_eps_at_small_rate(self, capsys):
+        # r**cap < tail_eps alone would give cap 325 here, whose a-priori
+        # tail mass 1.15e-6 is above the 1e-6 that `mean_age` accepts.
+        code, out, _ = run_cli(capsys, "chain", "--lambda1", "0.05", "--lambda2", "0.5",
+                               "--metric", "aoa", "--tail-eps", "1e-7")
+        assert code == 0
+        row = csv_rows(out)[0]
+        assert row["cap"] == "328"
+        assert float(row["value"]) == pytest.approx(19.9598622, rel=1e-6)
+
     def test_both_cap_flags_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "chain", "--lambda1", "0.5", "--lambda2", "0.5",
                              "--metric", "aoa", "--cap", "200", "--tail-eps", "1e-10")

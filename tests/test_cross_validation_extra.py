@@ -25,7 +25,7 @@ class TestStationaryBalancePatterns:
         p = make_params(l1, l2)
         s = shorthand(p)
         ch = build_aoa_chain(p, choose_cap(p, 1e-10))
-        v = dict(zip(ch.states, stationary(ch).probs))
+        v = dict(zip(map(tuple, ch.states.tolist()), stationary(ch).probs))
         for a in range(1, ch.level_cap):
             v110 = v.get((a, 1, 0), 0.0)  # no cached-data state at level 1
             assert v[(a + 1, 0, 0)] == pytest.approx(s.z * v[(a, 0, 0)], abs=1e-10)
@@ -39,7 +39,7 @@ class TestStationaryBalancePatterns:
         p = make_params(l1, l2)
         s = shorthand(p)
         ch = build_aoai_chain(p, choose_cap(p, 1e-10))
-        v = dict(zip(ch.states, stationary(ch).probs))
+        v = dict(zip(map(tuple, ch.states.tolist()), stationary(ch).probs))
         cap = ch.level_cap
         for ai in range(2, cap + 1):
             # fresh-information level entry
