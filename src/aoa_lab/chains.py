@@ -375,10 +375,17 @@ def mean_age(dist: StationaryDist, chain: TruncatedChain) -> tuple[float, float]
     solver residual propagated across levels, and a floating-point
     accumulation floor.  Raises TruncationError when the estimated tail mass
     exceeds 1e-6.
+
+    The mean is numpy's pairwise sum of level times level mass, not a float
+    `@`: numpy hands `@` to the BLAS dot product, which splits a vector
+    longer than its threading threshold (10 000 entries in OpenBLAS) across
+    the BLAS threads.  The last bits of such a mean then depend on the host's
+    CPU count, and in a `validate` pool each worker's spare BLAS thread
+    busy-waits on the CPU the other worker needs.
     """
-    levels = _levels(chain)
-    mean = float(levels @ dist.probs)
-    m_cap = float(dist.probs[levels == chain.level_cap].sum())
+    masses = level_masses(dist, chain)
+    m_cap = float(masses[chain.level_cap])
+    mean = float((np.arange(chain.level_cap + 1) * masses).sum())
     r = chain.decay_rate
     if r > 0.0:
         est_tail = m_cap * r / (1.0 - r)

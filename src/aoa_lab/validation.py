@@ -21,6 +21,11 @@ degrees of freedom, so a correct simulation lands more than three standard
 errors from an exact route with probability 2 * t.sf(3, 19) = 0.0074 per
 comparison.  Isolated failures at about that 0.74 percent rate are expected
 sampling fluctuations.
+
+`sweep` spreads the points over a pool of `default_workers()` processes.  Its
+report depends neither on the worker count nor on the host's CPU count: each
+worker's numerics run on one thread, since no route passes BLAS a vector
+long enough for BLAS to split across its threads (see `chains.mean_age`).
 """
 
 from __future__ import annotations
@@ -293,8 +298,9 @@ def sweep(
     """Cross-check every grid point and assemble the findings report.
 
     Points are evaluated in sorted order with per-point seeds seed + index,
-    so the report is deterministic for fixed inputs regardless of worker
-    count.
+    and each worker's numerics are single-threaded, so the report is
+    deterministic for fixed inputs regardless of the worker count
+    (`max_workers`, default `default_workers()`) and of the host's CPU count.
     """
     if not points:
         raise DomainError("sweep needs at least one grid point")

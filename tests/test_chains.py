@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aoa_lab
 from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, avg_aoa,
                               avg_aoai)
 from aoa_lab.chains import (MAX_CHAIN_STATES, SYSTEM_STATES, TAIL_MASS_LIMIT,
@@ -346,6 +351,33 @@ class TestMeanAge:
         ch = build_aoa_chain(p, cap=10)
         with pytest.raises(TruncationError):
             mean_age(stationary(ch), ch)
+
+    @pytest.mark.parametrize("code", [
+        "from aoa_lab.chains import build_aoai_chain, mean_age, stationary\n"
+        "from aoa_lab.core import make_params\n"
+        "ch = build_aoai_chain(make_params(0.1, 0.1), cap=229)\n"
+        "assert len(ch.states) == 26564\n"
+        "print(mean_age(stationary(ch), ch)[0].hex())",
+        "import sys\n"
+        "from aoa_lab.cli import main\n"
+        "sys.exit(main(['chain', '--metric', 'aoai', '--lambda1', '0.1', '--lambda2', '0.1',"
+        " '--tail-eps', '1e-10', '--json']))",
+    ], ids=["mean_age", "cli_json"])
+    def test_independent_of_blas_thread_count(self, code):
+        # The AoAI chain at (0.1, 0.1) has 26 564 states, past the length at
+        # which OpenBLAS splits a dot product across its threads; a mean taken
+        # by float `@` changed in its last bits between 1 and 2 threads.
+        # OpenBLAS runs at most one thread per CPU, so on a one-CPU host both
+        # runs are single-threaded and this test cannot fail.
+        src = str(Path(aoa_lab.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
     def test_level_masses_sum_to_one(self):
         p = make_params(0.6, 0.4)

@@ -86,9 +86,11 @@ class TestSweep:
         assert rep.all_passed  # analytic-only rows have nothing to disagree with
 
     def test_deterministic(self):
-        points = [Params(0.4, 0.6), Params(0.6, 0.4)]
+        # The same report in one process and from a two-worker pool.  The
+        # AoAI chain at (0.1, 0.1) has 26 564 states.
+        points = [Params(0.1, 0.1), Params(0.4, 0.6), Params(0.6, 0.4)]
         kw = dict(methods=METHOD_ORDER, slots=50_000, seed=5)
-        assert sweep(points, **kw) == sweep(points, **kw)
+        assert sweep(points, max_workers=1, **kw) == sweep(points, max_workers=2, **kw)
 
     def test_rows_sorted_by_point(self):
         points = [Params(0.7, 0.2), Params(0.2, 0.7)]
