@@ -103,17 +103,6 @@ class TruncatedChain:
     tail_mass: float
     decay_rate: float
 
-    def dumps(self) -> str:
-        """Debug dump: `state_index,level,mid,b,col:prob;...` per row (unstable format)."""
-        lines = []
-        m = self.matrix.tocsr()
-        for i, (level, mid, b) in enumerate(self.states.tolist()):
-            lo, hi = m.indptr[i], m.indptr[i + 1]
-            entries = ";".join(
-                f"{j}:{v:.17g}" for j, v in zip(m.indices[lo:hi], m.data[lo:hi]))
-            lines.append(f"{i},{level},{mid},{b},{entries}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class StationaryDist:

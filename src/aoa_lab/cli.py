@@ -9,72 +9,45 @@ CSV rows follow the fixed schema
 `lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap` with real
 values printed to 9 significant digits and inapplicable fields left blank,
 so output is byte-stable for identical flags and seed.  `--json` emits one
-JSON object per row with the same keys.
+JSON object per row with the same keys.  Each line is one `validation.Row`;
+`validation.route_rows` computes every value printed here.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import analytic, chains, engine, validation
+from . import engine, validation
 from .core import Params
 from .errors import (AoaLabError, CapError, ConvergenceError, DomainError,
                      NumericalError, TruncationError)
 
 CSV_HEADER = "lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap"
 
-_CHAIN_METRICS = ("aoa", "aoai")
-_SERIES_METRICS = ("aoa",)
-
 
 def _fmt(v: float) -> str:
     return format(float(v), ".9g")
 
 
-@dataclass(frozen=True)
-class OutputRow:
-    lambda1: float
-    lambda2: float
-    method: str
-    metric: str
-    value: float
-    uncertainty: float
-    slots: Optional[int] = None
-    seed: Optional[int] = None
-    cap: Optional[int] = None
-
-    def csv_line(self) -> str:
-        opt = [("" if x is None else str(x)) for x in (self.slots, self.seed, self.cap)]
-        return ",".join([_fmt(self.lambda1), _fmt(self.lambda2), self.method,
-                         self.metric, _fmt(self.value), _fmt(self.uncertainty), *opt])
-
-    def json_obj(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "method": self.method,
-            "metric": self.metric,
-            "value": self.value,
-            "uncertainty": self.uncertainty,
-            "slots": self.slots,
-            "seed": self.seed,
-            "cap": self.cap,
-        }
+def _csv_line(r: validation.Row) -> str:
+    opt = [("" if x is None else str(x)) for x in (r.slots, r.seed, r.cap)]
+    return ",".join([_fmt(r.lambda1), _fmt(r.lambda2), r.method, r.metric,
+                     _fmt(r.value), _fmt(r.uncertainty), *opt])
 
 
-def _emit(rows: Sequence[OutputRow], as_json: bool) -> None:
+def _emit(rows: Sequence[validation.Row], as_json: bool) -> None:
     if as_json:
         for r in rows:
-            print(json.dumps(r.json_obj()))
+            print(json.dumps(dataclasses.asdict(r)))
     else:
         print(CSV_HEADER)
         for r in rows:
-            print(r.csv_line())
+            print(_csv_line(r))
 
 
 def _cli_params(lambda1: float, lambda2: float) -> Params:
@@ -113,35 +86,21 @@ def _parse_grid(spec: str) -> list[Params]:
 
 def cmd_analytic(args) -> int:
     p = _cli_params(args.lambda1, args.lambda2)
-    ref = analytic.averages(p)
-    values = {"aoi": ref.aoi_bar, "aoa": ref.aoa_bar, "aoai": ref.aoai_bar}
-    rows = [OutputRow(p.lambda1, p.lambda2, "analytic", m, values[m], 0.0)
-            for m in _parse_metrics(args.metrics)]
-    _emit(rows, args.json)
+    _emit(validation.route_rows(p, "analytic", _parse_metrics(args.metrics)), args.json)
     return 0
 
 
 def cmd_simulate(args) -> int:
     p = _cli_params(args.lambda1, args.lambda2)
-    estimates = validation.sim_estimates(p, args.slots, args.seed, args.warmup)
-    rows = [OutputRow(p.lambda1, p.lambda2, "sim", m, mean, err,
-                      slots=args.slots, seed=args.seed)
-            for m, (mean, err) in zip(validation.METRICS, estimates)]
-    _emit(rows, args.json)
+    _emit(validation.route_rows(p, "sim", slots=args.slots, seed=args.seed,
+                                warmup=args.warmup), args.json)
     return 0
 
 
 def cmd_chain(args) -> int:
     p = _cli_params(args.lambda1, args.lambda2)
-    if args.metric not in _CHAIN_METRICS:
-        raise DomainError(f"metric must be one of {_CHAIN_METRICS}, got {args.metric!r}")
-    cap = args.cap if args.cap is not None else chains.choose_cap(p, args.tail_eps)
-    builder = chains.build_aoa_chain if args.metric == "aoa" else chains.build_aoai_chain
-    chain = builder(p, cap)
-    dist = chains.stationary(chain)
-    mean, bound = chains.mean_age(dist, chain)
-    _emit([OutputRow(p.lambda1, p.lambda2, "chain", args.metric, mean, bound, cap=cap)],
-          args.json)
+    _emit(validation.route_rows(p, "chain", (args.metric,), tail_eps=args.tail_eps,
+                                cap=args.cap), args.json)
     return 0
 
 
@@ -154,48 +113,20 @@ def _parse_methods(spec: str) -> list[str]:
     return [m for m in validation.METHOD_ORDER if m in methods]
 
 
-def _report_rows(report: validation.SweepReport, methods: Sequence[str],
-                 slots: int, seed: int) -> list[OutputRow]:
-    """Flatten a sweep report to OutputRows in the canonical deterministic order."""
-    point_index = {(p.lambda1, p.lambda2): i for i, p in enumerate(report.grid)}
-    by_point = {}
-    for r in report.rows:
-        by_point.setdefault((r.params.lambda1, r.params.lambda2), {})[r.metric] = r
-    out = []
-    for key in sorted(by_point):
-        per_metric = by_point[key]
-        pt_seed = seed + point_index[key]
-        for method in (m for m in validation.METHOD_ORDER if m in methods):
-            metrics = (validation.METRICS if method in ("analytic", "sim")
-                       else _CHAIN_METRICS if method == "chain" else _SERIES_METRICS)
-            for metric in metrics:
-                r = per_metric[metric]
-                if method == "analytic":
-                    out.append(OutputRow(*key, "analytic", metric, r.analytic, 0.0))
-                elif method == "sim" and r.simulated is not None:
-                    out.append(OutputRow(*key, "sim", metric, r.simulated,
-                                         r.sim_stderr or 0.0, slots=slots, seed=pt_seed))
-                elif method == "chain" and r.chain is not None:
-                    out.append(OutputRow(*key, "chain", metric, r.chain,
-                                         r.chain_bound or 0.0, cap=r.chain_cap))
-                elif method == "series" and r.series is not None:
-                    out.append(OutputRow(*key, "series", metric, r.series,
-                                         r.series_bound or 0.0))
-    return out
-
-
 def cmd_sweep(args) -> int:
     points = _parse_grid(args.grid)
     methods = _parse_methods(args.methods)
     report = validation.sweep(points, methods, args.slots, args.seed,
                               tol_rel=args.tol_rel, warmup=args.warmup,
                               tail_eps=args.tail_eps)
-    rows = _report_rows(report, methods, args.slots, args.seed)
+    order = validation.METHOD_ORDER
+    rows = sorted((r for c in report.rows for r in c.routes if r.method in methods),
+                  key=lambda r: (r.lambda1, r.lambda2, order.index(r.method)))
     try:
         with open(args.out, "w", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in rows:
-                fh.write(r.csv_line() + "\n")
+                fh.write(_csv_line(r) + "\n")
     except BaseException:
         if os.path.exists(args.out):
             os.remove(args.out)
@@ -283,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("chain", help="truncated-chain average at one point")
     add_lambdas(sp)
-    sp.add_argument("--metric", required=True, choices=_CHAIN_METRICS)
+    sp.add_argument("--metric", required=True, choices=validation.ROUTE_METRICS["chain"])
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--cap", type=int)
     group.add_argument("--tail-eps", type=float, dest="tail_eps")

@@ -328,6 +328,8 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
         raise DomainError(f"slots ({slots}) must exceed warmup ({warmup})")
     if warmup < 0:
         raise DomainError(f"warmup must be nonnegative, got {warmup}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     measured = slots - warmup
     if n_batches < 1 or n_batches > measured:
         raise DomainError(f"n_batches must be in [1, {measured}], got {n_batches}")
@@ -407,8 +409,9 @@ def run(p: Params, slots: int, seed: int, warmup: int = 1000) -> RunSummary:
     """Simulate `slots` slots with a seeded generator and average the ages.
 
     Per slot the generator draws the data event first, then the energy event.
-    The first `warmup` slots are excluded from the averages.  Identical
-    (p, slots, seed, warmup) always produce a bit-identical summary.
+    The first `warmup` slots are excluded from the averages; `seed` must be
+    nonnegative.  Identical (p, slots, seed, warmup) always produce a
+    bit-identical summary.
     """
     return run_batched(p, slots, seed, warmup, n_batches=1)[0]
 

@@ -2,10 +2,14 @@
 
 Every metric can be computed by several independent routes: closed form,
 seeded simulation, truncated-chain solve, and (for the actuation age) the
-recursive series.  `cross_check` runs all requested routes at one parameter
-point and scores their pairwise agreement; `sweep` does that over a grid and
-summarizes the qualitative findings (approximate symmetry, actuation-age
-non-monotonicity, actuated-information monotonicity, mean ordering).
+recursive series; `ROUTE_METRICS` says which route covers which metric.
+`route_rows` runs one route at one parameter point and returns one `Row` per
+metric, the long-format record that the CLI prints (one CSV line or JSON
+object per row).  `cross_check` runs all requested routes at one point and
+scores their pairwise agreement; `sweep` does that over a grid, with point i
+of the sorted grid seeded `seed + i`, and summarizes the qualitative
+findings (approximate symmetry, actuation-age non-monotonicity,
+actuated-information monotonicity, mean ordering).
 
 A point passes when, for every pair of routes, the relative disagreement is
 below tol_rel AND the two 3-sigma-style intervals (value plus or minus three
@@ -30,6 +34,7 @@ long enough for BLAS to split across its threads (see `chains.mean_age`).
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,60 +46,122 @@ from .errors import DomainError
 
 __all__ = [
     "CrossCheckResult",
+    "ROUTE_METRICS",
+    "Row",
     "SweepReport",
     "cross_check",
+    "route_rows",
     "sweep",
     "grid_range",
 ]
 
 METHOD_ORDER = ("analytic", "sim", "chain", "series")
 METRICS = ("aoi", "aoa", "aoai")
+# The metrics each route computes: the only statement of route coverage.
+ROUTE_METRICS = {"analytic": METRICS, "sim": METRICS, "chain": ("aoa", "aoai"),
+                 "series": ("aoa",)}
 SERIES_ROUNDING_BOUND = 1e-12
 # Batch count of the batch-means standard error of every simulation route.
 N_BATCHES = 20
 
 
-def default_warmup(slots: int) -> int:
-    """Warmup slots of a simulation run when none is given: min(1000, slots // 10)."""
-    return min(1000, slots // 10)
+@dataclass(frozen=True)
+class Row:
+    """One route's value of one metric at one point; fields in CSV-header order.
 
-
-def sim_estimates(p: Params, slots: int, seed: int,
-                  warmup: Optional[int] = None) -> list[tuple[float, float]]:
-    """The simulation route: (mean, standard error) of each metric in `METRICS`.
-
-    The measured slots are split into min(`N_BATCHES`, slots - warmup)
-    batches; a run too short for two batches has no batch-means error and
-    reports 0.0.  `warmup` defaults to `default_warmup(slots)`.
+    `uncertainty` is the route's error measure (see the module docstring).
+    `slots` and `seed` are set on simulation rows only, `cap` on chain rows
+    only; the other routes leave them None.
     """
-    if warmup is None:
-        warmup = default_warmup(slots)
-    nb = max(1, min(N_BATCHES, slots - warmup))
-    _, means, stderrs = engine.run_batched(p, slots, seed, warmup, n_batches=nb)
-    return [(float(m), float(s) if nb > 1 else 0.0) for m, s in zip(means, stderrs)]
+
+    lambda1: float
+    lambda2: float
+    method: str
+    metric: str
+    value: float
+    uncertainty: float
+    slots: Optional[int] = None
+    seed: Optional[int] = None
+    cap: Optional[int] = None
+
+
+def route_rows(
+    p: Params,
+    method: str,
+    metrics: Sequence[str] = METRICS,
+    *,
+    slots: Optional[int] = None,
+    seed: Optional[int] = None,
+    warmup: Optional[int] = None,
+    tail_eps: float = 1e-10,
+    cap: Optional[int] = None,
+) -> list[Row]:
+    """Run one route at `p`: a `Row` for each of `metrics` that it covers.
+
+    Rows follow the order of `metrics`; metrics outside
+    `ROUTE_METRICS[method]` are skipped.  The simulation route needs `slots`
+    and `seed` and leaves out the first `warmup` slots (default
+    min(1000, slots // 10)); its measured slots are split into
+    min(`N_BATCHES`, slots - warmup) batches, and a run too short for two
+    batches reports uncertainty 0.0.  The chain route truncates at `cap`, or
+    at `chains.choose_cap(p, tail_eps)` when `cap` is None.
+    """
+    wanted = [m for m in metrics if m in ROUTE_METRICS[method]]
+    row = functools.partial(Row, p.lambda1, p.lambda2, method)
+    if method == "analytic":
+        ref = analytic.averages(p)
+        return [row(m, getattr(ref, f"{m}_bar"), 0.0) for m in wanted]
+    if method == "sim":
+        if warmup is None:
+            warmup = min(1000, slots // 10)
+        nb = max(1, min(N_BATCHES, slots - warmup))
+        _, means, stderrs = engine.run_batched(p, slots, seed, warmup, n_batches=nb)
+        est = {m: (float(v), float(s) if nb > 1 else 0.0)
+               for m, v, s in zip(METRICS, means, stderrs)}
+        return [row(m, *est[m], slots=slots, seed=seed) for m in wanted]
+    if method == "chain":
+        if cap is None:
+            cap = chains.choose_cap(p, tail_eps)
+        out = []
+        for m in wanted:
+            builder = chains.build_aoa_chain if m == "aoa" else chains.build_aoai_chain
+            chain = builder(p, cap)
+            out.append(row(m, *chains.mean_age(chains.stationary(chain), chain), cap=cap))
+        return out
+    return [row(m, chains.aoa_series_mean(p), SERIES_ROUNDING_BOUND) for m in wanted]
+
+
+def _wide(method: str, attr: str) -> property:
+    return property(lambda self: next(
+        (getattr(r, attr) for r in self.routes if r.method == method), None))
 
 
 @dataclass(frozen=True)
 class CrossCheckResult:
     """Agreement scorecard of one metric at one parameter point.
 
-    Route values are None when the route was not requested or does not apply
-    (the chain routes cover aoa/aoai, the series route aoa only).  `passed`
-    is the pairwise-agreement verdict described in the module docstring.
+    `routes` holds one `Row` per route that ran and covers `metric`, in
+    `METHOD_ORDER`; the analytic row is always first.  `passed` is the
+    pairwise-agreement verdict described in the module docstring.
     """
 
     params: Params
     metric: str
-    analytic: float
-    simulated: Optional[float] = None
-    sim_stderr: Optional[float] = None
-    chain: Optional[float] = None
-    chain_bound: Optional[float] = None
-    chain_cap: Optional[int] = None
-    series: Optional[float] = None
-    series_bound: Optional[float] = None
+    routes: tuple[Row, ...]
     max_rel_disagreement: float = 0.0
     passed: bool = True
+
+    # Read-only wide view of `routes` (None where a route is absent), kept
+    # only because the benchmark's `perfbench/workload.py::check_validate`
+    # reads these names; delete them once it reads `routes`.
+    analytic = _wide("analytic", "value")
+    simulated = _wide("sim", "value")
+    sim_stderr = _wide("sim", "uncertainty")
+    chain = _wide("chain", "value")
+    chain_bound = _wide("chain", "uncertainty")
+    chain_cap = _wide("chain", "cap")
+    series = _wide("series", "value")
+    series_bound = _wide("series", "uncertainty")
 
 
 @dataclass(frozen=True)
@@ -152,60 +219,26 @@ def cross_check(
     warmup: Optional[int] = None,
     tail_eps: float = 1e-10,
 ) -> list[CrossCheckResult]:
-    """Compute each metric by every requested route; returns one row per metric.
+    """Compute each metric by every requested route; returns one result per metric.
 
-    An undersampled run that misses tolerance yields passed=False rather than
-    an error; solver failures (ConvergenceError, TruncationError, CapError)
-    propagate.
+    The analytic route always runs, whatever `methods` says.  `tol_rel` must
+    be positive.  An undersampled run that misses tolerance yields
+    passed=False rather than an error; solver failures (ConvergenceError,
+    TruncationError, CapError) propagate.
     """
     unknown = set(methods) - set(METHOD_ORDER)
     if unknown:
         raise DomainError(f"unknown methods: {sorted(unknown)}")
-    ref = analytic.averages(p)
-    by_metric = {
-        "aoi": {"analytic": (ref.aoi_bar, 0.0)},
-        "aoa": {"analytic": (ref.aoa_bar, 0.0)},
-        "aoai": {"analytic": (ref.aoai_bar, 0.0)},
-    }
-    caps = {}
-
-    if "sim" in methods:
-        for metric, estimate in zip(METRICS, sim_estimates(p, slots, seed, warmup)):
-            by_metric[metric]["sim"] = estimate
-
-    if "chain" in methods:
-        cap = chains.choose_cap(p, tail_eps)
-        for metric, builder in (("aoa", chains.build_aoa_chain),
-                                ("aoai", chains.build_aoai_chain)):
-            chain = builder(p, cap)
-            dist = chains.stationary(chain)
-            mean, bound = chains.mean_age(dist, chain)
-            by_metric[metric]["chain"] = (mean, bound)
-            caps[metric] = cap
-
-    if "series" in methods:
-        by_metric["aoa"]["series"] = (chains.aoa_series_mean(p),
-                                      SERIES_ROUNDING_BOUND)
-
+    if not tol_rel > 0.0:
+        raise DomainError(f"tol_rel must be positive, got {tol_rel}")
+    rows = [r for m in METHOD_ORDER if m == "analytic" or m in methods
+            for r in route_rows(p, m, slots=slots, seed=seed, warmup=warmup,
+                                tail_eps=tail_eps)]
     results = []
     for metric in METRICS:
-        routes = by_metric[metric]
-        entries = [routes[m] for m in METHOD_ORDER if m in routes]
-        max_rel, ok = _pairwise_verdict(entries, tol_rel)
-        results.append(CrossCheckResult(
-            params=p,
-            metric=metric,
-            analytic=routes["analytic"][0],
-            simulated=routes.get("sim", (None, None))[0],
-            sim_stderr=routes.get("sim", (None, None))[1],
-            chain=routes.get("chain", (None, None))[0],
-            chain_bound=routes.get("chain", (None, None))[1],
-            chain_cap=caps.get(metric),
-            series=routes.get("series", (None, None))[0],
-            series_bound=routes.get("series", (None, None))[1],
-            max_rel_disagreement=max_rel,
-            passed=ok,
-        ))
+        routes = tuple(r for r in rows if r.metric == metric)
+        max_rel, ok = _pairwise_verdict([(r.value, r.uncertainty) for r in routes], tol_rel)
+        results.append(CrossCheckResult(p, metric, routes, max_rel, ok))
     return results
 
 

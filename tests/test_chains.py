@@ -173,13 +173,6 @@ class TestAoaChainStructure:
         np.testing.assert_allclose(sums[levels < 10], 1.0, atol=1e-12)
         assert (sums[levels == 10] < 1.0).all()
 
-    def test_dump_format(self):
-        ch = build_aoa_chain(make_params(0.5, 0.5), cap=3)
-        lines = ch.dumps().strip().splitlines()
-        assert len(lines) == len(ch.states)
-        first = lines[0].split(",")
-        assert first[0] == "0" and first[1] == "1"
-
 
 class TestAoaiChainStructure:
     def test_state_space_shape(self):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from aoa_lab.cli import main
+from aoa_lab.chains import choose_cap
+from aoa_lab.cli import CSV_HEADER, main
+from aoa_lab.core import Params
 
 GOLDEN_TRACE_EVENTS = "t,data,energy\n1,0,0\n2,1,0\n3,0,0\n4,0,1\n5,0,0\n6,1,0\n7,0,0\n"
 GOLDEN_TRACE_OUTPUT = """\
@@ -96,6 +98,12 @@ class TestSimulate:
         assert code == 0
         assert [r["metric"] for r in csv_rows(out)] == ["aoi", "aoa", "aoai"]
 
+    def test_negative_seed_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--lambda1", "0.5", "--lambda2", "0.5",
+                                 "--slots", "1000", "--seed", "-1")
+        assert code == 2
+        assert out == "" and err == "error: seed must be nonnegative, got -1\n"
+
     def test_deterministic_per_seed(self, capsys):
         args = ("simulate", "--lambda1", "0.5", "--lambda2", "0.5",
                 "--slots", "50000", "--seed", "5")
@@ -148,6 +156,18 @@ class TestChain:
                                "--metric", "aoa", "--cap", "10")
         assert code == 3
         assert "tail mass" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("analytic", "--lambda1", "0.5", "--lambda2", "0.5"),
+    ("simulate", "--lambda1", "0.5", "--lambda2", "0.5", "--slots", "2000"),
+    ("chain", "--lambda1", "0.5", "--lambda2", "0.5", "--metric", "aoa", "--cap", "40"),
+])
+def test_json_keys_are_the_csv_header(capsys, args):
+    code, out, _ = run_cli(capsys, *args, "--json")
+    assert code == 0
+    for line in out.strip().splitlines():
+        assert list(json.loads(line)) == CSV_HEADER.split(",")
 
 
 class TestTrace:
@@ -224,6 +244,26 @@ class TestSweep:
         assert {(r["lambda1"], r["lambda2"]) for r in rows} == {
             ("0.2", "0.5"), ("0.4", "0.5")}
 
+    def test_sim_and_chain_rows_carry_point_seed_and_cap(self, capsys, tmp_path):
+        out_file = tmp_path / "s.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--grid", "0.4:0.6:0.2,0.5:0.5:0.1",
+                             "--methods", "chain,sim", "--slots", "20000", "--seed", "7",
+                             "--tail-eps", "1e-7", "--out", str(out_file))
+        assert code == 0
+        rows = csv_rows(out_file.read_text())
+        # No analytic rows; per point (in sorted order) sim before chain.
+        assert [(r["lambda1"], r["method"], r["metric"]) for r in rows] == [
+            (a, m, metric) for a in ("0.4", "0.6")
+            for m, metrics in (("sim", ("aoi", "aoa", "aoai")), ("chain", ("aoa", "aoai")))
+            for metric in metrics]
+        for r in rows:
+            index = ("0.4", "0.6").index(r["lambda1"])
+            if r["method"] == "sim":
+                assert (r["slots"], r["seed"], r["cap"]) == ("20000", str(7 + index), "")
+            else:
+                cap = choose_cap(Params(float(r["lambda1"]), 0.5), 1e-7)
+                assert (r["slots"], r["seed"], r["cap"]) == ("", "", str(cap))
+
     def test_bad_grid_exit_two(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--grid", "0.9:0.1:0.2",
                              "--methods", "analytic", "--out", str(tmp_path / "s.csv"))
@@ -245,6 +285,19 @@ class TestValidate:
                                "--slots", "1000", "--seed", "0", "--tol-rel", "0.01")
         assert code == 1
         assert "FAIL" in out
+
+    def test_negative_seed_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "validate", "--grid", "0.5:0.7:0.2",
+                                 "--slots", "1000", "--seed", "-3")
+        assert code == 2
+        assert out == "" and "seed must be nonnegative" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-0.5"])
+    def test_tolerance_not_positive_exit_two(self, capsys, tol):
+        code, out, err = run_cli(capsys, "validate", "--grid", "0.5:0.5:0.1",
+                                 "--slots", "1000", "--tol-rel", tol)
+        assert code == 2
+        assert out == "" and "tol_rel must be positive" in err
 
     def test_ordering_violations_reported(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--grid", "0.1:0.3:0.2",

@@ -221,6 +221,12 @@ class TestRun:
         with pytest.raises(DomainError):
             run(make_params(0.5, 0.5), 100, seed=1, warmup=100)
 
+    def test_negative_seed_rejected(self):
+        # numpy's own error would be a ValueError, which the CLI maps to no
+        # exit code of its own.
+        with pytest.raises(DomainError, match="seed"):
+            run(make_params(0.5, 0.5), 100, seed=-1, warmup=0)
+
     def test_saturated_arrivals_pin_every_age_to_one(self):
         s = run(make_params(1.0, 1.0), 10_000, seed=4, warmup=0)
         assert s.mean_aoi == s.mean_aoa == s.mean_aoai == 1.0

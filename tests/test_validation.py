@@ -2,8 +2,12 @@ import pytest
 
 from aoa_lab.core import Params, make_params
 from aoa_lab.errors import DomainError
-from aoa_lab.validation import (METHOD_ORDER, cross_check, default_workers,
-                                grid_range, sweep)
+from aoa_lab.validation import (METHOD_ORDER, ROUTE_METRICS, cross_check,
+                                default_workers, grid_range, route_rows, sweep)
+
+
+def by_method(result):
+    return {r.method: r for r in result.routes}
 
 
 class TestGridRange:
@@ -32,22 +36,21 @@ class TestCrossCheck:
         for r in results:
             assert r.passed, (r.metric, r.max_rel_disagreement)
             assert r.max_rel_disagreement < 0.01
-        aoa = results[1]
-        assert aoa.chain is not None and aoa.series is not None
-        assert aoa.chain_cap == 44
-        assert aoa.chain == pytest.approx(aoa.analytic, rel=1e-6)
-        assert aoa.series == pytest.approx(aoa.analytic, rel=1e-9)
-        aoi = results[0]
-        assert aoi.chain is None and aoi.series is None
-        aoai = results[2]
-        assert aoai.series is None and aoai.chain is not None
+        assert [tuple(by_method(r)) for r in results] == [
+            ("analytic", "sim"), ("analytic", "sim", "chain", "series"),
+            ("analytic", "sim", "chain")]
+        aoa = by_method(results[1])
+        assert aoa["chain"].cap == 44
+        assert aoa["chain"].value == pytest.approx(aoa["analytic"].value, rel=1e-6)
+        assert aoa["series"].value == pytest.approx(aoa["analytic"].value, rel=1e-9)
 
     def test_saturated_corner_every_route_is_one(self):
         for r in cross_check(make_params(1.0, 1.0), slots=10_000, seed=3):
-            assert r.analytic == 1.0
-            assert r.simulated == 1.0
-            for v in (r.chain, r.series):
-                assert v is None or v == pytest.approx(1.0, abs=1e-12)
+            routes = by_method(r)
+            assert routes["analytic"].value == 1.0
+            assert routes["sim"].value == 1.0
+            for route in r.routes:
+                assert route.value == pytest.approx(1.0, abs=1e-12)
             assert r.passed
 
     def test_undersampled_run_reports_rather_than_raises(self):
@@ -60,13 +63,51 @@ class TestCrossCheck:
         results = cross_check(make_params(0.3, 0.8), slots=10 ** 5, seed=1,
                               methods=("analytic",))
         for r in results:
-            assert r.simulated is None and r.chain is None and r.series is None
+            assert [route.method for route in r.routes] == ["analytic"]
             assert r.passed and r.max_rel_disagreement == 0.0
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             cross_check(make_params(0.5, 0.5), slots=10 ** 5, seed=1,
                         methods=("analytic", "bogus"))
+
+    @pytest.mark.parametrize("tol_rel", [float("nan"), 0.0, -0.01])
+    def test_nonpositive_or_nan_tolerance_rejected(self, tol_rel):
+        # `rel >= nan` is never true, so a NaN tolerance would silently
+        # switch off the relative clause.
+        with pytest.raises(DomainError, match="tol_rel"):
+            cross_check(make_params(0.5, 0.5), slots=10 ** 4, seed=1, tol_rel=tol_rel)
+
+    def test_routes_are_the_route_rows(self):
+        # The rows `cross_check` scores are exactly what `route_rows` gives
+        # for each route at that point, seed and cap included.
+        p = make_params(0.3, 0.7)
+        results = cross_check(p, slots=20_000, seed=6, tail_eps=1e-7)
+        rows = [r for m in METHOD_ORDER
+                for r in route_rows(p, m, slots=20_000, seed=6, tail_eps=1e-7)]
+        for res in results:
+            assert res.routes == tuple(r for r in rows if r.metric == res.metric)
+        assert {(r.method, r.metric) for r in rows} == {
+            (m, metric) for m, metrics in ROUTE_METRICS.items() for metric in metrics}
+
+
+class TestRouteRows:
+    def test_metrics_kept_in_the_order_asked(self):
+        rows = route_rows(make_params(0.5, 0.5), "analytic", ("aoai", "aoi"))
+        assert [(r.metric, r.value, r.uncertainty) for r in rows] == [
+            ("aoai", pytest.approx(22 / 9), 0.0), ("aoi", 2.0, 0.0)]
+
+    def test_uncovered_metrics_skipped(self):
+        p = make_params(0.5, 0.5)
+        assert route_rows(p, "series", ("aoi", "aoai")) == []
+        assert [r.metric for r in route_rows(p, "chain", cap=50)] == ["aoa", "aoai"]
+
+    def test_only_sim_rows_carry_slots_and_seed_only_chain_rows_a_cap(self):
+        p = make_params(0.5, 0.5)
+        for m in METHOD_ORDER:
+            for r in route_rows(p, m, slots=5_000, seed=2, cap=50):
+                assert (r.slots, r.seed) == ((5_000, 2) if m == "sim" else (None, None))
+                assert r.cap == (50 if m == "chain" else None)
 
 
 class TestSweep:
