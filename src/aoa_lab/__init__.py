@@ -11,10 +11,10 @@ the actuation age -- and cross-validates them against each other.
 
 from .analytic import (AoaiSeedProbs, AoaSeedProbs, MetricAverages,
                        aoa_seed_probs, aoai_seed_probs, averages, avg_aoa,
-                       avg_aoai, avg_aoi, limiting_averages)
-from .chains import (StationaryDist, SystemChain, TruncatedChain,
-                     aoa_series_mean, build_aoa_chain, build_aoai_chain,
-                     build_system_chain, choose_cap, mean_age, stationary)
+                       avg_aoai, avg_aoi)
+from .chains import (StationaryDist, TruncatedChain, aoa_series_mean,
+                     build_aoa_chain, build_aoai_chain, choose_cap, mean_age,
+                     stationary)
 from .core import (AgeVector, Params, Shorthand, SlotEvents, SystemState,
                    make_params, shorthand)
 from .engine import (EngineState, RunSummary, initial_state, read_events_csv,
@@ -29,11 +29,10 @@ __all__ = [
     "AgeVector", "AoaLabError", "AoaSeedProbs", "AoaiSeedProbs", "CapError",
     "ConvergenceError", "CrossCheckResult", "DomainError", "EngineState",
     "MetricAverages", "NumericalError", "Params", "RunSummary", "Shorthand",
-    "SlotEvents", "StationaryDist", "SweepReport", "SystemChain", "SystemState",
+    "SlotEvents", "StationaryDist", "SweepReport", "SystemState",
     "TruncatedChain", "TruncationError", "aoa_seed_probs", "aoa_series_mean",
     "aoai_seed_probs", "averages", "avg_aoa", "avg_aoai", "avg_aoi",
-    "build_aoa_chain", "build_aoai_chain", "build_system_chain", "choose_cap",
-    "cross_check", "initial_state", "limiting_averages", "make_params",
-    "mean_age", "read_events_csv", "run", "run_batched", "run_trace",
-    "shorthand", "stationary", "step", "sweep",
+    "build_aoa_chain", "build_aoai_chain", "choose_cap", "cross_check",
+    "initial_state", "make_params", "mean_age", "read_events_csv", "run",
+    "run_batched", "run_trace", "shorthand", "stationary", "step", "sweep",
 ]

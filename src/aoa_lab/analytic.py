@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Params
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 
 __all__ = [
     "MetricAverages",
@@ -36,7 +36,6 @@ __all__ = [
     "averages",
     "aoa_seed_probs",
     "aoai_seed_probs",
-    "limiting_averages",
 ]
 
 
@@ -64,13 +63,8 @@ class AoaSeedProbs:
     probability.
     """
 
-    params: Params
     v100: float
     v101: float
-
-    @property
-    def actuation_probability(self) -> float:
-        return self.v100 + self.v101
 
 
 @dataclass(frozen=True)
@@ -81,29 +75,8 @@ class AoaiSeedProbs:
     (aoai=1, aoi=1, battery full).
     """
 
-    params: Params
     v110: float
     v111: float
-
-    @property
-    def b1(self) -> float:
-        """Stationary probability that the battery is full at a slot end."""
-        return self.v111 / (self.params.lambda1 * self.params.lambda2)
-
-    @property
-    def b0(self) -> float:
-        return 1.0 - self.b1
-
-    @property
-    def i1(self) -> float:
-        """Stationary probability that aoi = 1; equals lambda1 identically."""
-        return self.params.lambda1
-
-    @property
-    def ai1(self) -> float:
-        """Stationary probability that aoai = 1."""
-        l1, l2 = self.params.lambda1, self.params.lambda2
-        return l1 * l2 + l1 * (1.0 - l2) * self.b1
 
 
 def avg_aoi(p: Params) -> float:
@@ -182,14 +155,14 @@ def aoa_seed_probs(p: Params) -> AoaSeedProbs:
     """
     l1, l2 = p.lambda1, p.lambda2
     if l1 == 1.0 and l2 == 1.0:
-        return AoaSeedProbs(p, 1.0, 0.0)
+        return AoaSeedProbs(1.0, 0.0)
     q1, q2 = 1 - l1, 1 - l2
     den = q1 * l2 ** 3 + l1 * l2 * q2 + q1 * q2 * l2 * l2 + l1 * l1 * q2 * q2
     if den == 0.0:
         raise NumericalError("aoa_seed_probs: denominator underflowed to zero")
     v100 = l1 * (1 - q1 * q2) * q2 * l2 / den
     v101 = l1 * q1 * l2 ** 3 / den
-    return AoaSeedProbs(p, v100, v101)
+    return AoaSeedProbs(v100, v101)
 
 
 def aoai_seed_probs(p: Params) -> AoaiSeedProbs:
@@ -200,29 +173,11 @@ def aoai_seed_probs(p: Params) -> AoaiSeedProbs:
     """
     l1, l2 = p.lambda1, p.lambda2
     if l1 == 1.0 and l2 == 1.0:
-        return AoaiSeedProbs(p, 1.0, 0.0)
+        return AoaiSeedProbs(1.0, 0.0)
     q1, q2 = 1 - l1, 1 - l2
     den = l1 * l1 * q2 * q2 + l2 * l2 + l1 * l2 * (1 - 2 * l2)
     if den == 0.0:
         raise NumericalError("aoai_seed_probs: denominator underflowed to zero")
     v110 = l1 * (l1 * l1 * q2 + l2) * q2 * l2 / den
     v111 = q1 * l1 * l2 ** 3 / den
-    return AoaiSeedProbs(p, v110, v111)
-
-
-def limiting_averages(p: Params) -> MetricAverages:
-    """Known limit values on the lambda = 1 edges, for reference lines.
-
-    lambda1 = 1: aoa_bar and aoai_bar tend to 1/lambda2 while aoi_bar is 1.
-    lambda2 = 1: all three tend to 1/lambda1.  Both = 1: everything is 1.
-    Raises DomainError off the edges.
-    """
-    l1, l2 = p.lambda1, p.lambda2
-    if l1 == 1.0 and l2 == 1.0:
-        return MetricAverages(1.0, 1.0, 1.0)
-    if l1 == 1.0:
-        return MetricAverages(1.0, 1.0 / l2, 1.0 / l2)
-    if l2 == 1.0:
-        return MetricAverages(1.0 / l1, 1.0 / l1, 1.0 / l1)
-    raise DomainError("limiting averages are defined only when lambda1 = 1 or lambda2 = 1")
-
+    return AoaiSeedProbs(v110, v111)

@@ -1,9 +1,7 @@
-"""Markov-chain builders and solvers for the three age processes.
+"""Markov-chain builders and solvers for the AoA and AoAI processes.
 
-Three chains are covered:
+Two chains are covered:
 
-* the exact 3-state occupancy chain over [(0,0), (0,1), (1,0)] of
-  (cache, battery);
 * the actuation-age chain over states (age, cache, battery), truncated at a
   level cap;
 * the actuated-information chain over states (aoai, aoi, battery), truncated
@@ -21,7 +19,7 @@ once, and only the resets to lower levels lag by a sweep.  It returns the
 renormalized distribution over the retained states; `mean_age` adds an
 estimate of the stationary mass lost beyond the cap.
 
-A third, semi-analytic route to the average actuation age is provided by
+A semi-analytic route to the average actuation age is provided by
 `aoa_series_mean`: seed the level-1 masses from their closed forms, iterate
 the level recursions, and close the sum with the exact matrix-geometric
 tail of the 3x3 level map.
@@ -41,10 +39,8 @@ from .engine import _TRANSITIONS
 from .errors import CapError, ConvergenceError, DomainError, TruncationError
 
 __all__ = [
-    "SystemChain",
     "TruncatedChain",
     "StationaryDist",
-    "build_system_chain",
     "build_aoa_chain",
     "build_aoai_chain",
     "stationary",
@@ -56,8 +52,6 @@ __all__ = [
     "seed_masses",
 ]
 
-SYSTEM_STATES = ((0, 0), (0, 1), (1, 0))
-
 TAIL_MASS_LIMIT = 1e-6
 
 # Level mass below which `aoa_series_mean` closes its sum in closed form.
@@ -67,15 +61,6 @@ SERIES_TAIL_EPS = 1e-14
 # (0.01, 0.5) with cap 2302, has 2 653 055 states; at lambda1 = 1e-4 its
 # cap of 230 257 would give 2.65e10 states, more than memory holds.
 MAX_CHAIN_STATES = 3_000_000
-
-
-@dataclass(frozen=True)
-class SystemChain:
-    """Row-stochastic 3x3 transition matrix of the (cache, battery) process."""
-
-    params: Params
-    matrix: np.ndarray  # ordered by SYSTEM_STATES
-    states: tuple = SYSTEM_STATES
 
 
 @dataclass(frozen=True)
@@ -96,7 +81,6 @@ class TruncatedChain:
     """
 
     kind: str
-    params: Params
     states: np.ndarray
     matrix: sp.csr_matrix
     level_cap: int
@@ -106,20 +90,16 @@ class TruncatedChain:
 
 @dataclass(frozen=True)
 class StationaryDist:
-    """Solved stationary (or renormalized quasi-stationary) distribution.
+    """Renormalized quasi-stationary distribution of a truncated chain.
 
     residual -- max-norm change of `probs` under one renormalized step of
                 the chain.
-    method   -- 'direct', 'power' (the reducible 3-state corner) or
-                'gauss-seidel' (truncated chains).
-    sweeps   -- iterations the solve took; 0 for a direct solve.
-    delta    -- max-norm change over the last iteration; 0.0 for a direct
-                solve.
+    sweeps   -- Gauss-Seidel sweeps the solve took.
+    delta    -- max-norm change over the last sweep.
     """
 
     probs: np.ndarray
     residual: float
-    method: str
     sweeps: int
     delta: float
 
@@ -145,14 +125,6 @@ def _transitions(p: Params, occ: np.ndarray, successor) -> sp.coo_matrix:
             parts.append((np.full(len(row), prob), row, col[row]))
     probs, rows, cols = (np.concatenate(x) for x in zip(*parts))
     return sp.coo_matrix((probs, (rows, cols)), shape=(n, n))
-
-
-def build_system_chain(p: Params) -> SystemChain:
-    """The 3-state occupancy chain; state k has occupancy code k.
-
-    Densifying the COO matrix adds each entry's outcomes in the order w, x, y, z.
-    """
-    return SystemChain(p, _transitions(p, np.arange(3), lambda data, occ2, act: occ2).toarray())
 
 
 def _decay_rate(p: Params) -> float:
@@ -199,7 +171,7 @@ def _a_priori_tail_mass(r: float, cap: int) -> float:
 
 def _truncated_chain(kind, p, cap, states, occ, successor) -> TruncatedChain:
     r = _decay_rate(p)
-    return TruncatedChain(kind, p, np.column_stack(states),
+    return TruncatedChain(kind, np.column_stack(states),
                           _transitions(p, occ, successor).tocsr(), cap,
                           _a_priori_tail_mass(r, cap), r)
 
@@ -261,17 +233,12 @@ def _splu():
     return splu
 
 
-def stationary(chain, tol: float = 1e-13, maxiter: int = 10 ** 6) -> StationaryDist:
+def stationary(chain: TruncatedChain, tol: float = 1e-13,
+               maxiter: int = 10 ** 6) -> StationaryDist:
     """Solve pi P = pi, sum(pi) = 1.
 
-    The 3-state chain is solved directly (one balance equation replaced by
-    the normalization row).  At the double corner lambda1 = lambda2 = 1 that
-    chain is reducible ((0,0) and (0,1) are both closed) and the linear
-    system is singular; the distribution reached from the canonical empty
-    start state is returned instead.
-
-    Truncated chains are solved by Gauss-Seidel sweeps in state order from
-    the uniform vector.  P^T is split into F, the flows to later states and
+    The chain is solved by Gauss-Seidel sweeps in state order from the
+    uniform vector.  P^T is split into F, the flows to later states and
     the self-loops, and R, the flows back to earlier states; a sweep solves
     (I - F) v' = R v and renormalizes v'.  I - F is lower triangular and
     factored once, so each sweep is one triangular solve.  A self-loop of
@@ -287,25 +254,6 @@ def stationary(chain, tol: float = 1e-13, maxiter: int = 10 ** 6) -> StationaryD
         raise DomainError(f"tol must be positive, got {tol}")
     if maxiter < 1:
         raise DomainError(f"maxiter must be at least 1, got {maxiter}")
-    if isinstance(chain, SystemChain):
-        pmat = chain.matrix
-        a = pmat.T - np.eye(3)
-        a[2, :] = 1.0
-        try:
-            pi = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-            method, sweeps, delta = "direct", 0, 0.0
-        except np.linalg.LinAlgError:
-            pi = np.array([1.0, 0.0, 0.0])
-            for sweeps in range(1, maxiter + 1):
-                nxt = pi @ pmat
-                delta = float(np.abs(nxt - pi).max())
-                pi = nxt
-                if delta < tol:
-                    break
-            method = "power"
-        residual = float(np.abs(pi @ pmat - pi).max())
-        return StationaryDist(pi, residual, method, sweeps, delta)
-
     # The triplets of P: entry k is P[src[k], m.indices[k]], at
     # (m.indices[k], src[k]) in P^T.
     m = chain.matrix
@@ -343,7 +291,7 @@ def stationary(chain, tol: float = 1e-13, maxiter: int = 10 ** 6) -> StationaryD
     w = r @ v + (v - i_minus_f @ v)
     w /= w.sum()
     residual = float(np.abs(w - v).max())
-    return StationaryDist(v, residual, "gauss-seidel", sweeps, delta)
+    return StationaryDist(v, residual, sweeps, delta)
 
 
 def _levels(chain: TruncatedChain) -> np.ndarray:
@@ -389,14 +337,16 @@ def mean_age(dist: StationaryDist, chain: TruncatedChain) -> tuple[float, float]
         raise TruncationError(
             f"estimated tail mass {max(chain.tail_mass, est_tail):.3g} exceeds "
             f"{TAIL_MASS_LIMIT}; raise the cap")
-    return mean, bound
+    return mean, float(bound)
 
 
 def occupancy_marginals(dist: StationaryDist, chain: TruncatedChain) -> np.ndarray:
-    """(cache, battery) marginals of an 'aoa' chain, ordered like SYSTEM_STATES."""
+    """(cache, battery) marginals of an 'aoa' chain over (0,0), (0,1), (1,0).
+
+    The marginals are indexed by the occupancy code 2 * cache + battery.
+    """
     if chain.kind != "aoa":
         raise DomainError("occupancy marginals are defined for the 'aoa' chain")
-    # Occupancy code 2 * cache + battery indexes SYSTEM_STATES.
     occ = 2 * chain.states[:, 1] + chain.states[:, 2]
     return np.bincount(occ, weights=dist.probs, minlength=3)
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,8 +56,6 @@ __all__ = [
     "run_batched",
     "run_trace",
     "read_events_csv",
-    "occupancy_distribution",
-    "events_from_arrays",
 ]
 
 # Slots per chunk.  A chunk draws into a 4 MiB buffer, two float64 draws per
@@ -318,9 +316,6 @@ class _RunAccumulator:
     sum_aoa: np.ndarray
     sum_aoai: np.ndarray
     actuations: int
-    occupancy: np.ndarray    # int64[3] end-of-slot (cache,battery) counts, measured window
-    final_cache: int
-    final_battery: int
 
 
 def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> _RunAccumulator:
@@ -347,7 +342,6 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
     sI = np.zeros(n_batches, dtype=np.int64)
     sA = np.zeros(n_batches, dtype=np.int64)
     sAI = np.zeros(n_batches, dtype=np.int64)
-    occupancy = np.zeros(3, dtype=np.int64)
     actuations = 0
 
     # One draw buffer for every chunk: a fresh one would fault in its pages
@@ -391,18 +385,14 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
         sA += sums[0]
         sAI += sums[1]
 
-        lo_meas = max(warmup - done, 0)
-        in_window = st[lo_meas:]
-        battery_only, cache_only = (np.count_nonzero(in_window == s) for s in (1, 2))
-        occupancy += [len(in_window) - battery_only - cache_only, battery_only, cache_only]
-        actuations += len(pa) - int(np.searchsorted(pa, lo_meas))
+        actuations += len(pa) - int(np.searchsorted(pa, max(warmup - done, 0)))
 
         last_d = done + int(sd[-1])
         last_a = done + int(sa[-1])
         aoi_at_last_act = int(base_aoai[-1])
         done += k
 
-    return _RunAccumulator(edges, sI, sA, sAI, actuations, occupancy, cache, battery)
+    return _RunAccumulator(edges, sI, sA, sAI, actuations)
 
 
 def run(p: Params, slots: int, seed: int, warmup: int = 1000) -> RunSummary:
@@ -443,14 +433,3 @@ def run_batched(p: Params, slots: int, seed: int, warmup: int = 1000,
         bm = sums / sizes
         stderrs[i] = bm.std(ddof=1) / np.sqrt(n_batches) if n_batches > 1 else np.nan
     return summary, means, stderrs
-
-
-def occupancy_distribution(p: Params, slots: int, seed: int, warmup: int = 1000) -> np.ndarray:
-    """Empirical end-of-slot distribution over states [(0,0), (0,1), (1,0)]."""
-    acc = _simulate(p, slots, seed, warmup, n_batches=1)
-    return acc.occupancy / acc.occupancy.sum()
-
-
-def events_from_arrays(data: Iterable[int], energy: Iterable[int]) -> list[SlotEvents]:
-    """Zip two 0/1 sequences into SlotEvents; handy for fixtures and demos."""
-    return [SlotEvents(bool(d), bool(e)) for d, e in zip(data, energy)]

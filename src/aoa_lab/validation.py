@@ -35,6 +35,7 @@ long enough for BLAS to split across its threads (see `chains.mean_age`).
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -63,6 +64,10 @@ ROUTE_METRICS = {"analytic": METRICS, "sim": METRICS, "chain": ("aoa", "aoai"),
 SERIES_ROUNDING_BOUND = 1e-12
 # Batch count of the batch-means standard error of every simulation route.
 N_BATCHES = 20
+# Most values one `A:B:STEP` grid range may give.  Step 0.001 over the CLI's
+# rate range [0.01, 1] gives 991; a larger count is a mistyped step, and the
+# list of grid points grows as its square.
+MAX_GRID_VALUES = 1000
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,11 @@ def cross_check(
 
 
 def grid_range(spec: str) -> list[float]:
-    """Parse `A:B:STEP` into inclusive grid values (endpoint kept when STEP divides B-A)."""
+    """Parse `A:B:STEP` into inclusive grid values (endpoint kept when STEP divides B-A).
+
+    Raises DomainError on non-finite parts and on a range of more than
+    `MAX_GRID_VALUES` values, before any value is built.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid range must be A:B:STEP, got {spec!r}")
@@ -251,17 +260,19 @@ def grid_range(spec: str) -> list[float]:
         a, b, step = (float(x) for x in parts)
     except ValueError:
         raise DomainError(f"grid range must be numeric, got {spec!r}") from None
+    if not all(math.isfinite(x) for x in (a, b, step)):
+        raise DomainError(f"grid range must be finite, got {spec!r}")
     if step <= 0.0 or b < a:
         raise DomainError(f"grid range needs A <= B and STEP > 0, got {spec!r}")
-    vals = []
-    k = 0
-    while True:
-        v = a + k * step
-        if v > b + 1e-9:
-            break
-        vals.append(round(v, 12))
-        k += 1
-    return vals
+    top = b + 1e-9
+    # Steps from A to the slack above B; inf when the quotient overflows.
+    span = (top - a) / step
+    if not span < MAX_GRID_VALUES:
+        raise DomainError(f"grid range gives more than {MAX_GRID_VALUES} values, "
+                          f"got {spec!r}")
+    # One index past the quotient covers its rounding; the filter keeps the
+    # values a + k * STEP within the slack above B.
+    return [round(a + k * step, 12) for k in range(int(span) + 2) if a + k * step <= top]
 
 
 def _point_worker(args):

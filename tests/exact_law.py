@@ -8,7 +8,9 @@ rates the result is the true mean at the float inputs.
 Write pr(code) for the slot-outcome probability of code = data | energy << 1
 and s -> t for the occupancy move the table gives.
 
-* The occupancy law pi solves pi = pi P with sum(pi) = 1.
+* The occupancy law pi solves pi = pi P with sum(pi) = 1; it is returned
+  as 'pi', ordered by occupancy code 2 * cache + battery: (0,0), (0,1),
+  (1,0).
 * For each age X in (aoi, aoa, aoai) the first moments m_X(s) = E[X; occ = s]
   solve the 3x3 balance
 
@@ -51,10 +53,12 @@ def _solve(a, b):
 
 
 def slot_table_law(l1, l2) -> dict:
-    """Exact means ('aoi', 'aoa', 'aoai') and level-1 masses at rates (l1, l2).
+    """Exact occupancy law, means and level-1 masses at rates (l1, l2).
 
-    'aoa_seeds' is (v100, v101) and 'aoai_seeds' is (v110, v111), as in
-    `analytic.aoa_seed_probs` and `analytic.aoai_seed_probs`.
+    'pi' is the occupancy law, ordered by occupancy code.  'aoi', 'aoa' and
+    'aoai' are the means.  'aoa_seeds' is (v100, v101) and 'aoai_seeds' is
+    (v110, v111), as in `analytic.aoa_seed_probs` and
+    `analytic.aoai_seed_probs`.
     """
     l1, l2 = Fraction(l1), Fraction(l2)
     pr = ((1 - l1) * (1 - l2), l1 * (1 - l2), (1 - l1) * l2, l1 * l2)
@@ -85,5 +89,5 @@ def slot_table_law(l1, l2) -> dict:
                          if act and t == b and (d or not data_only))
                      for b in (0, 1))
 
-    return {"aoi": sum(m_aoi), "aoa": sum(m_aoa), "aoai": sum(m_aoai),
+    return {"pi": tuple(pi), "aoi": sum(m_aoi), "aoa": sum(m_aoa), "aoai": sum(m_aoai),
             "aoa_seeds": level1(False), "aoai_seeds": level1(True)}

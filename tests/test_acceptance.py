@@ -19,12 +19,14 @@ sign wherever the gap stands clear of the simulation's own noise.
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from aoa_lab import analytic, chains, engine
 from aoa_lab.cli import main as cli_main
 from aoa_lab.core import make_params
+from exact_law import slot_table_law
 
 GRID_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
 SLOTS = 10_000_000
@@ -211,8 +213,8 @@ def test_criterion_6_occupancy_marginals(grid_chains):
     bad = []
     worst = 0.0
     for (l1, l2), sol in grid_chains.items():
-        pi = chains.stationary(chains.build_system_chain(make_params(l1, l2))).probs
-        dev = float(max(abs(sol["occupancy"] - pi)))
+        pi = slot_table_law(l1, l2)["pi"]
+        dev = float(max(abs(Fraction(m) - q) for m, q in zip(sol["occupancy"].tolist(), pi)))
         worst = max(worst, dev)
         if dev >= 1e-8:
             bad.append((l1, l2, sol["occupancy"], pi))
@@ -220,7 +222,7 @@ def test_criterion_6_occupancy_marginals(grid_chains):
     for got, want in zip(mid, (0.4, 0.4, 0.2)):
         if abs(got - want) >= 1e-8:
             bad.append((0.5, 0.5, tuple(mid), (0.4, 0.4, 0.2)))
-    _line(6, not bad, f"age-chain occupancy marginals vs 3-state stationary law, "
+    _line(6, not bad, f"age-chain occupancy marginals vs exact 3-state occupancy law, "
                       f"worst abs dev {worst:.2e} (tol 1e-8)")
     assert not bad, bad
 

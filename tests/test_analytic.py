@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from aoa_lab import engine
 from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, averages,
-                              avg_aoa, avg_aoai, avg_aoi, limiting_averages)
+                              avg_aoa, avg_aoai, avg_aoi)
 from aoa_lab.core import make_params
-from aoa_lab.errors import DomainError
 from exact_law import ExactParams, slot_table_law
 
 valid_prob = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
@@ -211,30 +210,3 @@ class TestSeedProbs:
         t = aoai_seed_probs(p)
         assert 0.0 <= t.v110 <= 1.0 and 0.0 <= t.v111 <= 1.0
         assert t.v110 + t.v111 <= 1.0 + 1e-12
-
-    @given(valid_prob, valid_prob)
-    def test_age_one_mass_identity(self, l1, l2):
-        # ai1 == v110 + v111 expressed through the battery marginal.  The
-        # shared denominator cancels catastrophically near (1, 1), so the
-        # bound is relative.
-        t = aoai_seed_probs(make_params(l1, l2))
-        assert t.v110 + t.v111 == pytest.approx(t.ai1, rel=1e-9, abs=1e-12)
-        assert t.i1 == l1
-
-
-class TestLimitingAverages:
-    def test_certain_data(self):
-        m = limiting_averages(make_params(1.0, 0.25))
-        assert (m.aoi_bar, m.aoa_bar, m.aoai_bar) == (1.0, 4.0, 4.0)
-
-    def test_certain_energy(self):
-        m = limiting_averages(make_params(0.25, 1.0))
-        assert (m.aoi_bar, m.aoa_bar, m.aoai_bar) == (4.0, 4.0, 4.0)
-
-    def test_double_corner(self):
-        m = limiting_averages(make_params(1.0, 1.0))
-        assert (m.aoi_bar, m.aoa_bar, m.aoai_bar) == (1.0, 1.0, 1.0)
-
-    def test_interior_rejected(self):
-        with pytest.raises(DomainError):
-            limiting_averages(make_params(0.5, 0.5))

@@ -12,11 +12,10 @@ import pytest
 import aoa_lab
 from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, avg_aoa,
                               avg_aoai)
-from aoa_lab.chains import (MAX_CHAIN_STATES, SYSTEM_STATES, TAIL_MASS_LIMIT,
-                            aoa_series_mean, build_aoa_chain, build_aoai_chain,
-                            build_system_chain, choose_cap, level_masses,
-                            mean_age, occupancy_marginals, seed_masses,
-                            stationary)
+from aoa_lab.chains import (MAX_CHAIN_STATES, TAIL_MASS_LIMIT, aoa_series_mean,
+                            build_aoa_chain, build_aoai_chain, choose_cap,
+                            level_masses, mean_age, occupancy_marginals,
+                            seed_masses, stationary)
 from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params, shorthand
 from aoa_lab.engine import EngineState, step
 from aoa_lab.errors import (CapError, ConvergenceError, DomainError,
@@ -35,55 +34,6 @@ def row_dict(chain, state):
     i = states.index(state)
     lo, hi = m.indptr[i], m.indptr[i + 1]
     return {states[j]: v for j, v in zip(m.indices[lo:hi], m.data[lo:hi])}
-
-
-class TestSystemChain:
-    def test_symmetric_point_rows(self):
-        sc = build_system_chain(make_params(0.5, 0.5))
-        expect = np.array([[0.5, 0.25, 0.25], [0.25, 0.75, 0.0], [0.5, 0.0, 0.5]])
-        np.testing.assert_allclose(sc.matrix, expect, atol=1e-15)
-
-    def test_saturated_point_rows(self):
-        # Every slot actuates; a full battery is refilled by the same-slot
-        # harvest, so (0,1) is closed alongside (0,0).
-        sc = build_system_chain(make_params(1.0, 1.0))
-        expect = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0]], dtype=float)
-        np.testing.assert_allclose(sc.matrix, expect)
-
-    @pytest.mark.parametrize("l1,l2", [(0.2, 0.7), (0.9, 0.05), (1.0, 0.4), (0.4, 1.0)])
-    def test_rows_match_probability_algebra(self, l1, l2):
-        # Pin the generated rows to the closed-form entries over
-        # [(0,0), (0,1), (1,0)].
-        sc = build_system_chain(make_params(l1, l2))
-        q1, q2 = 1 - l1, 1 - l2
-        expect = np.array([
-            [l1 * l2 + q1 * q2, q1 * l2, l1 * q2],
-            [l1 * q2, l2 + q1 * q2, 0.0],
-            [l2, 0.0, q2],
-        ])
-        np.testing.assert_allclose(sc.matrix, expect, atol=1e-14)
-        np.testing.assert_allclose(sc.matrix.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_stationary_hand_solved_point(self):
-        # Balance equations at (0.5, 0.5) solve to [0.4, 0.4, 0.2] by hand.
-        d = stationary(build_system_chain(make_params(0.5, 0.5)))
-        np.testing.assert_allclose(d.probs, [0.4, 0.4, 0.2], atol=1e-12)
-        assert d.method == "direct"
-        assert (d.sweeps, d.delta) == (0, 0.0)
-        assert d.residual < 1e-12
-
-    def test_stationary_absorbing_corner(self):
-        # Reducible corner: the returned distribution is the one reached
-        # from the canonical empty start state.
-        d = stationary(build_system_chain(make_params(1.0, 1.0)))
-        np.testing.assert_allclose(d.probs, [1.0, 0.0, 0.0], atol=1e-12)
-        assert d.residual < 1e-12
-
-    def test_stationary_sums_to_one(self):
-        for l1, l2 in [(0.15, 0.85), (0.6, 0.33), (1.0, 0.5), (0.5, 1.0)]:
-            d = stationary(build_system_chain(make_params(l1, l2)))
-            assert abs(d.probs.sum() - 1.0) < 1e-10
-            assert (d.probs > -1e-15).all()
 
 
 class TestChooseCap:
@@ -253,7 +203,6 @@ class TestStationaryTruncated:
         masses = seed_masses(d, ch)
         assert masses[(1, 0, 0)] == pytest.approx(0.3, abs=1e-8)
         assert masses[(1, 0, 1)] == pytest.approx(0.1, abs=1e-8)
-        assert d.method == "gauss-seidel"
         assert abs(d.probs.sum() - 1.0) < 1e-10
 
     @pytest.mark.parametrize("kind,builder", [("aoa", build_aoa_chain),
@@ -268,7 +217,6 @@ class TestStationaryTruncated:
         for l1, l2 in points:
             p = make_params(l1, l2)
             d = stationary(builder(p, choose_cap(p, 1e-10)))
-            assert d.method == "gauss-seidel"
             assert 1 <= d.sweeps <= 40, (l1, l2, d.sweeps)
             assert d.delta < 1e-13
             assert d.residual < 1e-11
@@ -279,12 +227,16 @@ class TestStationaryTruncated:
             stationary(ch, tol=1e-13, maxiter=2)
 
     def test_occupancy_marginals_match_system_stationary(self):
-        for l1, l2 in [(0.5, 0.5), (0.3, 0.6)]:
+        # The exact 3-state occupancy law, ordered by occupancy code; at
+        # (0.5, 0.5) its balance equations solve to (2/5, 2/5, 1/5) by hand.
+        assert slot_table_law(0.5, 0.5)["pi"] == (Fraction(2, 5), Fraction(2, 5),
+                                                  Fraction(1, 5))
+        for l1, l2 in [(0.5, 0.5), (0.3, 0.6), (1.0, 0.4), (0.4, 1.0)]:
             p = make_params(l1, l2)
             ch = build_aoa_chain(p, choose_cap(p, 1e-10))
             marg = occupancy_marginals(stationary(ch), ch)
-            pi = stationary(build_system_chain(p)).probs
-            np.testing.assert_allclose(marg, pi, atol=1e-8)
+            pi = slot_table_law(l1, l2)["pi"]
+            assert max(abs(Fraction(m) - q) for m, q in zip(marg.tolist(), pi)) < 1e-8
 
     def test_delta_identities(self):
         # Occupancy marginals of the actuation-age chain, written through the

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,47 @@ t,data,energy,cache,battery,actuated,aoi,aoa,aoai
 6,1,0,1,0,0,1,3,5
 7,0,0,1,0,0,2,4,6
 """
+
+# Stdout of four commands, frozen byte for byte: a change to any route's
+# numbers or to the output format shows here.
+GOLDEN_STDOUT = [
+    (("analytic", "--lambda1", "0.2", "--lambda2", "0.4"), """\
+lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap
+0.2,0.4,analytic,aoi,5,0,,,
+0.2,0.4,analytic,aoa,4.95636716,0,,,
+0.2,0.4,analytic,aoai,5.21592661,0,,,
+"""),
+    (("simulate", "--lambda1", "0.3", "--lambda2", "0.7", "--slots", "100000",
+      "--seed", "3"), """\
+lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap
+0.3,0.7,sim,aoi,3.36178788,0.0229570932,100000,3,
+0.3,0.7,sim,aoa,3.34920202,0.0224010468,100000,3,
+0.3,0.7,sim,aoai,3.39315152,0.0226917338,100000,3,
+"""),
+    (("chain", "--metric", "aoai", "--lambda1", "0.5", "--lambda2", "0.5",
+      "--tail-eps", "1e-10", "--json"),
+     '{"lambda1": 0.5, "lambda2": 0.5, "method": "chain", "metric": "aoai", '
+     '"value": 2.444444444439969, "uncertainty": 6.034427278845161e-12, '
+     '"slots": null, "seed": null, "cap": 44}\n'),
+    (("validate", "--grid", "0.5:0.9:0.4", "--slots", "20000", "--seed", "1"), """\
+PASS lambda1=0.5 lambda2=0.5 metric=aoi max_rel_disagreement=0.00713157895
+PASS lambda1=0.5 lambda2=0.5 metric=aoa max_rel_disagreement=0.00236068111
+PASS lambda1=0.5 lambda2=0.5 metric=aoai max_rel_disagreement=0.000633971292
+PASS lambda1=0.5 lambda2=0.9 metric=aoi max_rel_disagreement=0.00382739999
+PASS lambda1=0.5 lambda2=0.9 metric=aoa max_rel_disagreement=0.00366411251
+PASS lambda1=0.5 lambda2=0.9 metric=aoai max_rel_disagreement=0.00398349198
+PASS lambda1=0.9 lambda2=0.5 metric=aoi max_rel_disagreement=0.00180526316
+PASS lambda1=0.9 lambda2=0.5 metric=aoa max_rel_disagreement=0.0073251602
+PASS lambda1=0.9 lambda2=0.5 metric=aoai max_rel_disagreement=0.00758088254
+PASS lambda1=0.9 lambda2=0.9 metric=aoi max_rel_disagreement=0.00179152153
+PASS lambda1=0.9 lambda2=0.9 metric=aoa max_rel_disagreement=0.001993202
+PASS lambda1=0.9 lambda2=0.9 metric=aoai max_rel_disagreement=0.00276253915
+symmetry_max_rel_dev=0.0110455842
+aoa_nonmonotone_witnesses=none
+aoai_monotone=true
+ordering_violations=none
+"""),
+]
 
 
 def run_cli(capsys, *args):
@@ -170,6 +212,14 @@ def test_json_keys_are_the_csv_header(capsys, args):
         assert list(json.loads(line)) == CSV_HEADER.split(",")
 
 
+@pytest.mark.parametrize("args,expected", GOLDEN_STDOUT,
+                         ids=[args[0] for args, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, args, expected):
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out == expected
+
+
 class TestTrace:
     def test_golden_staircase(self, capsys, tmp_path):
         f = tmp_path / "ev.csv"
@@ -304,3 +354,16 @@ class TestValidate:
                                "--slots", "200000", "--seed", "21")
         assert "ordering_violations=" in out
         assert "aoi_bar" in out  # the (0.1, 0.3) violation is visible
+
+
+@pytest.mark.parametrize("grid", ["nan:nan:1", "0.5:inf:1", "0.5:1e9:1"])
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_runaway_grid_exit_two_at_once(capsys, tmp_path, command, grid):
+    # Each range is rejected before any grid value is built.
+    out_file = tmp_path / "s.csv"
+    extra = ("--out", str(out_file)) if command == "sweep" else ()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--grid", grid, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("error: grid range")
+    assert not out_file.exists()

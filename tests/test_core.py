@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -107,3 +108,16 @@ class TestAgeVector:
         # Both orders occur along real trajectories.
         AgeVector(aoi=5, aoa=2, aoai=5)
         AgeVector(aoi=2, aoa=5, aoai=6)
+
+
+@pytest.mark.parametrize("module", ["aoa_lab", "aoa_lab.analytic", "aoa_lab.chains",
+                                    "aoa_lab.core", "aoa_lab.engine", "aoa_lab.validation"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = []
+    for name in mod.__all__:
+        try:
+            getattr(mod, name)
+        except AttributeError:
+            missing.append(name)
+    assert not missing

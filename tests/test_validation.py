@@ -2,8 +2,9 @@ import pytest
 
 from aoa_lab.core import Params, make_params
 from aoa_lab.errors import DomainError
-from aoa_lab.validation import (METHOD_ORDER, ROUTE_METRICS, cross_check,
-                                default_workers, grid_range, route_rows, sweep)
+from aoa_lab.validation import (MAX_GRID_VALUES, METHOD_ORDER, ROUTE_METRICS,
+                                cross_check, default_workers, grid_range,
+                                route_rows, sweep)
 
 
 def by_method(result):
@@ -27,6 +28,20 @@ class TestGridRange:
     def test_malformed_specs(self, bad):
         with pytest.raises(DomainError):
             grid_range(bad)
+
+    @pytest.mark.parametrize("bad", ["nan:nan:1", "0.5:inf:1", "0.1:0.9:nan", "-inf:0.5:0.1"])
+    def test_non_finite_parts_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            grid_range(bad)
+
+    def test_value_count_bounded_before_building(self):
+        # 1e-300 steps within the 1e-9 endpoint slack would never pass B, and
+        # -1e308:1e308 overflows the count to inf.
+        assert len(grid_range(f"0:{MAX_GRID_VALUES - 1}:1")) == MAX_GRID_VALUES
+        for bad in (f"0:{MAX_GRID_VALUES}:1", "0.5:1e9:1", "0.5:0.5:1e-300",
+                    "-1e308:1e308:1"):
+            with pytest.raises(DomainError, match=f"more than {MAX_GRID_VALUES} values"):
+                grid_range(bad)
 
 
 class TestCrossCheck:
@@ -103,11 +118,13 @@ class TestRouteRows:
         assert [r.metric for r in route_rows(p, "chain", cap=50)] == ["aoa", "aoai"]
 
     def test_only_sim_rows_carry_slots_and_seed_only_chain_rows_a_cap(self):
+        # Every route also hands out plain floats, never numpy scalars.
         p = make_params(0.5, 0.5)
         for m in METHOD_ORDER:
             for r in route_rows(p, m, slots=5_000, seed=2, cap=50):
                 assert (r.slots, r.seed) == ((5_000, 2) if m == "sim" else (None, None))
                 assert r.cap == (50 if m == "chain" else None)
+                assert type(r.value) is float and type(r.uncertainty) is float, r
 
 
 class TestSweep:
