@@ -20,9 +20,9 @@ renormalized distribution over the retained states; `mean_age` adds an
 estimate of the stationary mass lost beyond the cap.
 
 A semi-analytic route to the average actuation age is provided by
-`aoa_series_mean`: seed the level-1 masses from their closed forms, iterate
-the level recursions, and close the sum with the exact matrix-geometric
-tail of the 3x3 level map.
+`aoa_series_mean`: seed the level-1 masses from their closed forms and sum
+the level recursions of the 3x3 level map exactly, from level 1, as one
+matrix-geometric sum.
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ __all__ = [
     "aoa_series_mean",
     "choose_cap",
     "level_masses",
-    "occupancy_marginals",
-    "seed_masses",
 ]
 
 TAIL_MASS_LIMIT = 1e-6
 
-# Level mass below which `aoa_series_mean` closes its sum in closed form.
-SERIES_TAIL_EPS = 1e-14
+# Max-norm change between successive Gauss-Seidel sweeps at which
+# `stationary` stops.
+STATIONARY_TOL = 1e-13
 
 # Largest truncated chain a builder accepts.  The AoAI chain at the CLI floor,
 # (0.01, 0.5) with cap 2302, has 2 653 055 states; at lambda1 = 1e-4 its
@@ -67,10 +66,9 @@ MAX_CHAIN_STATES = 3_000_000
 class TruncatedChain:
     """Level-truncated age chain.
 
-    kind        -- 'aoa' (states (age, cache, battery)) or
-                   'aoai' (states (aoai, aoi, battery)).
     states      -- (n, 3) int array of the states, one per row, grouped by
-                   level in increasing order.
+                   level in increasing order: (age, cache, battery) in the
+                   AoA chain, (aoai, aoi, battery) in the AoAI chain.
     matrix      -- sparse row matrix; rows at the cap boundary are
                    substochastic, interior rows sum to 1.
     level_cap   -- largest retained age level.
@@ -80,7 +78,6 @@ class TruncatedChain:
                    max(1-lambda1, 1-lambda2).
     """
 
-    kind: str
     states: np.ndarray
     matrix: sp.csr_matrix
     level_cap: int
@@ -169,9 +166,9 @@ def _a_priori_tail_mass(r: float, cap: int) -> float:
     return r ** cap / (1.0 - r) if r > 0.0 else 0.0
 
 
-def _truncated_chain(kind, p, cap, states, occ, successor) -> TruncatedChain:
+def _truncated_chain(p, cap, states, occ, successor) -> TruncatedChain:
     r = _decay_rate(p)
-    return TruncatedChain(kind, np.column_stack(states),
+    return TruncatedChain(np.column_stack(states),
                           _transitions(p, occ, successor).tocsr(), cap,
                           _a_priori_tail_mass(r, cap), r)
 
@@ -191,7 +188,7 @@ def build_aoa_chain(p: Params, cap: int) -> TruncatedChain:
     occ = np.concatenate(([0, 1], np.tile([0, 1, 2], cap - 1)))
     age = np.concatenate(([1, 1], np.repeat(np.arange(2, cap + 1), 3)))
     # An actuation restarts the age at 1; level age + 1 starts at 3*age - 1.
-    return _truncated_chain("aoa", p, cap, (age, occ >> 1, occ & 1), occ,
+    return _truncated_chain(p, cap, (age, occ >> 1, occ & 1), occ,
                             lambda data, occ2, act: np.where(act, occ2, 3 * age - 1 + occ2))
 
 
@@ -219,7 +216,7 @@ def build_aoai_chain(p: Params, cap: int) -> TruncatedChain:
         aoai2 = np.where(act, aoi2, aoai + 1)
         return (aoai2 - 1) * (aoai2 + 2) // 2 + aoi2 - 1 + (occ2 & 1)
 
-    return _truncated_chain("aoai", p, cap, (aoai, aoi, battery), occ, successor)
+    return _truncated_chain(p, cap, (aoai, aoi, battery), occ, successor)
 
 
 def _splu():
@@ -233,8 +230,7 @@ def _splu():
     return splu
 
 
-def stationary(chain: TruncatedChain, tol: float = 1e-13,
-               maxiter: int = 10 ** 6) -> StationaryDist:
+def stationary(chain: TruncatedChain, maxiter: int = 10 ** 6) -> StationaryDist:
     """Solve pi P = pi, sum(pi) = 1.
 
     The chain is solved by Gauss-Seidel sweeps in state order from the
@@ -247,11 +243,10 @@ def stationary(chain: TruncatedChain, tol: float = 1e-13,
     self-loop would also keep I - F nonsingular, but a state that keeps mass
     w per slot then converges at rate w: at (0.9, 0.9), w = 0.81, the AoAI
     chain takes 137 sweeps that way and 13 this way.  The solve has
-    converged when successive iterates differ by less than `tol` in max
-    norm; the result is the renormalized distribution over retained states.
+    converged when successive iterates differ by less than
+    `STATIONARY_TOL` in max norm; the result is the renormalized distribution
+    over retained states.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     if maxiter < 1:
         raise DomainError(f"maxiter must be at least 1, got {maxiter}")
     # The triplets of P: entry k is P[src[k], m.indices[k]], at
@@ -282,11 +277,11 @@ def stationary(chain: TruncatedChain, tol: float = 1e-13,
         w /= total
         delta = float(np.abs(w - v).max())
         v = w
-        if delta < tol:
+        if delta < STATIONARY_TOL:
             break
     else:
         raise ConvergenceError(
-            f"Gauss-Seidel did not reach tol={tol} within {maxiter} sweeps")
+            f"Gauss-Seidel did not reach tol={STATIONARY_TOL} within {maxiter} sweeps")
     # One renormalized step of the chain itself: P^T v = R v + F v.
     w = r @ v + (v - i_minus_f @ v)
     w /= w.sum()
@@ -294,13 +289,9 @@ def stationary(chain: TruncatedChain, tol: float = 1e-13,
     return StationaryDist(v, residual, sweeps, delta)
 
 
-def _levels(chain: TruncatedChain) -> np.ndarray:
-    return chain.states[:, 0]
-
-
 def level_masses(dist: StationaryDist, chain: TruncatedChain) -> np.ndarray:
     """Stationary mass per age level, index 0 unused so masses[level] reads naturally."""
-    return np.bincount(_levels(chain), weights=dist.probs, minlength=chain.level_cap + 1)
+    return np.bincount(chain.states[:, 0], weights=dist.probs, minlength=chain.level_cap + 1)
 
 
 def mean_age(dist: StationaryDist, chain: TruncatedChain) -> tuple[float, float]:
@@ -340,24 +331,6 @@ def mean_age(dist: StationaryDist, chain: TruncatedChain) -> tuple[float, float]
     return mean, float(bound)
 
 
-def occupancy_marginals(dist: StationaryDist, chain: TruncatedChain) -> np.ndarray:
-    """(cache, battery) marginals of an 'aoa' chain over (0,0), (0,1), (1,0).
-
-    The marginals are indexed by the occupancy code 2 * cache + battery.
-    """
-    if chain.kind != "aoa":
-        raise DomainError("occupancy marginals are defined for the 'aoa' chain")
-    occ = 2 * chain.states[:, 1] + chain.states[:, 2]
-    return np.bincount(occ, weights=dist.probs, minlength=3)
-
-
-def seed_masses(dist: StationaryDist, chain: TruncatedChain) -> dict:
-    """Stationary mass of each level-1 state, keyed by state tuple."""
-    level1 = _levels(chain) == 1
-    return {tuple(s): pr for s, pr in zip(chain.states[level1].tolist(),
-                                          dist.probs[level1].tolist())}
-
-
 def aoa_series_mean(p: Params) -> float:
     """Average actuation age via the level recursions, seeded from closed forms.
 
@@ -368,29 +341,18 @@ def aoa_series_mean(p: Params) -> float:
         v_{A+1,0,1} = y * v_{A,0,0} + (1-lambda1) * v_{A,0,1}
         v_{A+1,1,0} = x * v_{A,0,0} + (1-lambda2) * v_{A,1,0}
 
-    The sum of A times the level mass is accumulated until a level's mass
-    drops below `SERIES_TAIL_EPS`.  The rest, sum over k >= 1 of
-    (A + k) v_A M^k 1, is closed exactly by the matrix-geometric remainder
-    v_A M (I - M)^-1 (A 1 + (I - M)^-1 1); I - M is upper triangular with
-    diagonal (1 - z, lambda1, lambda2), invertible for valid Params.
+    from v_1 = (v100, v101, 0).  The mean, the sum over A >= 1 of A v_A 1,
+    is the matrix-geometric sum v_1 (I - M)^-2 1 (Neuts 1981), taken whole:
+    I - M is upper triangular with diagonal (1 - z, lambda1, lambda2),
+    invertible for valid Params, so two back-substitutions give
+    u = (I - M)^-1 1 and w = (I - M)^-1 u, and the mean is v_1 w.  Every
+    literal is an integer, so on `Fraction` rates the sum is exact.
     """
     seeds = aoa_seed_probs(p)
     s = shorthand(p)
-    q1, q2, z = 1.0 - p.lambda1, 1.0 - p.lambda2, s.z
-    a, b, c = seeds.v100, seeds.v101, 0.0
-    level = 1
-    total = 0.0
-    while True:
-        lv = a + b + c
-        total += level * lv
-        if lv < SERIES_TAIL_EPS:
-            break
-        a, b, c = z * a, s.y * a + q1 * b, s.x * a + q2 * c
-        level += 1
-        if level > 10 ** 7:  # unreachable for valid Params; loop safety net
-            raise ConvergenceError("series did not fall below SERIES_TAIL_EPS")
-    m = np.array([[z, s.y, s.x], [0.0, q1, 0.0], [0.0, 0.0, q2]])
-    i_minus_m = np.eye(3) - m
-    u = np.linalg.solve(i_minus_m, np.ones(3))
-    remainder = np.linalg.solve(i_minus_m, level + u)
-    return total + float(np.array([a, b, c]) @ m @ remainder)
+    l1, l2, head = p.lambda1, p.lambda2, 1 - s.z
+    u1, u2 = 1 / l1, 1 / l2
+    u0 = (1 + s.y * u1 + s.x * u2) / head
+    w1, w2 = u1 / l1, u2 / l2
+    w0 = (u0 + s.y * w1 + s.x * w2) / head
+    return seeds.v100 * w0 + seeds.v101 * w1

@@ -20,7 +20,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from . import engine, validation
 from .core import Params
@@ -28,6 +28,7 @@ from .errors import (AoaLabError, CapError, ConvergenceError, DomainError,
                      NumericalError, TruncationError)
 
 CSV_HEADER = "lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap"
+TRACE_FIELDS = ("t", "data", "energy", "cache", "battery", "actuated", "aoi", "aoa", "aoai")
 
 
 def _fmt(v: float) -> str:
@@ -40,14 +41,14 @@ def _csv_line(r: validation.Row) -> str:
                      _fmt(r.value), _fmt(r.uncertainty), *opt])
 
 
-def _emit(rows: Sequence[validation.Row], as_json: bool) -> None:
+def _emit(rows: Sequence[validation.Row], as_json: bool, out: TextIO) -> None:
     if as_json:
         for r in rows:
-            print(json.dumps(dataclasses.asdict(r)))
+            print(json.dumps(dataclasses.asdict(r)), file=out)
     else:
-        print(CSV_HEADER)
+        print(CSV_HEADER, file=out)
         for r in rows:
-            print(_csv_line(r))
+            print(_csv_line(r), file=out)
 
 
 def _cli_params(lambda1: float, lambda2: float) -> Params:
@@ -86,21 +87,22 @@ def _parse_grid(spec: str) -> list[Params]:
 
 def cmd_analytic(args) -> int:
     p = _cli_params(args.lambda1, args.lambda2)
-    _emit(validation.route_rows(p, "analytic", _parse_metrics(args.metrics)), args.json)
+    _emit(validation.route_rows(p, "analytic", _parse_metrics(args.metrics)),
+          args.json, sys.stdout)
     return 0
 
 
 def cmd_simulate(args) -> int:
     p = _cli_params(args.lambda1, args.lambda2)
     _emit(validation.route_rows(p, "sim", slots=args.slots, seed=args.seed,
-                                warmup=args.warmup), args.json)
+                                warmup=args.warmup), args.json, sys.stdout)
     return 0
 
 
 def cmd_chain(args) -> int:
     p = _cli_params(args.lambda1, args.lambda2)
     _emit(validation.route_rows(p, "chain", (args.metric,), tail_eps=args.tail_eps,
-                                cap=args.cap), args.json)
+                                cap=args.cap), args.json, sys.stdout)
     return 0
 
 
@@ -124,9 +126,7 @@ def cmd_sweep(args) -> int:
                   key=lambda r: (r.lambda1, r.lambda2, order.index(r.method)))
     try:
         with open(args.out, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in rows:
-                fh.write(_csv_line(r) + "\n")
+            _emit(rows, False, fh)
     except BaseException:
         if os.path.exists(args.out):
             os.remove(args.out)
@@ -157,25 +157,17 @@ def cmd_validate(args) -> int:
 def cmd_trace(args) -> int:
     events = engine.read_events_csv(args.events)
     trajectory = engine.run_trace(events)
+    rows = [dict(zip(TRACE_FIELDS, (
+        state.slot, int(ev.data_arrived), int(ev.energy_arrived), state.system.cache,
+        state.system.battery, int(act), state.ages.aoi, state.ages.aoa, state.ages.aoai)))
+        for ev, (state, act) in zip(events, trajectory)]
     if args.json:
-        for ev, (state, act) in zip(events, trajectory):
-            print(json.dumps({
-                "t": state.slot,
-                "data": int(ev.data_arrived),
-                "energy": int(ev.energy_arrived),
-                "cache": state.system.cache,
-                "battery": state.system.battery,
-                "actuated": int(act),
-                "aoi": state.ages.aoi,
-                "aoa": state.ages.aoa,
-                "aoai": state.ages.aoai,
-            }))
+        for row in rows:
+            print(json.dumps(row))
     else:
-        print("t,data,energy,cache,battery,actuated,aoi,aoa,aoai")
-        for ev, (state, act) in zip(events, trajectory):
-            print(f"{state.slot},{int(ev.data_arrived)},{int(ev.energy_arrived)},"
-                  f"{state.system.cache},{state.system.battery},{int(act)},"
-                  f"{state.ages.aoi},{state.ages.aoa},{state.ages.aoai}")
+        print(",".join(TRACE_FIELDS))
+        for row in rows:
+            print(",".join(map(str, row.values())))
     return 0
 
 
@@ -255,16 +247,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, ConvergenceError, TruncationError, CapError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except AoaLabError as exc:  # safety net for future error types
+    except (OSError, AoaLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

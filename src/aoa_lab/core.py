@@ -67,8 +67,8 @@ class Shorthand:
 def shorthand(p: Params) -> Shorthand:
     """Joint event probabilities for one slot of a Params scenario."""
     l1, l2 = p.lambda1, p.lambda2
-    return Shorthand(w=l1 * l2, x=l1 * (1.0 - l2), y=(1.0 - l1) * l2,
-                     z=(1.0 - l1) * (1.0 - l2))
+    return Shorthand(w=l1 * l2, x=l1 * (1 - l2), y=(1 - l1) * l2,
+                     z=(1 - l1) * (1 - l2))
 
 
 @dataclass(frozen=True)

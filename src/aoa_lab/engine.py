@@ -296,10 +296,8 @@ def _age_sums(starts: np.ndarray, bases, q: np.ndarray) -> np.ndarray:
         ramp[i] += (int(span @ span) - int(starts[hi] - starts[lo])) // 2
     sums = np.empty((len(bases), len(ramp)), dtype=np.int64)
     for row, base in zip(sums, bases):
-        if np.ndim(base) == 0:  # n[lo:hi] sums to starts[hi] - starts[lo]
-            row[:] = ramp + base * np.diff(m)
-            for i, lo, hi in hops:
-                row[i] += base * int(starts[hi] - starts[lo])
+        if np.ndim(base) == 0:  # `base` counts once in every slot of a range
+            row[:] = ramp + base * np.diff(q)
         else:
             row[:] = ramp + np.diff(m * base[j])
             for i, lo, hi in hops:

@@ -182,7 +182,6 @@ class SweepReport:
     only approximately symmetric in their arguments.
     """
 
-    grid: tuple
     rows: tuple
     symmetry_max_rel_dev: float
     aoa_nonmonotone_witnesses: tuple
@@ -367,7 +366,6 @@ def sweep(
     rows = tuple(r for triple in per_point for r in triple)
     sym_dev, witnesses, monotone, violations = _findings(pts)
     return SweepReport(
-        grid=tuple(pts),
         rows=rows,
         symmetry_max_rel_dev=sym_dev,
         aoa_nonmonotone_witnesses=witnesses,

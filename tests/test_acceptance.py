@@ -26,6 +26,7 @@ import pytest
 from aoa_lab import analytic, chains, engine
 from aoa_lab.cli import main as cli_main
 from aoa_lab.core import make_params
+from chain_readers import occupancy_marginals, seed_masses
 from exact_law import slot_table_law
 
 GRID_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -97,9 +98,9 @@ def grid_chains(grid_points):
             "cap": cap,
             "aoa_mean": chains.mean_age(aoa_dist, aoa_chain)[0],
             "aoai_mean": chains.mean_age(aoai_dist, aoai_chain)[0],
-            "aoa_seeds": chains.seed_masses(aoa_dist, aoa_chain),
-            "aoai_seeds": chains.seed_masses(aoai_dist, aoai_chain),
-            "occupancy": chains.occupancy_marginals(aoa_dist, aoa_chain),
+            "aoa_seeds": seed_masses(aoa_dist, aoa_chain),
+            "aoai_seeds": seed_masses(aoai_dist, aoai_chain),
+            "occupancy": occupancy_marginals(aoa_dist, aoa_chain),
             "i1": sum(pr for s, pr in zip(aoai_chain.states, aoai_dist.probs)
                       if s[1] == 1),
             "b1": sum(pr for s, pr in zip(aoai_chain.states, aoai_dist.probs)

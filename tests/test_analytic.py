@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from aoa_lab import engine
 from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, averages,
                               avg_aoa, avg_aoai, avg_aoi)
+from aoa_lab.chains import aoa_series_mean
 from aoa_lab.core import make_params
 from exact_law import ExactParams, slot_table_law
 
@@ -81,10 +82,13 @@ class TestSlotTableLaw:
         lambda2), the aoi and aoa means <= 10 over <= 10, the aoai mean (whose
         right-hand side carries the aoi moments) <= 16 over <= 16 and the
         level-1 masses <= 6 over <= 4.  The shipped forms are 0 over 1 (aoi),
-        7 over 8 (aoa), 9 over 10 (aoai) and <= 6 over 4 (level-1 masses).  If
+        7 over 8 (aoa), 9 over 10 (aoai) and <= 6 over 4 (level-1 masses).
+        The aoa series, v100 w0 + v101 w1 as its back-substitutions build it
+        from the level-1 masses, is <= 11 over <= 12 (w0 is <= 6 over 8 and
+        w1 is 0 over 2; reduced, it is the 7 over 8 of the closed form).  If
         a form N/D of at most these degrees, such as one with a wrong
         coefficient, differs from the law A/B, then Q = N*B - A*D is a nonzero
-        polynomial of total degree <= 26.
+        polynomial of total degree <= 26 (<= 22 for the series).
 
         Schwartz-Zippel: with each rate drawn uniformly from {1, ..., 10^9 - 1}
         / 10^9, Q vanishes at one point with probability <= 26 / (10^9 - 1)
@@ -99,6 +103,7 @@ class TestSlotTableLaw:
             assert avg_aoi(p) == law["aoi"], (l1, l2)
             assert avg_aoa(p) == law["aoa"], (l1, l2)
             assert avg_aoai(p) == law["aoai"], (l1, l2)
+            assert aoa_series_mean(p) == law["aoa"], (l1, l2)
             assert (aoa_seeds.v100, aoa_seeds.v101) == law["aoa_seeds"], (l1, l2)
             assert (aoai_seeds.v110, aoai_seeds.v111) == law["aoai_seeds"], (l1, l2)
 
