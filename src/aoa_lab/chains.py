@@ -17,7 +17,9 @@ type; Neuts 1981), so the stationary solve sweeps in that order by
 Gauss-Seidel (Stewart 1994, ch. 3): each sweep carries every upward flow at
 once, and only the resets to lower levels lag by a sweep.  It returns the
 renormalized distribution over the retained states; `mean_age` adds an
-estimate of the stationary mass lost beyond the cap.
+estimate of the stationary mass lost beyond the cap.  Only the builders and
+the solve import scipy, when first called: the other routes never load it
+(scipy.sparse alone adds about 20 MB of resident memory).
 
 A semi-analytic route to the average actuation age is provided by
 `aoa_series_mean`: seed the level-1 masses from their closed forms and sum
@@ -29,14 +31,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .analytic import aoa_seed_probs
 from .core import Params, shorthand
 from .engine import _TRANSITIONS
 from .errors import CapError, ConvergenceError, DomainError, TruncationError
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "TruncatedChain",
@@ -79,7 +84,7 @@ class TruncatedChain:
     """
 
     states: np.ndarray
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     level_cap: int
     tail_mass: float
     decay_rate: float
@@ -101,7 +106,7 @@ class StationaryDist:
     delta: float
 
 
-def _transitions(p: Params, occ: np.ndarray, successor) -> sp.coo_matrix:
+def _transitions(p: Params, occ: np.ndarray, successor) -> scipy.sparse.coo_matrix:
     """Transition matrix of a chain whose state k has occupancy code occ[k].
 
     For each slot outcome of positive probability, in the order w, x, y, z,
@@ -109,6 +114,8 @@ def _transitions(p: Params, occ: np.ndarray, successor) -> sp.coo_matrix:
     and successor(data, occ2, actuated) the next state's index.  Indices past
     the last state, the levels above a cap, are dropped.
     """
+    import scipy.sparse as sp
+
     s = shorthand(p)
     table = np.frombuffer(_TRANSITIONS, dtype=np.uint8)
     n = len(occ)
@@ -223,7 +230,9 @@ def _splu():
     """`scipy.sparse.linalg.splu`, imported on first use.
 
     Importing `scipy.sparse.linalg` takes tens of milliseconds, which every
-    CLI command would pay at start-up if this module imported it.
+    CLI command would pay at start-up if this module imported it.  Like the
+    `scipy.sparse` of `_transitions` and `stationary`, it loads only on the
+    chain route.
     """
     from scipy.sparse.linalg import splu
 
@@ -249,6 +258,8 @@ def stationary(chain: TruncatedChain, maxiter: int = 10 ** 6) -> StationaryDist:
     """
     if maxiter < 1:
         raise DomainError(f"maxiter must be at least 1, got {maxiter}")
+    import scipy.sparse as sp
+
     # The triplets of P: entry k is P[src[k], m.indices[k]], at
     # (m.indices[k], src[k]) in P^T.
     m = chain.matrix

@@ -155,19 +155,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    # The whole file is parsed before the first row is printed, so a malformed
+    # file prints nothing; then each slot is stepped and printed in turn, as
+    # `engine.run_trace` would replay it, without holding the trajectory.
     events = engine.read_events_csv(args.events)
-    trajectory = engine.run_trace(events)
-    rows = [dict(zip(TRACE_FIELDS, (
-        state.slot, int(ev.data_arrived), int(ev.energy_arrived), state.system.cache,
-        state.system.battery, int(act), state.ages.aoi, state.ages.aoa, state.ages.aoai)))
-        for ev, (state, act) in zip(events, trajectory)]
-    if args.json:
-        for row in rows:
-            print(json.dumps(row))
-    else:
+    if not args.json:
         print(",".join(TRACE_FIELDS))
-        for row in rows:
-            print(",".join(map(str, row.values())))
+    state = engine.initial_state()
+    for ev in events:
+        state, act = engine.step(state, ev)
+        row = (state.slot, int(ev.data_arrived), int(ev.energy_arrived), state.system.cache,
+               state.system.battery, int(act), state.ages.aoi, state.ages.aoa, state.ages.aoai)
+        if args.json:
+            print(json.dumps(dict(zip(TRACE_FIELDS, row))))
+        else:
+            print(",".join(map(str, row)))
     return 0
 
 

@@ -20,8 +20,10 @@ actuation (the age of the packet just consumed), else +1.
 
 `step` / `run_trace` implement this one readable slot at a time and are the
 reference semantics.  `run` and `run_batched` simulate long horizons in
-chunks of slots, in two vectorised stages:
+chunks of slots, in three vectorised stages:
 
+* the events are drawn in pieces of `_DRAW` slots into one small buffer
+  and thresholded into the chunk's data and energy flags;
 * the occupancy scan bit-packs the data and energy flags into 8-slot
   blocks and looks them up in a table that composes the one-slot table of
   the same slot rules (`_step_core`).  It runs on two levels: vectorised
@@ -58,12 +60,17 @@ __all__ = [
     "read_events_csv",
 ]
 
-# Slots per chunk.  A chunk draws into a 4 MiB buffer, two float64 draws per
-# slot, and its temporaries are of the same order, so its working set stays
-# within a few L2 caches (2 MiB per core on the Xeon of the timings in
-# CHANGES.md) rather than tens of MB.  Results do not depend on the chunk
-# size.
+# Slots per chunk of the scan and the age sums.  A chunk's temporaries take a
+# few MiB, within a few L2 caches (2 MiB per core on the Xeon of the timings in
+# CHANGES.md) rather than tens of MB.  Smaller chunks save memory but slow
+# sparse-rate runs, whose per-chunk overhead dominates: a 10^7-slot run at
+# (0.05, 0.05) took 0.128 s at 2^18 slots, 0.136 s at 2^17 and 0.159 s at 2^16.
 _CHUNK = 1 << 18
+# Slots per draw.  A chunk's events are drawn in pieces of this many slots
+# into one 512 KiB buffer, two float64 draws per slot, and thresholded into
+# the chunk's flags, so no chunk-long float buffer is ever held.  Results do
+# not depend on either size.
+_DRAW = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -342,16 +349,22 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
     sAI = np.zeros(n_batches, dtype=np.int64)
     actuations = 0
 
-    # One draw buffer for every chunk: a fresh one would fault in its pages
-    # each time.  Drawing into it consumes the generator exactly as
-    # `rng.random((k, 2))` does.
-    u = np.empty((min(_CHUNK, slots), 2))
+    # One draw buffer and one pair of flag buffers for every chunk: fresh ones
+    # would fault in their pages each time.  Drawing the pieces of a chunk one
+    # after another consumes the generator exactly as `rng.random((k, 2))`
+    # does.
+    chunk = min(_CHUNK, slots)
+    u = np.empty((min(_DRAW, chunk), 2))
+    flags = np.empty((2, chunk), dtype=bool)
     done = 0
     while done < slots:
         k = min(_CHUNK, slots - done)
-        rng.random(out=u[:k])  # per slot: data draw first, then energy draw
-        d = u[:k, 0] < l1
-        e = u[:k, 1] < l2
+        d, e = flags[:, :k]
+        for lo in range(0, k, len(u)):
+            piece = u[:min(len(u), k - lo)]
+            rng.random(out=piece)  # per slot: data draw first, then energy draw
+            np.less(piece[:, 0], l1, out=d[lo:lo + len(piece)])
+            np.less(piece[:, 1], l2, out=e[lo:lo + len(piece)])
         cache_in = cache
         act, st, cache, battery = _scan_events(d, e, cache, battery)
 

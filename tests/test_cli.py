@@ -1,11 +1,13 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from aoa_lab.chains import choose_cap
 from aoa_lab.cli import CSV_HEADER, main
 from aoa_lab.core import Params
+from aoa_lab.engine import read_events_csv, run_trace
 
 GOLDEN_TRACE_EVENTS = "t,data,energy\n1,0,0\n2,1,0\n3,0,0\n4,0,1\n5,0,0\n6,1,0\n7,0,0\n"
 GOLDEN_TRACE_OUTPUT = """\
@@ -237,6 +239,22 @@ class TestTrace:
         assert [o["aoai"] for o in objs] == [2, 3, 4, 3, 4, 5, 6]
         assert [o["actuated"] for o in objs] == [0, 0, 0, 1, 0, 0, 0]
 
+    def test_json_rows_match_run_trace(self, capsys, tmp_path):
+        # The command steps and prints slot by slot; `run_trace` is the
+        # reference replay it must agree with.
+        flags = np.random.default_rng(8).random((300, 2)) < (0.3, 0.6)
+        f = tmp_path / "ev.csv"
+        f.write_text("t,data,energy\n" + "".join(
+            f"{t},{int(d)},{int(e)}\n" for t, (d, e) in enumerate(flags, start=1)))
+        code, out, _ = run_cli(capsys, "trace", "--events", str(f), "--json")
+        assert code == 0
+        expected = [
+            {"t": s.slot, "data": int(d), "energy": int(e), "cache": s.system.cache,
+             "battery": s.system.battery, "actuated": int(act), "aoi": s.ages.aoi,
+             "aoa": s.ages.aoa, "aoai": s.ages.aoai}
+            for (d, e), (s, act) in zip(flags, run_trace(read_events_csv(f)))]
+        assert [json.loads(line) for line in out.splitlines()] == expected
+
     def test_empty_file_exit_two(self, capsys, tmp_path):
         f = tmp_path / "ev.csv"
         f.write_text("")
@@ -245,10 +263,13 @@ class TestTrace:
         assert "line 1" in err
 
     def test_bad_value_exit_two_names_line(self, capsys, tmp_path):
+        # The file is checked whole before any row prints: a bad line after
+        # good ones leaves stdout empty.
         f = tmp_path / "ev.csv"
         f.write_text("t,data,energy\n1,0,0\n2,2,0\n")
-        code, _, err = run_cli(capsys, "trace", "--events", str(f))
+        code, out, err = run_cli(capsys, "trace", "--events", str(f))
         assert code == 2
+        assert out == ""
         assert "line 3" in err
 
     def test_missing_file_exit_two(self, capsys, tmp_path):
