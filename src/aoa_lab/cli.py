@@ -29,6 +29,11 @@ from .errors import (AoaLabError, CapError, ConvergenceError, DomainError,
 
 CSV_HEADER = "lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap"
 TRACE_FIELDS = ("t", "data", "energy", "cache", "battery", "actuated", "aoi", "aoa", "aoai")
+# A `trace` row formatted in one step.  Every field is an int or a bool, which
+# `%d` prints as 0 or 1, so the bytes are those of ",".join(map(str, row)) and
+# of json.dumps(dict(zip(TRACE_FIELDS, row))) with the bools made ints.
+_TRACE_CSV = ",".join(["%d"] * len(TRACE_FIELDS))
+_TRACE_JSON = "{" + ", ".join(f'"{name}": %d' for name in TRACE_FIELDS) + "}"
 
 
 def _fmt(v: float) -> str:
@@ -161,15 +166,13 @@ def cmd_trace(args) -> int:
     events = engine.read_events_csv(args.events)
     if not args.json:
         print(",".join(TRACE_FIELDS))
+    template = _TRACE_JSON if args.json else _TRACE_CSV
     state = engine.initial_state()
     for ev in events:
         state, act = engine.step(state, ev)
-        row = (state.slot, int(ev.data_arrived), int(ev.energy_arrived), state.system.cache,
-               state.system.battery, int(act), state.ages.aoi, state.ages.aoa, state.ages.aoai)
-        if args.json:
-            print(json.dumps(dict(zip(TRACE_FIELDS, row))))
-        else:
-            print(",".join(map(str, row)))
+        print(template % (state.slot, ev.data_arrived, ev.energy_arrived, state.system.cache,
+                          state.system.battery, act, state.ages.aoi, state.ages.aoa,
+                          state.ages.aoai))
     return 0
 
 

@@ -23,7 +23,11 @@ reference semantics.  `run` and `run_batched` simulate long horizons in
 chunks of slots, in three vectorised stages:
 
 * the events are drawn in pieces of `_DRAW` slots into one small buffer
-  and thresholded into the chunk's data and energy flags;
+  and thresholded into the chunk's data and energy flags.  Where a second
+  CPU may run it, one helper thread draws chunk i+1 into a second set of
+  flags while the calling thread scans chunk i and takes its age sums; the
+  helper alone touches the generator and draws the chunks in order, so
+  every seeded result is the same either way;
 * the occupancy scan bit-packs the data and energy flags into 8-slot
   blocks and looks them up in a table that composes the one-slot table of
   the same slot rules (`_step_core`).  It runs on two levels: vectorised
@@ -41,6 +45,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -152,11 +160,17 @@ def run_trace(events: Sequence[SlotEvents]) -> list[tuple[EngineState, bool]]:
     return out
 
 
+# The four possible events of a slot, indexed by (data, energy).  The rows of
+# an events file share them, so a long file costs one list entry per slot.
+_SLOT_EVENTS = {(d, e): SlotEvents(bool(d), bool(e)) for d in (0, 1) for e in (0, 1)}
+
+
 def read_events_csv(path) -> list[SlotEvents]:
     """Parse an event-trace file: header `t,data,energy`, one {0,1} row per slot.
 
     Slots must be numbered consecutively from 1; blank lines take no number.
     Raises DomainError naming the offending line on any malformed content.
+    Equal rows share one `SlotEvents` instance.
     """
     events = []
     with open(path, newline="") as fh:
@@ -180,7 +194,7 @@ def read_events_csv(path) -> list[SlotEvents]:
                 raise DomainError(f"line {lineno}: slot index must be {len(events) + 1}, got {t}")
             if d not in (0, 1) or e not in (0, 1):
                 raise DomainError(f"line {lineno}: data and energy must be 0 or 1, got {d},{e}")
-            events.append(SlotEvents(bool(d), bool(e)))
+            events.append(_SLOT_EVENTS[d, e])
     if not events:
         raise DomainError("line 2: no event rows after header")
     return events
@@ -312,6 +326,49 @@ def _age_sums(starts: np.ndarray, bases, q: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _draws_ahead() -> bool:
+    """Whether `_simulate` draws each next chunk on a helper thread.
+
+    Only where this process may run on more than one CPU, and not in a
+    `multiprocessing` worker: `validation.sweep`'s pool already runs one
+    worker process per CPU, and a helper thread in each slowed it down.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has sched_getaffinity
+        cpus = os.cpu_count() or 1
+    return cpus > 1 and multiprocessing.parent_process() is None
+
+
+def _draw_chunk(rng, u: np.ndarray, flags: np.ndarray, l1: float, l2: float) -> np.ndarray:
+    """Draw one chunk's events into `flags`, a (2, k) bool array; returns it.
+
+    The chunk is drawn in pieces of `len(u)` slots into the float buffer `u`,
+    which consumes the generator exactly as `rng.random((k, 2))` does: per
+    slot the data draw first, then the energy draw.
+    """
+    d, e = flags
+    k = flags.shape[1]
+    for lo in range(0, k, len(u)):
+        piece = u[:min(len(u), k - lo)]
+        rng.random(out=piece)
+        np.less(piece[:, 0], l1, out=d[lo:lo + len(piece)])
+        np.less(piece[:, 1], l2, out=e[lo:lo + len(piece)])
+    return flags
+
+
+class _InPlace:
+    """A call deferred until its result is read: the stand-in for a future
+    when `_simulate` draws in the calling thread.  Its one pair of flag
+    buffers then takes chunk i+1 only after chunk i is scanned."""
+
+    def __init__(self, fn, *args):
+        self._call = functools.partial(fn, *args)
+
+    def result(self):
+        return self._call()
+
+
 @dataclass
 class _RunAccumulator:
     """Exact integer tallies of a simulated run, split into measurement batches."""
@@ -349,59 +406,70 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
     sAI = np.zeros(n_batches, dtype=np.int64)
     actuations = 0
 
-    # One draw buffer and one pair of flag buffers for every chunk: fresh ones
-    # would fault in their pages each time.  Drawing the pieces of a chunk one
-    # after another consumes the generator exactly as `rng.random((k, 2))`
-    # does.
+    # One draw buffer and one or two pairs of flag buffers for every chunk:
+    # fresh ones would fault in their pages each time.  Drawing ahead, the
+    # helper thread draws chunk i+1 into the second pair while the calling
+    # thread scans chunk i.  Drawing in place, the calling thread draws chunk
+    # i+1 into the one pair once the scan of chunk i is done.  Either way,
+    # one thread draws every chunk, in order.
+    ahead = _draws_ahead()
     chunk = min(_CHUNK, slots)
     u = np.empty((min(_DRAW, chunk), 2))
-    flags = np.empty((2, chunk), dtype=bool)
-    done = 0
-    while done < slots:
-        k = min(_CHUNK, slots - done)
-        d, e = flags[:, :k]
-        for lo in range(0, k, len(u)):
-            piece = u[:min(len(u), k - lo)]
-            rng.random(out=piece)  # per slot: data draw first, then energy draw
-            np.less(piece[:, 0], l1, out=d[lo:lo + len(piece)])
-            np.less(piece[:, 1], l2, out=e[lo:lo + len(piece)])
-        cache_in = cache
-        act, st, cache, battery = _scan_events(d, e, cache, battery)
+    flags = np.empty((2 if ahead else 1, 2, chunk), dtype=bool)
 
-        # Renewal-reward age sums from the event slots alone (chunk-local).
-        # Each list of event slots is led by the carried last event, at a
-        # negative slot.  Batch edges are query points; a batch outside the
-        # chunk clips to an empty range.
-        pd = np.flatnonzero(d)
-        pa = np.flatnonzero(act)
-        sd = np.concatenate(([last_d - done], pd))
-        sa = np.concatenate(([last_a - done], pa))
-        # The aoi at an actuation.  The cache holds the last arrival until it
-        # is actuated, so an arrival is actuated, once, iff the cache is empty
-        # when the next arrival comes (or at the chunk end): the actuated
-        # arrivals, in order, are the packets of `pa`.  The carried arrival
-        # counts only if it was still cached when the chunk began.
-        held = np.empty(k, dtype=bool)  # the cache at the end of slot t - 1
-        held[0] = cache_in
-        np.equal(st[:-1], 2, out=held[1:])
-        used = np.empty(len(sd), dtype=bool)  # sd[j] is actuated in this chunk
-        np.logical_not(held[pd], out=used[:-1])
-        used[-1] = not cache
-        used[0] &= bool(cache_in)
-        aoi_at_act = pa - sd[used] + 1
-        base_aoai = np.concatenate(([aoi_at_last_act], aoi_at_act))
-        q = np.clip(edges - done, 0, k)
-        sI += _age_sums(sd, (1,), q)[0]
-        sums = _age_sums(sa, (1, base_aoai), q)
-        sA += sums[0]
-        sAI += sums[1]
+    def draw(lo: int) -> np.ndarray:
+        pair = flags[lo // chunk % len(flags), :, :min(chunk, slots - lo)]
+        return _draw_chunk(rng, u, pair, l1, l2)
 
-        actuations += len(pa) - int(np.searchsorted(pa, max(warmup - done, 0)))
+    with ExitStack() as stack:
+        if ahead:
+            start = stack.enter_context(ThreadPoolExecutor(1)).submit
+        else:
+            start = _InPlace
+        pending = start(draw, 0)
+        done = 0
+        while done < slots:
+            d, e = pending.result()
+            k = len(d)
+            if done + k < slots:
+                pending = start(draw, done + k)
+            cache_in = cache
+            act, st, cache, battery = _scan_events(d, e, cache, battery)
 
-        last_d = done + int(sd[-1])
-        last_a = done + int(sa[-1])
-        aoi_at_last_act = int(base_aoai[-1])
-        done += k
+            # Renewal-reward age sums from the event slots alone (chunk-local).
+            # Each list of event slots is led by the carried last event, at a
+            # negative slot.  Batch edges are query points; a batch outside the
+            # chunk clips to an empty range.
+            pd = np.flatnonzero(d)
+            pa = np.flatnonzero(act)
+            sd = np.concatenate(([last_d - done], pd))
+            sa = np.concatenate(([last_a - done], pa))
+            # The aoi at an actuation.  The cache holds the last arrival until it
+            # is actuated, so an arrival is actuated, once, iff the cache is empty
+            # when the next arrival comes (or at the chunk end): the actuated
+            # arrivals, in order, are the packets of `pa`.  The carried arrival
+            # counts only if it was still cached when the chunk began.
+            held = np.empty(k, dtype=bool)  # the cache at the end of slot t - 1
+            held[0] = cache_in
+            np.equal(st[:-1], 2, out=held[1:])
+            used = np.empty(len(sd), dtype=bool)  # sd[j] is actuated in this chunk
+            np.logical_not(held[pd], out=used[:-1])
+            used[-1] = not cache
+            used[0] &= bool(cache_in)
+            aoi_at_act = pa - sd[used] + 1
+            base_aoai = np.concatenate(([aoi_at_last_act], aoi_at_act))
+            q = np.clip(edges - done, 0, k)
+            sI += _age_sums(sd, (1,), q)[0]
+            sums = _age_sums(sa, (1, base_aoai), q)
+            sA += sums[0]
+            sAI += sums[1]
+
+            actuations += len(pa) - int(np.searchsorted(pa, max(warmup - done, 0)))
+
+            last_d = done + int(sd[-1])
+            last_a = done + int(sa[-1])
+            aoi_at_last_act = int(base_aoai[-1])
+            done += k
 
     return _RunAccumulator(edges, sI, sA, sAI, actuations)
 

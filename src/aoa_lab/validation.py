@@ -29,7 +29,10 @@ sampling fluctuations.
 `sweep` spreads the points over a pool of `default_workers()` processes.  Its
 report depends neither on the worker count nor on the host's CPU count: each
 worker's numerics run on one thread, since no route passes BLAS a vector
-long enough for BLAS to split across its threads (see `chains.mean_age`).
+long enough for BLAS to split across its threads (see `chains.mean_age`)
+and the workers' simulations draw in place.  Outside a pool, a simulation
+draws each next chunk on one helper thread (`engine._draws_ahead`), which
+consumes the generator in the same order and changes no draw.
 """
 
 from __future__ import annotations
@@ -341,7 +344,7 @@ def sweep(
     """Cross-check every grid point and assemble the findings report.
 
     Points are evaluated in sorted order with per-point seeds seed + index,
-    and each worker's numerics are single-threaded, so the report is
+    and no route's numbers depend on its thread count, so the report is
     deterministic for fixed inputs regardless of the worker count
     (`max_workers`, default `default_workers()`) and of the host's CPU count.
     """

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aoa_lab.chains import choose_cap
-from aoa_lab.cli import CSV_HEADER, main
+from aoa_lab.cli import CSV_HEADER, TRACE_FIELDS, main
 from aoa_lab.core import Params
 from aoa_lab.engine import read_events_csv, run_trace
 
@@ -239,21 +239,35 @@ class TestTrace:
         assert [o["aoai"] for o in objs] == [2, 3, 4, 3, 4, 5, 6]
         assert [o["actuated"] for o in objs] == [0, 0, 0, 1, 0, 0, 0]
 
-    def test_json_rows_match_run_trace(self, capsys, tmp_path):
-        # The command steps and prints slot by slot; `run_trace` is the
-        # reference replay it must agree with.
+    @staticmethod
+    def _random_trace(tmp_path):
+        """A 300-slot events file and its rows in `TRACE_FIELDS` order, as
+        `run_trace`, the reference replay, gives them."""
         flags = np.random.default_rng(8).random((300, 2)) < (0.3, 0.6)
         f = tmp_path / "ev.csv"
         f.write_text("t,data,energy\n" + "".join(
             f"{t},{int(d)},{int(e)}\n" for t, (d, e) in enumerate(flags, start=1)))
+        rows = [(s.slot, int(d), int(e), s.system.cache, s.system.battery, int(act),
+                 s.ages.aoi, s.ages.aoa, s.ages.aoai)
+                for (d, e), (s, act) in zip(flags, run_trace(read_events_csv(f)))]
+        return f, rows
+
+    def test_json_rows_match_run_trace(self, capsys, tmp_path):
+        # The command steps and prints slot by slot; `run_trace` is the
+        # reference replay it must agree with.
+        f, rows = self._random_trace(tmp_path)
         code, out, _ = run_cli(capsys, "trace", "--events", str(f), "--json")
         assert code == 0
-        expected = [
-            {"t": s.slot, "data": int(d), "energy": int(e), "cache": s.system.cache,
-             "battery": s.system.battery, "actuated": int(act), "aoi": s.ages.aoi,
-             "aoa": s.ages.aoa, "aoai": s.ages.aoai}
-            for (d, e), (s, act) in zip(flags, run_trace(read_events_csv(f)))]
+        expected = [dict(zip(TRACE_FIELDS, row)) for row in rows]
         assert [json.loads(line) for line in out.splitlines()] == expected
+
+    def test_json_lines_are_json_dumps_of_each_row(self, capsys, tmp_path):
+        # Each line comes from one fixed template; its bytes are those of
+        # `json.dumps` of the row's dict.
+        f, rows = self._random_trace(tmp_path)
+        code, out, _ = run_cli(capsys, "trace", "--events", str(f), "--json")
+        assert code == 0
+        assert out == "".join(json.dumps(dict(zip(TRACE_FIELDS, row))) + "\n" for row in rows)
 
     def test_empty_file_exit_two(self, capsys, tmp_path):
         f = tmp_path / "ev.csv"

@@ -1,4 +1,7 @@
+import multiprocessing
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -164,7 +167,7 @@ class TestKernels:
                     state = expected & 3
                 assert final[block << 2 | start] == state
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.001, max_value=1.0),
            st.floats(min_value=0.001, max_value=1.0),
            st.integers(min_value=1, max_value=2 ** 63 - 1),
@@ -172,20 +175,27 @@ class TestKernels:
            st.sampled_from([engine._CHUNK, 7, 8, 9, 511, 512, 513]),
            st.integers(min_value=0, max_value=200),
            st.integers(min_value=1, max_value=4),
-           st.sampled_from([engine._DRAW, 1, 3, 8, 64]))
+           st.sampled_from([engine._DRAW, 1, 3, 8, 64]),
+           st.booleans())
     # A 7-slot chunk makes every carry (occupancy, last arrival, last
     # actuation, aoi at the last actuation) cross chunk edges inside the
     # warmup and inside each measured batch; 7, 8 and 9 cut chunks short of,
     # at and past the 8-slot block of the scan, and 511, 512 and 513 its
     # 64-block group.  Draws of 1, 3, 8 and 64 slots put the edges of the
     # draw pieces inside chunks, blocks and groups.  Rates down to 0.001 draw
-    # chunks and runs without an arrival or an actuation.
-    @example(0.3, 0.6, 5, 1000, 7, 100, 4, 3)
-    @example(1.0, 1.0, 3, 300, 9, 20, 3, 8)  # an arrival and an actuation every slot
-    @example(0.001, 0.5, 1, 50, 8, 10, 2, 1)  # no arrival, so no actuation
-    @example(0.4, 0.7, 9, 1500, 513, 30, 4, 64)
+    # chunks and runs without an arrival or an actuation.  `ahead` draws each
+    # next chunk on the helper thread (True) or in the calling thread (False);
+    # every example runs both ways.
+    @example(0.3, 0.6, 5, 1000, 7, 100, 4, 3, False)
+    @example(0.3, 0.6, 5, 1000, 7, 100, 4, 3, True)
+    @example(1.0, 1.0, 3, 300, 9, 20, 3, 8, False)  # an arrival and an actuation every slot
+    @example(1.0, 1.0, 3, 300, 9, 20, 3, 8, True)
+    @example(0.001, 0.5, 1, 50, 8, 10, 2, 1, False)  # no arrival, so no actuation
+    @example(0.001, 0.5, 1, 50, 8, 10, 2, 1, True)
+    @example(0.4, 0.7, 9, 1500, 513, 30, 4, 64, False)
+    @example(0.4, 0.7, 9, 1500, 513, 30, 4, 64, True)
     def test_fast_path_matches_reference_step_loop(self, l1, l2, seed, slots, chunk,
-                                                   warmup, n_batches, draw):
+                                                   warmup, n_batches, draw, ahead):
         warmup = min(warmup, slots - 1)
         n_batches = min(n_batches, slots - warmup)
         p = make_params(l1, l2)
@@ -196,6 +206,7 @@ class TestKernels:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_CHUNK", chunk)
             mp.setattr(engine, "_DRAW", draw)
+            mp.setattr(engine, "_draws_ahead", lambda: ahead)
             acc = _simulate(p, slots, seed, warmup=warmup, n_batches=n_batches)
         edges = acc.batch_edges.tolist()
         assert edges[0] == warmup and edges[-1] == slots
@@ -282,13 +293,14 @@ class TestRun:
         assert tuple(stderrs.tolist()) == expected_stderrs
 
     def test_memory_peak_does_not_grow_with_the_run(self):
-        # A run reuses one draw buffer of `_DRAW` slots and one pair of flag
-        # buffers of `_CHUNK` slots, and each chunk's temporaries are freed
-        # before the next, so 4e6 slots, 16 chunks, allocate at most a fixed
-        # amount at any one time (tracemalloc counts numpy's buffers): 32 MiB
-        # at dense rates, whose event lists are long, and 5 MiB at sparse
-        # rates, where the buffers are most of the 3.6-MiB peak.  The block
-        # table, built once per process, is built before the measurement.
+        # A run reuses one draw buffer of `_DRAW` slots and two pairs of flag
+        # buffers of `_CHUNK` slots, one drawn while the other is scanned,
+        # and each chunk's temporaries are freed before the next, so 4e6
+        # slots, 16 chunks, allocate at most a fixed amount at any one time
+        # (tracemalloc counts numpy's buffers, on every thread): 32 MiB at
+        # dense rates, whose event lists are long, and 5 MiB at sparse rates,
+        # where the buffers are most of the peak.  The block table, built
+        # once per process, is built before the measurement.
         _block_table()
         for rate, bound_mib in ((0.9, 32), (0.05, 5)):
             tracemalloc.start()
@@ -298,6 +310,50 @@ class TestRun:
             finally:
                 tracemalloc.stop()
             assert peak <= bound_mib * 2 ** 20, rate
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_no_thread_outlives_a_run(self, fail):
+        # The helper thread is joined when the run returns and when the scan
+        # raises while it is drawing the next chunk.
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_draws_ahead", lambda: True)
+            if fail:
+                def scan(*args):
+                    raise RuntimeError("scan failed")
+                mp.setattr(engine, "_scan_events", scan)
+                with pytest.raises(RuntimeError, match="scan failed"):
+                    run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
+            else:
+                run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
+        assert threading.active_count() == threads
+
+    def test_draw_error_on_the_helper_thread_reaches_the_caller(self):
+        draw_chunk = engine._draw_chunk
+        drawn_on = []
+
+        def draw(*args):
+            drawn_on.append(threading.current_thread())
+            if len(drawn_on) == 2:
+                raise RuntimeError("draw failed")
+            return draw_chunk(*args)
+
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_draws_ahead", lambda: True)
+            mp.setattr(engine, "_draw_chunk", draw)
+            with pytest.raises(RuntimeError, match="draw failed"):
+                run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
+        assert len(drawn_on) == 2
+        assert threading.main_thread() not in drawn_on
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pool_workers_draw_in_place(self, method):
+        # `validation.sweep`'s pool already runs one worker process per CPU.
+        ctx = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            assert pool.submit(engine._draws_ahead).result(timeout=60) is False
 
     def test_actuation_rate_matches_age_one_mass(self):
         p = make_params(0.2, 0.1)
@@ -345,6 +401,22 @@ class TestEventsCsv:
     def test_slot_error_names_physical_line_after_blank(self, tmp_path):
         with pytest.raises(DomainError, match="line 4: slot index must be 2, got 3"):
             read_events_csv(self._write(tmp_path, "t,data,energy\n1,0,0\n\n3,1,0\n"))
+
+    def test_rows_share_the_four_slot_events(self, tmp_path):
+        # The list holds one pointer per row: at most 16 bytes a row, where
+        # one frozen instance per row took about 96.
+        flags = np.random.default_rng(3).random((100_000, 2)) < 0.5
+        f = self._write(tmp_path, "t,data,energy\n" + "".join(
+            f"{t},{int(d)},{int(e)}\n" for t, (d, e) in enumerate(flags, start=1)))
+        tracemalloc.start()
+        try:
+            events = read_events_csv(f)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 * len(flags)
+        assert events == events_from_arrays(flags[:, 0], flags[:, 1])
+        assert len({id(ev) for ev in events}) == 4
 
     def test_non_integer_rejected(self, tmp_path):
         with pytest.raises(DomainError, match="line 2"):
