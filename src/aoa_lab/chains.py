@@ -63,7 +63,9 @@ STATIONARY_TOL = 1e-13
 
 # Largest truncated chain a builder accepts.  The AoAI chain at the CLI floor,
 # (0.01, 0.5) with cap 2302, has 2 653 055 states; at lambda1 = 1e-4 its
-# cap of 230 257 would give 2.65e10 states, more than memory holds.
+# cap of 230 257 would give 2.65e10 states, more than memory holds.  The floor
+# chain peaks at about 160 resident bytes per state in the build and 320 in
+# the solve (Linux, numpy 2.4, scipy 1.17, imports included).
 MAX_CHAIN_STATES = 3_000_000
 
 
@@ -74,8 +76,9 @@ class TruncatedChain:
     states      -- (n, 3) int array of the states, one per row, grouped by
                    level in increasing order: (age, cache, battery) in the
                    AoA chain, (aoai, aoi, battery) in the AoAI chain.
-    matrix      -- sparse row matrix; rows at the cap boundary are
-                   substochastic, interior rows sum to 1.
+    matrix      -- canonical CSR matrix (sorted indices, duplicate outcomes
+                   summed); rows at the cap boundary are substochastic,
+                   interior rows sum to 1.
     level_cap   -- largest retained age level.
     tail_mass   -- a-priori geometric estimate of stationary mass above the
                    cap, decay_rate**cap / (1 - decay_rate).
@@ -106,8 +109,13 @@ class StationaryDist:
     delta: float
 
 
-def _transitions(p: Params, occ: np.ndarray, successor) -> scipy.sparse.coo_matrix:
-    """Transition matrix of a chain whose state k has occupancy code occ[k].
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    # Index pointer of a compressed sparse matrix with counts[k] entries in row k.
+    return np.cumsum(np.pad(counts, (1, 0)), dtype=np.int32)
+
+
+def _truncated_chain(p: Params, cap: int, states, occ, successor) -> TruncatedChain:
+    """Chain truncated at cap over `states`, whose state k has occupancy code occ[k].
 
     For each slot outcome of positive probability, in the order w, x, y, z,
     `_TRANSITIONS` gives every state's next occupancy code and actuation bit,
@@ -119,16 +127,18 @@ def _transitions(p: Params, occ: np.ndarray, successor) -> scipy.sparse.coo_matr
     s = shorthand(p)
     table = np.frombuffer(_TRANSITIONS, dtype=np.uint8)
     n = len(occ)
-    parts = []
     # Event code data | energy << 1 of each outcome, as `_TRANSITIONS` indexes it.
-    for prob, code in ((s.w, 3), (s.x, 1), (s.y, 2), (s.z, 0)):
-        if prob > 0.0:
-            entry = table[occ * 4 + code]
-            col = successor(code & 1, entry & 3, entry >> 2)
-            row = np.flatnonzero(col < n)
-            parts.append((np.full(len(row), prob), row, col[row]))
-    probs, rows, cols = (np.concatenate(x) for x in zip(*parts))
-    return sp.coo_matrix((probs, (rows, cols)), shape=(n, n))
+    outcomes = [(pr, code) for pr, code in ((s.w, 3), (s.x, 1), (s.y, 2), (s.z, 0)) if pr > 0.0]
+    cols = np.empty((n, len(outcomes)), dtype=np.int32)
+    for j, (_, code) in enumerate(outcomes):
+        entry = table[occ * 4 + code]
+        cols[:, j] = successor(code & 1, entry & 3, entry >> 2)
+    keep = cols < n
+    probs = np.broadcast_to([pr for pr, _ in outcomes], cols.shape)
+    m = sp.csr_matrix((probs[keep], cols[keep], _indptr(keep.sum(axis=1))), shape=(n, n))
+    m.sum_duplicates()
+    r = _decay_rate(p)
+    return TruncatedChain(np.column_stack(states), m, cap, _a_priori_tail_mass(r, cap), r)
 
 
 def _decay_rate(p: Params) -> float:
@@ -173,13 +183,6 @@ def _a_priori_tail_mass(r: float, cap: int) -> float:
     return r ** cap / (1.0 - r) if r > 0.0 else 0.0
 
 
-def _truncated_chain(p, cap, states, occ, successor) -> TruncatedChain:
-    r = _decay_rate(p)
-    return TruncatedChain(np.column_stack(states),
-                          _transitions(p, occ, successor).tocsr(), cap,
-                          _a_priori_tail_mass(r, cap), r)
-
-
 def build_aoa_chain(p: Params, cap: int) -> TruncatedChain:
     """Truncated actuation-age chain over states (age, cache, battery).
 
@@ -192,8 +195,8 @@ def build_aoa_chain(p: Params, cap: int) -> TruncatedChain:
     if cap < 2:
         raise DomainError(f"cap must be >= 2, got {cap}")
     _check_size("aoa", cap, 3 * cap - 1)
-    occ = np.concatenate(([0, 1], np.tile([0, 1, 2], cap - 1)))
-    age = np.concatenate(([1, 1], np.repeat(np.arange(2, cap + 1), 3)))
+    k = np.arange(3 * cap - 1)
+    age, occ = (k + 4) // 3, np.where(k < 2, k, (k + 1) % 3)
     # An actuation restarts the age at 1; level age + 1 starts at 3*age - 1.
     return _truncated_chain(p, cap, (age, occ >> 1, occ & 1), occ,
                             lambda data, occ2, act: np.where(act, occ2, 3 * age - 1 + occ2))
@@ -231,7 +234,7 @@ def _splu():
 
     Importing `scipy.sparse.linalg` takes tens of milliseconds, which every
     CLI command would pay at start-up if this module imported it.  Like the
-    `scipy.sparse` of `_transitions` and `stationary`, it loads only on the
+    `scipy.sparse` of `_truncated_chain` and `stationary`, it loads only on the
     chain route.
     """
     from scipy.sparse.linalg import splu
@@ -260,19 +263,16 @@ def stationary(chain: TruncatedChain, maxiter: int = 10 ** 6) -> StationaryDist:
         raise DomainError(f"maxiter must be at least 1, got {maxiter}")
     import scipy.sparse as sp
 
-    # The triplets of P: entry k is P[src[k], m.indices[k]], at
-    # (m.indices[k], src[k]) in P^T.
+    # P's CSR arrays, read by column, are P^T in CSC.  R and F keep the entries
+    # a mask selects; column j of each starts at the mask's count before m.indptr[j].
     m = chain.matrix
     n = m.shape[0]
-    src = np.repeat(np.arange(n), np.diff(m.indptr))
+    src = np.repeat(np.arange(n, dtype=np.int32), np.diff(m.indptr))
     ahead = (m.indices > src) | ((m.indices == src) & (m.data < 1.0))
-    back = ~ahead
-    r = sp.csc_matrix((m.data[back], (m.indices[back], src[back])), shape=(n, n))
-    diag = np.arange(n)
-    i_minus_f = sp.csc_matrix(
-        (np.concatenate((np.ones(n), -m.data[ahead])),
-         (np.concatenate((diag, m.indices[ahead])), np.concatenate((diag, src[ahead])))),
-        shape=(n, n))
+    r, f = (sp.csc_matrix((m.data[k], m.indices[k], _indptr(k)[m.indptr]), shape=(n, n))
+            for k in (~ahead, ahead))
+    i_minus_f = sp.identity(n, format="csc") - f
+    del src, ahead, f  # else held through the factor: 120 MiB at the CLI floor
     # With the natural order and diagonal pivots the factor of I - F is I - F
     # itself, with no fill.  SuperLU's default panel of 10 columns makes it
     # touch dense n-row workspaces: at the CLI floor that took the factor

@@ -29,7 +29,7 @@ def state_tuples(chain):
 
 
 def row_dict(chain, state):
-    m = chain.matrix.tocsr()
+    m = chain.matrix
     states = state_tuples(chain)
     i = states.index(state)
     lo, hi = m.indptr[i], m.indptr[i + 1]
@@ -165,6 +165,20 @@ def _engine_state_for(chain_kind, state):
     return EngineState(SystemState(c, b), AgeVector(aoi, 1, ai), 0)
 
 
+def outcome_probs(p):
+    """Probability of each slot outcome (data, energy), in the order w, x, y, z."""
+    s = shorthand(p)
+    return {(1, 1): s.w, (1, 0): s.x, (0, 1): s.y, (0, 0): s.z}
+
+
+def successor_state(chain_kind, state, data, energy):
+    """The chain state the reference stepper reaches from `state` in one slot."""
+    new, _ = step(_engine_state_for(chain_kind, state), SlotEvents(bool(data), bool(energy)))
+    if chain_kind == "aoa":
+        return (new.ages.aoa, new.system.cache, new.system.battery)
+    return (new.ages.aoai, new.ages.aoi, new.system.battery)
+
+
 class TestSemanticsTie:
     # Every generated row must equal the one-step distribution of the
     # reference stepper from the same state, transitions above the cap
@@ -176,23 +190,54 @@ class TestSemanticsTie:
                                               ("aoai", build_aoai_chain)])
     def test_one_step_distribution(self, kind, builder, l1, l2):
         p = make_params(l1, l2)
-        s = shorthand(p)
         cap = 9
         ch = builder(p, cap=cap)
-        probs = {(1, 1): s.w, (1, 0): s.x, (0, 1): s.y, (0, 0): s.z}
         for state in state_tuples(ch):
             expected = {}
-            for (d, e), pr in probs.items():
+            for (d, e), pr in outcome_probs(p).items():
                 if pr == 0.0:
                     continue
-                new, _ = step(_engine_state_for(kind, state), SlotEvents(bool(d), bool(e)))
-                if kind == "aoa":
-                    target = (new.ages.aoa, new.system.cache, new.system.battery)
-                else:
-                    target = (new.ages.aoai, new.ages.aoi, new.system.battery)
+                target = successor_state(kind, state, d, e)
                 if target[0] <= cap:
                     expected[target] = expected.get(target, 0.0) + pr
             assert row_dict(ch, state) == expected, state
+
+    # `row_dict` reads a row into a dict, where a second entry for one
+    # column would silently overwrite the first: the matrix must hold each
+    # (row, column) once.  The builder's CSR must also be exactly what
+    # `tocsr` makes of the per-outcome triplets, outcome by outcome in the
+    # order w, x, y, z, array for array and dtype for dtype.
+    @pytest.mark.parametrize("l1,l2", [(0.3, 0.4), (1.0, 0.4), (0.4, 1.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("kind,builder", [("aoa", build_aoa_chain),
+                                              ("aoai", build_aoai_chain)])
+    def test_matrix_is_canonical_csr_of_outcome_triplets(self, kind, builder, l1, l2):
+        import scipy.sparse as sp
+
+        p = make_params(l1, l2)
+        for cap in [*range(2, 10), choose_cap(p, 1e-10)]:
+            ch = builder(p, cap=cap)
+            m = ch.matrix
+            n = m.shape[0]
+            assert m.format == "csr" and m.has_canonical_format
+            row_of = np.repeat(np.arange(n), np.diff(m.indptr))
+            assert (np.diff(row_of * n + m.indices) > 0).all(), cap
+            states = state_tuples(ch)
+            index = {state: k for k, state in enumerate(states)}
+            probs, rows, cols = [], [], []
+            for (d, e), pr in outcome_probs(p).items():
+                if pr == 0.0:
+                    continue
+                for k, state in enumerate(states):
+                    target = successor_state(kind, state, d, e)
+                    if target[0] <= cap:
+                        probs.append(pr)
+                        rows.append(k)
+                        cols.append(index[target])
+            ref = sp.coo_matrix((np.array(probs), (np.array(rows), np.array(cols))),
+                                shape=(n, n)).tocsr()
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(m, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (cap, name)
 
 
 class TestStationaryTruncated:
@@ -323,6 +368,29 @@ class TestMeanAge:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux only")
+    def test_floor_chain_memory_and_mean(self):
+        # The largest chain the CLI accepts, 2 653 055 states at the rate
+        # floor.  Built as one CSR it peaks at about 400 MiB; built as COO
+        # triplet parts, concatenated and converted by `tocsr`, it peaked at
+        # 807 MiB, which the bound rejects.  The mean and bound are pinned to
+        # their bytes from that triplet build.
+        code = (
+            "import resource\n"
+            "from aoa_lab.chains import build_aoai_chain, mean_age, stationary\n"
+            "from aoa_lab.core import make_params\n"
+            "ch = build_aoai_chain(make_params(0.01, 0.5), cap=2302)\n"
+            "built = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(len(ch.states), built, *map(repr, mean_age(stationary(ch), ch)))\n")
+        src = str(Path(aoa_lab.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        n, built_kib, mean, bound = proc.stdout.split()
+        assert int(n) == 2_653_055
+        assert int(built_kib) <= 650 * 1024
+        assert (mean, bound) == ("100.00020171457807", "2.2556503158951378e-07")
 
     def test_level_masses_sum_to_one(self):
         p = make_params(0.6, 0.4)
