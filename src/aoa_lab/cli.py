@@ -148,8 +148,8 @@ def cmd_validate(args) -> int:
         verdict = "PASS" if r.passed else "FAIL"
         print(f"{verdict} lambda1={_fmt(r.params.lambda1)} lambda2={_fmt(r.params.lambda2)} "
               f"metric={r.metric} max_rel_disagreement={_fmt(r.max_rel_disagreement)}")
-    wit = ";".join(f"({_fmt(b)},{_fmt(lo)},{_fmt(hi)})"
-                   for b, lo, hi in report.aoa_nonmonotone_witnesses) or "none"
+    wit = ";".join(f"({axis},{_fmt(at)},{_fmt(lo)},{_fmt(hi)})"
+                   for axis, at, lo, hi in report.aoa_nonmonotone_witnesses) or "none"
     vio = ";".join(f"({_fmt(a)},{_fmt(b)}:{msg})"
                    for a, b, msg in report.ordering_violations) or "none"
     print(f"symmetry_max_rel_dev={_fmt(report.symmetry_max_rel_dev)}")

@@ -326,18 +326,21 @@ def _age_sums(starts: np.ndarray, bases, q: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, if any."""
+    if hasattr(os, "sched_getaffinity"):  # not every platform has one
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _draws_ahead() -> bool:
     """Whether `_simulate` draws each next chunk on a helper thread.
 
     Only where this process may run on more than one CPU, and not in a
     `multiprocessing` worker: `validation.sweep`'s pool already runs one
-    worker process per CPU, and a helper thread in each slowed it down.
+    worker process per usable CPU, and a helper thread in each slowed it down.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has sched_getaffinity
-        cpus = os.cpu_count() or 1
-    return cpus > 1 and multiprocessing.parent_process() is None
+    return _usable_cpus() > 1 and multiprocessing.parent_process() is None
 
 
 def _draw_chunk(rng, u: np.ndarray, flags: np.ndarray, l1: float, l2: float) -> np.ndarray:

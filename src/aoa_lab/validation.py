@@ -7,9 +7,9 @@ recursive series; `ROUTE_METRICS` says which route covers which metric.
 metric, the long-format record that the CLI prints (one CSV line or JSON
 object per row).  `cross_check` runs all requested routes at one point and
 scores their pairwise agreement; `sweep` does that over a grid, with point i
-of the sorted grid seeded `seed + i`, and summarizes the qualitative
-findings (approximate symmetry, actuation-age non-monotonicity,
-actuated-information monotonicity, mean ordering).
+of the sorted grid seeded `seed + i`, and summarizes the closed form's
+findings: approximate symmetry, mean ordering, and the sign of each
+neighbour step of the grid, along either axis (see `SweepReport`).
 
 A point passes when, for every pair of routes, the relative disagreement is
 below tol_rel AND the two 3-sigma-style intervals (value plus or minus three
@@ -176,8 +176,10 @@ class CrossCheckResult:
 class SweepReport:
     """Grid-wide cross-check rows plus the qualitative findings.
 
-    aoa_nonmonotone_witnesses lists (lambda2, lambda1_low, lambda1_high)
-    triples where the closed-form actuation age rises with lambda1.
+    aoa_nonmonotone_witnesses lists the (axis, fixed, low, high) neighbour
+    steps where the closed-form actuation age rises: `axis` ("lambda1" or
+    "lambda2") goes from `low` to its next grid value `high`, the other rate
+    at `fixed`; aoai_monotone says the actuated-information age falls on all.
     ordering_violations lists (lambda1, lambda2, description) where the mean
     ordering aoi <= aoa <= aoai fails; the first leg genuinely fails in the
     data-scarce / energy-rich corner of the parameter square.
@@ -282,6 +284,15 @@ def _point_worker(args):
     return cross_check(p, slots, seed, tol_rel, methods, warmup, tail_eps)
 
 
+def _neighbour_steps(keys):
+    """Yield `((axis, fixed, low, high), lo, hi)` per neighbour step, along lambda1 first."""
+    for axis, fixed in (("lambda1", 1), ("lambda2", 0)):
+        line = sorted(keys, key=lambda k: (k[fixed], k[1 - fixed]))
+        for lo, hi in zip(line, line[1:]):
+            if lo[fixed] == hi[fixed]:
+                yield (axis, lo[fixed], lo[1 - fixed], hi[1 - fixed]), lo, hi
+
+
 def _findings(points: Sequence[Params]):
     """Closed-form findings over the grid: symmetry, monotonicity, ordering."""
     avg = {(p.lambda1, p.lambda2): analytic.averages(p) for p in points}
@@ -292,25 +303,9 @@ def _findings(points: Sequence[Params]):
                       abs(m.aoa_bar - mirrored.aoa_bar) / m.aoa_bar,
                       abs(m.aoai_bar - mirrored.aoai_bar) / m.aoai_bar)
 
-    l1s = sorted({p.lambda1 for p in points})
-    l2s = sorted({p.lambda2 for p in points})
-    witnesses = []
-    for b in l2s:
-        row = [(a, avg[(a, b)].aoa_bar) for a in l1s if (a, b) in avg]
-        for i in range(len(row)):
-            for j in range(i + 1, len(row)):
-                if row[i][1] < row[j][1]:
-                    witnesses.append((b, row[i][0], row[j][0]))
-
-    monotone = True
-    for b in l2s:
-        vals = [avg[(a, b)].aoai_bar for a in l1s if (a, b) in avg]
-        if any(vals[i + 1] >= vals[i] for i in range(len(vals) - 1)):
-            monotone = False
-    for a in l1s:
-        vals = [avg[(a, b)].aoai_bar for b in l2s if (a, b) in avg]
-        if any(vals[i + 1] >= vals[i] for i in range(len(vals) - 1)):
-            monotone = False
+    steps = list(_neighbour_steps(avg))
+    witnesses = tuple(step for step, lo, hi in steps if avg[lo].aoa_bar < avg[hi].aoa_bar)
+    monotone = not any(avg[hi].aoai_bar >= avg[lo].aoai_bar for _, lo, hi in steps)
 
     violations = []
     for (a, b), m in sorted(avg.items()):
@@ -322,13 +317,14 @@ def _findings(points: Sequence[Params]):
 
 
 def default_workers() -> int:
+    """`AOA_LAB_THREADS` if set, else the number of CPUs this process may use."""
     env = os.environ.get("AOA_LAB_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise DomainError(f"AOA_LAB_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    return engine._usable_cpus()
 
 
 def sweep(
@@ -346,7 +342,7 @@ def sweep(
     Points are evaluated in sorted order with per-point seeds seed + index,
     and no route's numbers depend on its thread count, so the report is
     deterministic for fixed inputs regardless of the worker count
-    (`max_workers`, default `default_workers()`) and of the host's CPU count.
+    (`max_workers`, default `default_workers()`) and of the CPUs it may use.
     """
     if not points:
         raise DomainError("sweep needs at least one grid point")

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from aoa_lab import validation
 from aoa_lab.chains import choose_cap
 from aoa_lab.cli import CSV_HEADER, TRACE_FIELDS, main
 from aoa_lab.core import Params
@@ -364,6 +365,18 @@ class TestValidate:
         assert "aoai_monotone=true" in out
         assert "symmetry_max_rel_dev=" in out
         assert out.count("PASS") == 4 * 3
+
+    def test_witness_line_prints_steps_on_both_axes(self, capsys, monkeypatch):
+        # Only the closed form feeds the findings, so the analytic route is
+        # enough to print them.
+        real = validation.sweep
+        monkeypatch.setattr(validation, "sweep", lambda points, methods, *a, **k:
+                            real(points, ("analytic",), *a, **k))
+        code, out, _ = run_cli(capsys, "validate", "--grid", "0.1:0.9:0.4",
+                               "--slots", "1000", "--seed", "0")
+        assert code == 0
+        assert ("\naoa_nonmonotone_witnesses=(lambda1,0.1,0.5,0.9);(lambda2,0.1,0.5,0.9)\n"
+                in out)
 
     def test_undersampled_grid_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--grid", "0.5:0.5:0.1",

@@ -1,10 +1,13 @@
+import os
+
 import pytest
 
+from aoa_lab.analytic import averages
 from aoa_lab.core import Params, make_params
 from aoa_lab.errors import DomainError
 from aoa_lab.validation import (MAX_GRID_VALUES, METHOD_ORDER, ROUTE_METRICS,
-                                cross_check, default_workers, grid_range,
-                                route_rows, sweep)
+                                _findings, _neighbour_steps, cross_check,
+                                default_workers, grid_range, route_rows, sweep)
 
 
 def by_method(result):
@@ -129,10 +132,41 @@ class TestRouteRows:
 
 class TestSweep:
     def test_nonmonotone_witnesses_on_scarce_energy_row(self):
+        # The actuation age falls from lambda1 = 0.1 to 0.3, then rises on
+        # every neighbour step of the row.
         points = [Params(a / 10, 0.1) for a in range(1, 10)]
         rep = sweep(points, methods=("analytic",), slots=10 ** 5, seed=0)
-        assert rep.aoa_nonmonotone_witnesses
-        assert (0.1, 0.2, 0.9) in rep.aoa_nonmonotone_witnesses
+        assert rep.aoa_nonmonotone_witnesses == tuple(
+            ("lambda1", 0.1, a / 10, (a + 1) / 10) for a in range(3, 9))
+
+    def test_witnesses_on_the_acceptance_grid_along_both_axes(self):
+        g = grid_range("0.1:0.9:0.2")
+        rep = sweep([Params(a, b) for a in g for b in g], methods=("analytic",),
+                    slots=10 ** 5, seed=0)
+        assert rep.aoa_nonmonotone_witnesses == (
+            ("lambda1", 0.1, 0.3, 0.5), ("lambda1", 0.1, 0.5, 0.7),
+            ("lambda1", 0.1, 0.7, 0.9), ("lambda1", 0.3, 0.7, 0.9),
+            ("lambda2", 0.1, 0.3, 0.5), ("lambda2", 0.1, 0.5, 0.7),
+            ("lambda2", 0.1, 0.7, 0.9), ("lambda2", 0.3, 0.7, 0.9))
+        # Scarce data: more energy makes actions older.
+        low, high = (averages(Params(0.1, b)).aoa_bar for b in (0.3, 0.5))
+        assert (low, high) == (pytest.approx(9.8183, abs=1e-4),
+                               pytest.approx(9.93879, abs=1e-5))
+
+    def test_witness_count_is_linear_in_the_grid_points(self):
+        g = grid_range("0.01:1:0.01")
+        n = len(g)
+        _, witnesses, monotone, _ = _findings([Params(a, b) for a in g for b in g])
+        along = [w[0] for w in witnesses]
+        assert (along.count("lambda1"), along.count("lambda2")) == (2715, 2259)
+        assert len(witnesses) == 4974 <= 2 * n * (n - 1)
+        assert monotone
+
+    def test_steps_join_only_consecutive_points_on_one_line(self):
+        keys = [(0.1, 0.1), (0.5, 0.1), (0.9, 0.1), (0.5, 0.5), (0.9, 0.9)]
+        assert [step for step, _, _ in _neighbour_steps(keys)] == [
+            ("lambda1", 0.1, 0.1, 0.5), ("lambda1", 0.1, 0.5, 0.9),
+            ("lambda2", 0.5, 0.1, 0.5), ("lambda2", 0.9, 0.1, 0.9)]
 
     def test_full_grid_findings(self):
         points = [Params(a / 10, b / 10) for a in range(1, 10) for b in range(1, 10)]
@@ -174,3 +208,9 @@ class TestWorkers:
     def test_env_absent_uses_cpu_count(self, monkeypatch):
         monkeypatch.delenv("AOA_LAB_THREADS", raising=False)
         assert default_workers() >= 1
+
+    def test_env_absent_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("AOA_LAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_workers() == 1
