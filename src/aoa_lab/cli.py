@@ -22,6 +22,8 @@ import os
 import sys
 from typing import Optional, Sequence, TextIO
 
+import numpy as np
+
 from . import engine, validation
 from .core import Params
 from .errors import (AoaLabError, CapError, ConvergenceError, DomainError,
@@ -34,6 +36,7 @@ TRACE_FIELDS = ("t", "data", "energy", "cache", "battery", "actuated", "aoi", "a
 # of json.dumps(dict(zip(TRACE_FIELDS, row))) with the bools made ints.
 _TRACE_CSV = ",".join(["%d"] * len(TRACE_FIELDS))
 _TRACE_JSON = "{" + ", ".join(f'"{name}": %d' for name in TRACE_FIELDS) + "}"
+_TRACE_ROWS = 4096  # `trace` rows formatted and printed at a time
 
 
 def _fmt(v: float) -> str:
@@ -161,18 +164,17 @@ def cmd_validate(args) -> int:
 
 def cmd_trace(args) -> int:
     # The whole file is parsed before the first row is printed, so a malformed
-    # file prints nothing; then each slot is stepped and printed in turn, as
-    # `engine.run_trace` would replay it, without holding the trajectory.
+    # file prints nothing; then the scan replays it piece by piece, as
+    # `engine.run_trace` would, and `_TRACE_ROWS` rows are printed at a time.
     events = engine.read_events_csv(args.events)
+    data = np.fromiter((ev.data_arrived for ev in events), bool, len(events))
+    energy = np.fromiter((ev.energy_arrived for ev in events), bool, len(events))
     if not args.json:
         print(",".join(TRACE_FIELDS))
     template = _TRACE_JSON if args.json else _TRACE_CSV
-    state = engine.initial_state()
-    for ev in events:
-        state, act = engine.step(state, ev)
-        print(template % (state.slot, ev.data_arrived, ev.energy_arrived, state.system.cache,
-                          state.system.battery, act, state.ages.aoi, state.ages.aoa,
-                          state.ages.aoai))
+    for rows in engine._trace_columns(data, energy):
+        for lo in range(0, len(rows), _TRACE_ROWS):
+            print("\n".join(template % tuple(row) for row in rows[lo:lo + _TRACE_ROWS].tolist()))
     return 0
 
 

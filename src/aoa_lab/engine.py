@@ -32,8 +32,9 @@ chunks of slots, in three vectorised stages:
   blocks and looks them up in a table that composes the one-slot table of
   the same slot rules (`_step_core`).  It runs on two levels: vectorised
   gathers compose the maps of groups of 64 blocks, one Python step per group
-  carries the state, and more gathers hand each block its start state.
-  Tests replay the scan against `step` bit for bit;
+  carries the state, and more gathers hand each block its start state.  The
+  scan also replays `trace`'s event files (`_trace_columns`), and tests
+  replay it against `step` bit for bit;
 * the age sums are renewal-reward sums over the arrival and actuation slots:
   an age that restarts at a and runs n slots adds n*a + n*(n-1)/2, so no
   per-slot age is stored, and every batch sum is an exact integer.  The
@@ -48,7 +49,7 @@ import functools
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,6 +80,9 @@ _CHUNK = 1 << 18
 # the chunk's flags, so no chunk-long float buffer is ever held.  Results do
 # not depend on either size.
 _DRAW = 1 << 15
+# Slots per piece of `trace`'s replay on the scan (`_trace_columns`): a
+# 600 000-row `trace` peaked at 44 MiB resident at 2^14 slots, 49 at 2^15.
+_TRACE_PIECE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -294,6 +298,28 @@ def _scan_events(data: np.ndarray, energy: np.ndarray, cache: int, battery: int)
     return packed > 3, packed & 3, entry >> 1, entry & 1
 
 
+def _trace_columns(data: np.ndarray, energy: np.ndarray):
+    """`run_trace` of whole flag arrays, on the scan: yields int64 rows of
+    (slot, data, energy, cache, battery, actuated, aoi, aoa, aoai), one array
+    per piece of `_TRACE_PIECE` slots.  At slot t the aoi, aoa and aoai are
+    t + 1 minus the last arrival, the last actuation and the arrival of the
+    packet last actuated: running maxima that start at -1, the virtual slot of
+    age 1.  Like `_simulate`, it carries them and the occupancy across pieces.
+    """
+    cache = battery = 0
+    last_d = last_a = last_served = -1
+    for lo in range(0, len(data), _TRACE_PIECE):
+        d, e = data[lo:lo + _TRACE_PIECE], energy[lo:lo + _TRACE_PIECE]
+        act, st, cache, battery = _scan_events(d, e, cache, battery)
+        t = np.arange(lo, lo + len(d))
+        arrived = np.maximum.accumulate(np.where(d, t, last_d))
+        acted = np.maximum.accumulate(np.where(act, t, last_a))
+        served = np.maximum.accumulate(np.where(act, arrived, last_served))
+        last_d, last_a, last_served = int(arrived[-1]), int(acted[-1]), int(served[-1])
+        yield np.column_stack((t + 1, d, e, st >> 1, st & 1, act,
+                               t - arrived + 1, t - acted + 1, t - served + 1))
+
+
 def _age_sums(starts: np.ndarray, bases, q: np.ndarray) -> np.ndarray:
     """Sums of ages over each slot range [q[i], q[i+1]), for sorted q.
 
@@ -360,18 +386,6 @@ def _draw_chunk(rng, u: np.ndarray, flags: np.ndarray, l1: float, l2: float) -> 
     return flags
 
 
-class _InPlace:
-    """A call deferred until its result is read: the stand-in for a future
-    when `_simulate` draws in the calling thread.  Its one pair of flag
-    buffers then takes chunk i+1 only after chunk i is scanned."""
-
-    def __init__(self, fn, *args):
-        self._call = functools.partial(fn, *args)
-
-    def result(self):
-        return self._call()
-
-
 @dataclass
 class _RunAccumulator:
     """Exact integer tallies of a simulated run, split into measurement batches."""
@@ -424,18 +438,15 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
         pair = flags[lo // chunk % len(flags), :, :min(chunk, slots - lo)]
         return _draw_chunk(rng, u, pair, l1, l2)
 
-    with ExitStack() as stack:
+    with ThreadPoolExecutor(1) if ahead else nullcontext() as helper:
         if ahead:
-            start = stack.enter_context(ThreadPoolExecutor(1)).submit
-        else:
-            start = _InPlace
-        pending = start(draw, 0)
+            pending = helper.submit(draw, 0)
         done = 0
         while done < slots:
-            d, e = pending.result()
+            d, e = pending.result() if ahead else draw(done)
             k = len(d)
-            if done + k < slots:
-                pending = start(draw, done + k)
+            if ahead and done + k < slots:
+                pending = helper.submit(draw, done + k)
             cache_in = cache
             act, st, cache, battery = _scan_events(d, e, cache, battery)
 

@@ -26,13 +26,14 @@ errors from an exact route with probability 2 * t.sf(3, 19) = 0.0074 per
 comparison.  Isolated failures at about that 0.74 percent rate are expected
 sampling fluctuations.
 
-`sweep` spreads the points over a pool of `default_workers()` processes.  Its
-report depends neither on the worker count nor on the host's CPU count: each
-worker's numerics run on one thread, since no route passes BLAS a vector
-long enough for BLAS to split across its threads (see `chains.mean_age`)
-and the workers' simulations draw in place.  Outside a pool, a simulation
-draws each next chunk on one helper thread (`engine._draws_ahead`), which
-consumes the generator in the same order and changes no draw.
+`sweep` spreads the points over a pool of `default_workers()` processes, at
+most one per point.  Its report depends neither on the worker count nor on
+the host's CPU count: each worker's numerics run on one thread, since no
+route passes BLAS a vector long enough for BLAS to split across its threads
+(see `chains.mean_age`) and the workers' simulations draw in place.  Outside
+a pool, a simulation draws each next chunk on one helper thread
+(`engine._draws_ahead`), which consumes the generator in the same order and
+changes no draw.
 """
 
 from __future__ import annotations
@@ -349,8 +350,8 @@ def sweep(
     pts = sorted(points, key=lambda p: (p.lambda1, p.lambda2))
     jobs = [(p, slots, seed + i, tol_rel, tuple(methods), warmup, tail_eps)
             for i, p in enumerate(pts)]
-    workers = default_workers() if max_workers is None else max(1, max_workers)
-    if workers > 1 and len(jobs) > 1:
+    workers = min(default_workers() if max_workers is None else max(1, max_workers), len(jobs))
+    if workers > 1:
         # Forked workers inherit what this process has set up, so build the
         # scan's block table and import the chain solver once, here, rather
         # than once in every worker of every pool.

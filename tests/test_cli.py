@@ -1,10 +1,13 @@
 import json
+import os
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from aoa_lab import validation
+from aoa_lab import cli, engine, validation
 from aoa_lab.chains import choose_cap
 from aoa_lab.cli import CSV_HEADER, TRACE_FIELDS, main
 from aoa_lab.core import Params
@@ -241,10 +244,9 @@ class TestTrace:
         assert [o["actuated"] for o in objs] == [0, 0, 0, 1, 0, 0, 0]
 
     @staticmethod
-    def _random_trace(tmp_path):
-        """A 300-slot events file and its rows in `TRACE_FIELDS` order, as
-        `run_trace`, the reference replay, gives them."""
-        flags = np.random.default_rng(8).random((300, 2)) < (0.3, 0.6)
+    def _reference_trace(tmp_path, flags):
+        """An events file of `flags`, (data, energy) per slot, and its rows in
+        `TRACE_FIELDS` order, as `run_trace`, the reference replay, gives them."""
         f = tmp_path / "ev.csv"
         f.write_text("t,data,energy\n" + "".join(
             f"{t},{int(d)},{int(e)}\n" for t, (d, e) in enumerate(flags, start=1)))
@@ -253,14 +255,77 @@ class TestTrace:
                 for (d, e), (s, act) in zip(flags, run_trace(read_events_csv(f)))]
         return f, rows
 
+    @classmethod
+    def _random_trace(cls, tmp_path):
+        """A 300-slot events file and its reference rows."""
+        return cls._reference_trace(
+            tmp_path, np.random.default_rng(8).random((300, 2)) < (0.3, 0.6))
+
     def test_json_rows_match_run_trace(self, capsys, tmp_path):
-        # The command steps and prints slot by slot; `run_trace` is the
-        # reference replay it must agree with.
+        # The command replays the events on the simulator's scan; `run_trace`
+        # is the reference replay it must agree with.
         f, rows = self._random_trace(tmp_path)
         code, out, _ = run_cli(capsys, "trace", "--events", str(f), "--json")
         assert code == 0
         expected = [dict(zip(TRACE_FIELDS, row)) for row in rows]
         assert [json.loads(line) for line in out.splitlines()] == expected
+
+    @pytest.mark.parametrize("piece", [8, 64])
+    @pytest.mark.parametrize("rates", [(0.3, 0.6), (0.9, 0.1), (0, 0), (1, 0), (0, 1), (1, 1)],
+                             ids=["random", "data-rich", "none", "data-only", "energy-only",
+                                  "both"])
+    def test_output_across_piece_edges_matches_run_trace(
+            self, capsys, tmp_path, monkeypatch, piece, rates):
+        # Small scan pieces and print pieces put many edges, and every carried
+        # age and occupancy, inside a short file; 203 slots end mid-piece.
+        monkeypatch.setattr(engine, "_TRACE_PIECE", piece)
+        monkeypatch.setattr(cli, "_TRACE_ROWS", 5)
+        flags = np.random.default_rng(piece).random((203, 2)) < rates
+        f, rows = self._reference_trace(tmp_path, flags)
+        code, out, _ = run_cli(capsys, "trace", "--events", str(f))
+        assert code == 0
+        assert out == "".join(line + "\n" for line in
+                              [",".join(TRACE_FIELDS)] + [",".join(map(str, r)) for r in rows])
+        code, out, _ = run_cli(capsys, "trace", "--events", str(f), "--json")
+        assert code == 0
+        assert out == "".join(json.dumps(dict(zip(TRACE_FIELDS, r))) + "\n" for r in rows)
+
+    def test_trace_does_not_step_slot_by_slot(self, capsys, tmp_path, monkeypatch):
+        # `engine.step` is the reference only; the command runs the scan.
+        def step(*args):
+            raise AssertionError("trace called engine.step")
+        monkeypatch.setattr(engine, "step", step)
+        f = tmp_path / "ev.csv"
+        f.write_text(GOLDEN_TRACE_EVENTS)
+        code, out, _ = run_cli(capsys, "trace", "--events", str(f))
+        assert code == 0
+        assert out == GOLDEN_TRACE_OUTPUT
+
+    def test_memory_beyond_the_parse_does_not_grow_with_the_file(self, tmp_path):
+        # The replay holds two flag arrays of one byte a slot, and one scan
+        # piece of `_TRACE_PIECE` slots and one print piece of `_TRACE_ROWS`
+        # rows at a time (tracemalloc counts numpy's buffers), so beyond what
+        # parsing the file takes, its peak stays near 4 MiB whether the file
+        # fits one piece or spans several.  The scan's block table, built once
+        # per process, is built before the measurement.
+        engine._block_table()
+        rng = np.random.default_rng(5)
+        for n in (10_000, 60_000):
+            f = tmp_path / f"ev{n}.csv"
+            flags = rng.random((n, 2)) < (0.3, 0.6)
+            f.write_text("t,data,energy\n" + "".join(
+                f"{t},{int(d)},{int(e)}\n" for t, (d, e) in enumerate(flags, start=1)))
+            peaks = []
+            for call in (lambda: read_events_csv(f),
+                         lambda: main(["trace", "--events", str(f), "--json"])):
+                with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+                    tracemalloc.start()
+                    try:
+                        call()
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+            assert peaks[1] - peaks[0] <= 8 * 2 ** 20, n
 
     def test_json_lines_are_json_dumps_of_each_row(self, capsys, tmp_path):
         # Each line comes from one fixed template; its bytes are those of

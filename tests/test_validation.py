@@ -1,7 +1,9 @@
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from aoa_lab import validation
 from aoa_lab.analytic import averages
 from aoa_lab.core import Params, make_params
 from aoa_lab.errors import DomainError
@@ -214,3 +216,24 @@ class TestWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert default_workers() == 1
+
+    @pytest.mark.parametrize("threads,max_workers,n_points,pools", [
+        ("8", None, 4, [4]), ("2", None, 4, [2]), ("8", 8, 4, [4]), ("8", None, 1, [])])
+    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch, threads, max_workers,
+                                                   n_points, pools):
+        # A forked pool starts all its workers at the first submit, so a pool
+        # larger than the grid starts workers that get no point.  A thread
+        # pool stands in for the process pool and records its size.
+        sizes = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(validation, "ProcessPoolExecutor", Pool)
+        monkeypatch.setenv("AOA_LAB_THREADS", threads)
+        points = [Params(0.5 + 0.4 * (i // 2), 0.5 + 0.4 * (i % 2)) for i in range(n_points)]
+        kw = dict(methods=("analytic",), slots=10 ** 5, seed=0)
+        assert sweep(points, max_workers=max_workers, **kw) == sweep(points, max_workers=1, **kw)
+        assert sizes == pools
