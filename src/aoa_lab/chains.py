@@ -58,8 +58,9 @@ __all__ = [
 TAIL_MASS_LIMIT = 1e-6
 
 # Max-norm change between successive Gauss-Seidel sweeps at which
-# `stationary` stops.
+# `stationary` stops, and the sweeps after which it gives up.
 STATIONARY_TOL = 1e-13
+MAX_SWEEPS = 10 ** 6
 
 # Largest truncated chain a builder accepts.  The AoAI chain at the CLI floor,
 # (0.01, 0.5) with cap 2302, has 2 653 055 states; at lambda1 = 1e-4 its
@@ -242,7 +243,7 @@ def _splu():
     return splu
 
 
-def stationary(chain: TruncatedChain, maxiter: int = 10 ** 6) -> StationaryDist:
+def stationary(chain: TruncatedChain) -> StationaryDist:
     """Solve pi P = pi, sum(pi) = 1.
 
     The chain is solved by Gauss-Seidel sweeps in state order from the
@@ -257,10 +258,9 @@ def stationary(chain: TruncatedChain, maxiter: int = 10 ** 6) -> StationaryDist:
     chain takes 137 sweeps that way and 13 this way.  The solve has
     converged when successive iterates differ by less than
     `STATIONARY_TOL` in max norm; the result is the renormalized distribution
-    over retained states.
+    over retained states.  A solve that has not converged after `MAX_SWEEPS`
+    sweeps raises `ConvergenceError`.
     """
-    if maxiter < 1:
-        raise DomainError(f"maxiter must be at least 1, got {maxiter}")
     import scipy.sparse as sp
 
     # P's CSR arrays, read by column, are P^T in CSC.  R and F keep the entries
@@ -280,7 +280,7 @@ def stationary(chain: TruncatedChain, maxiter: int = 10 ** 6) -> StationaryDist:
     lu = _splu()(i_minus_f, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1)
 
     v = np.full(n, 1.0 / n)
-    for sweeps in range(1, maxiter + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         w = lu.solve(r @ v)
         total = w.sum()
         if total <= 0.0:
@@ -292,7 +292,7 @@ def stationary(chain: TruncatedChain, maxiter: int = 10 ** 6) -> StationaryDist:
             break
     else:
         raise ConvergenceError(
-            f"Gauss-Seidel did not reach tol={STATIONARY_TOL} within {maxiter} sweeps")
+            f"Gauss-Seidel did not reach tol={STATIONARY_TOL} within {MAX_SWEEPS} sweeps")
     # One renormalized step of the chain itself: P^T v = R v + F v.
     w = r @ v + (v - i_minus_f @ v)
     w /= w.sum()

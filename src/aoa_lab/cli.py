@@ -3,7 +3,8 @@
 Subcommands: analytic, simulate, chain, sweep, validate, trace.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or domain error,
-3 numerical failure (non-convergence, truncation, cap overflow).
+3 numerical failure (non-convergence, truncation, cap overflow), 141 (128 +
+SIGPIPE), silently, when the reader of stdout closed it, as `| head` does.
 
 CSV rows follow the fixed schema
 `lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap` with real
@@ -36,7 +37,6 @@ TRACE_FIELDS = ("t", "data", "energy", "cache", "battery", "actuated", "aoi", "a
 # of json.dumps(dict(zip(TRACE_FIELDS, row))) with the bools made ints.
 _TRACE_CSV = ",".join(["%d"] * len(TRACE_FIELDS))
 _TRACE_JSON = "{" + ", ".join(f'"{name}": %d' for name in TRACE_FIELDS) + "}"
-_TRACE_ROWS = 4096  # `trace` rows formatted and printed at a time
 
 
 def _fmt(v: float) -> str:
@@ -165,7 +165,7 @@ def cmd_validate(args) -> int:
 def cmd_trace(args) -> int:
     # The whole file is parsed before the first row is printed, so a malformed
     # file prints nothing; then the scan replays it piece by piece, as
-    # `engine.run_trace` would, and `_TRACE_ROWS` rows are printed at a time.
+    # `engine.run_trace` would, and each piece is printed whole.
     events = engine.read_events_csv(args.events)
     data = np.fromiter((ev.data_arrived for ev in events), bool, len(events))
     energy = np.fromiter((ev.energy_arrived for ev in events), bool, len(events))
@@ -173,8 +173,7 @@ def cmd_trace(args) -> int:
         print(",".join(TRACE_FIELDS))
     template = _TRACE_JSON if args.json else _TRACE_CSV
     for rows in engine._trace_columns(data, energy):
-        for lo in range(0, len(rows), _TRACE_ROWS):
-            print("\n".join(template % tuple(row) for row in rows[lo:lo + _TRACE_ROWS].tolist()))
+        print("\n".join(template % tuple(row) for row in rows.tolist()))
     return 0
 
 
@@ -257,6 +256,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NumericalError, ConvergenceError, TruncationError, CapError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # no reader: stdout to the null device, so the last flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, AoaLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,14 +32,16 @@ chunks of slots, in three vectorised stages:
   blocks and looks them up in a table that composes the one-slot table of
   the same slot rules (`_step_core`).  It runs on two levels: vectorised
   gathers compose the maps of groups of 64 blocks, one Python step per group
-  carries the state, and more gathers hand each block its start state.  The
-  scan also replays `trace`'s event files (`_trace_columns`), and tests
-  replay it against `step` bit for bit;
+  carries the state, and more gathers hand each block its start state.
+  Tests replay it against `step` bit for bit;
 * the age sums are renewal-reward sums over the arrival and actuation slots:
   an age that restarts at a and runs n slots adds n*a + n*(n-1)/2, so no
-  per-slot age is stored, and every batch sum is an exact integer.  The
-  packet of each actuation is read from the scan's cache states, not from
-  a running count of arrivals over the chunk.
+  per-slot age is stored, and every batch sum is an exact integer.
+
+`_replay` is the one loop over chunks: it alone carries the state across
+chunk edges and works out each actuation's packet, from the scan's cache
+states.  `run_batched` sums the ages over its events; `trace` expands them
+to one row per slot (`_trace_columns`).
 """
 
 from __future__ import annotations
@@ -80,9 +82,9 @@ _CHUNK = 1 << 18
 # the chunk's flags, so no chunk-long float buffer is ever held.  Results do
 # not depend on either size.
 _DRAW = 1 << 15
-# Slots per piece of `trace`'s replay on the scan (`_trace_columns`): a
-# 600 000-row `trace` peaked at 44 MiB resident at 2^14 slots, 49 at 2^15.
-_TRACE_PIECE = 1 << 14
+# Slots per piece of `trace`'s replay, each printed whole: a 600 000-row
+# `--json` trace peaked at 44.4 MiB resident at 2^12, 52.5 at 2^14, 60.5 at 2^15.
+_TRACE_PIECE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -298,26 +300,62 @@ def _scan_events(data: np.ndarray, energy: np.ndarray, cache: int, battery: int)
     return packed > 3, packed & 3, entry >> 1, entry & 1
 
 
-def _trace_columns(data: np.ndarray, energy: np.ndarray):
-    """`run_trace` of whole flag arrays, on the scan: yields int64 rows of
-    (slot, data, energy, cache, battery, actuated, aoi, aoa, aoai), one array
-    per piece of `_TRACE_PIECE` slots.  At slot t the aoi, aoa and aoai are
-    t + 1 minus the last arrival, the last actuation and the arrival of the
-    packet last actuated: running maxima that start at -1, the virtual slot of
-    age 1.  Like `_simulate`, it carries them and the occupancy across pieces.
+def _replay(chunks):
+    """Scan consecutive (data, energy) flag chunks from the canonical start.
+
+    Yields per chunk the scan's `act` and `st`, and in chunk-local slots the
+    arrivals `sd`, the actuations `sa` and the end-of-slot aoi `base` at each
+    actuation, each led by the last one of the earlier chunks (before any:
+    slot -1, the virtual slot of age 1, and aoi 1).  A chunk's flags are not
+    read once the next chunk is asked for.
     """
     cache = battery = 0
-    last_d = last_a = last_served = -1
-    for lo in range(0, len(data), _TRACE_PIECE):
-        d, e = data[lo:lo + _TRACE_PIECE], energy[lo:lo + _TRACE_PIECE]
+    last_d = last_a = -1
+    aoi_at_last_act = 1
+    done = 0
+    for d, e in chunks:
+        k = len(d)
+        cache_in = cache
         act, st, cache, battery = _scan_events(d, e, cache, battery)
-        t = np.arange(lo, lo + len(d))
-        arrived = np.maximum.accumulate(np.where(d, t, last_d))
-        acted = np.maximum.accumulate(np.where(act, t, last_a))
-        served = np.maximum.accumulate(np.where(act, arrived, last_served))
-        last_d, last_a, last_served = int(arrived[-1]), int(acted[-1]), int(served[-1])
-        yield np.column_stack((t + 1, d, e, st >> 1, st & 1, act,
-                               t - arrived + 1, t - acted + 1, t - served + 1))
+        pd = np.flatnonzero(d)
+        pa = np.flatnonzero(act)
+        sd = np.concatenate(([last_d - done], pd))
+        sa = np.concatenate(([last_a - done], pa))
+        # The aoi at an actuation.  The cache holds the last arrival until it
+        # is actuated, so an arrival is actuated, once, iff the cache is empty
+        # when the next arrival comes (or at the chunk end): the actuated
+        # arrivals, in order, are the packets of `pa`.  The carried arrival
+        # counts only if it was still cached when the chunk began.
+        held = np.empty(k, dtype=bool)  # the cache at the end of slot t - 1
+        held[0] = cache_in
+        np.equal(st[:-1], 2, out=held[1:])
+        used = np.empty(len(sd), dtype=bool)  # sd[j] is actuated in this chunk
+        np.logical_not(held[pd], out=used[:-1])
+        used[-1] = not cache
+        used[0] &= bool(cache_in)
+        base = np.concatenate(([aoi_at_last_act], pa - sd[used] + 1))
+        yield act, st, sd, sa, base
+        last_d = done + int(sd[-1])
+        last_a = done + int(sa[-1])
+        aoi_at_last_act = int(base[-1])
+        done += k
+
+
+def _trace_columns(data: np.ndarray, energy: np.ndarray):
+    """`run_trace` of whole flag arrays, on `_replay`: yields int64 rows of
+    (slot, data, energy, cache, battery, actuated, aoi, aoa, aoai), one array
+    per piece of `_TRACE_PIECE` slots.  From each event of `_replay` to the
+    next, the aoi and aoa grow from 1 and the aoai from `base`.
+    """
+    starts = range(0, len(data), _TRACE_PIECE)
+    pieces = [(data[lo:lo + _TRACE_PIECE], energy[lo:lo + _TRACE_PIECE]) for lo in starts]
+    for lo, (d, e), (act, st, sd, sa, base) in zip(starts, pieces, _replay(pieces)):
+        t = np.arange(len(d))
+        arrived = np.repeat(sd, np.diff(sd.clip(0), append=len(d)))
+        spans = np.diff(sa.clip(0), append=len(d))
+        acted, aoi_at_act = np.repeat(sa, spans), np.repeat(base, spans)
+        yield np.column_stack((lo + t + 1, d, e, st >> 1, st & 1, act,
+                               t - arrived + 1, t - acted + 1, t - acted + aoi_at_act))
 
 
 def _age_sums(starts: np.ndarray, bases, q: np.ndarray) -> np.ndarray:
@@ -411,13 +449,6 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
 
     rng = np.random.default_rng(seed)
     l1, l2 = p.lambda1, p.lambda2
-    cache = battery = 0
-    # Carries across chunks: global index of the last arrival / actuation
-    # (-1 when none yet; the virtual slot -1 carries age 1) and the end-of-slot
-    # aoi at the last actuation.
-    last_d = -1
-    last_a = -1
-    aoi_at_last_act = 1
     sI = np.zeros(n_batches, dtype=np.int64)
     sA = np.zeros(n_batches, dtype=np.int64)
     sAI = np.zeros(n_batches, dtype=np.int64)
@@ -438,52 +469,29 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
         pair = flags[lo // chunk % len(flags), :, :min(chunk, slots - lo)]
         return _draw_chunk(rng, u, pair, l1, l2)
 
-    with ThreadPoolExecutor(1) if ahead else nullcontext() as helper:
+    def drawn(helper):
         if ahead:
             pending = helper.submit(draw, 0)
-        done = 0
-        while done < slots:
-            d, e = pending.result() if ahead else draw(done)
-            k = len(d)
-            if ahead and done + k < slots:
-                pending = helper.submit(draw, done + k)
-            cache_in = cache
-            act, st, cache, battery = _scan_events(d, e, cache, battery)
+        for lo in range(0, slots, chunk):
+            d, e = pending.result() if ahead else draw(lo)
+            if ahead and lo + chunk < slots:
+                pending = helper.submit(draw, lo + chunk)
+            yield d, e
 
-            # Renewal-reward age sums from the event slots alone (chunk-local).
-            # Each list of event slots is led by the carried last event, at a
-            # negative slot.  Batch edges are query points; a batch outside the
-            # chunk clips to an empty range.
-            pd = np.flatnonzero(d)
-            pa = np.flatnonzero(act)
-            sd = np.concatenate(([last_d - done], pd))
-            sa = np.concatenate(([last_a - done], pa))
-            # The aoi at an actuation.  The cache holds the last arrival until it
-            # is actuated, so an arrival is actuated, once, iff the cache is empty
-            # when the next arrival comes (or at the chunk end): the actuated
-            # arrivals, in order, are the packets of `pa`.  The carried arrival
-            # counts only if it was still cached when the chunk began.
-            held = np.empty(k, dtype=bool)  # the cache at the end of slot t - 1
-            held[0] = cache_in
-            np.equal(st[:-1], 2, out=held[1:])
-            used = np.empty(len(sd), dtype=bool)  # sd[j] is actuated in this chunk
-            np.logical_not(held[pd], out=used[:-1])
-            used[-1] = not cache
-            used[0] &= bool(cache_in)
-            aoi_at_act = pa - sd[used] + 1
-            base_aoai = np.concatenate(([aoi_at_last_act], aoi_at_act))
-            q = np.clip(edges - done, 0, k)
+    with ThreadPoolExecutor(1) if ahead else nullcontext() as helper:
+        lo = 0
+        for act, st, sd, sa, base in _replay(drawn(helper)):
+            # Renewal-reward age sums from the event slots alone.  Batch edges
+            # are query points; a batch outside the chunk clips to empty.
+            q = np.clip(edges - lo, 0, chunk)
             sI += _age_sums(sd, (1,), q)[0]
-            sums = _age_sums(sa, (1, base_aoai), q)
+            sums = _age_sums(sa, (1, base), q)
             sA += sums[0]
             sAI += sums[1]
-
-            actuations += len(pa) - int(np.searchsorted(pa, max(warmup - done, 0)))
-
-            last_d = done + int(sd[-1])
-            last_a = done + int(sa[-1])
-            aoi_at_last_act = int(base_aoai[-1])
-            done += k
+            # sa[0], the carried actuation, is negative and never counted.
+            actuations += len(sa) - int(np.searchsorted(sa, max(warmup - lo, 0)))
+            lo += chunk
+            del act, st, sd, sa, base  # else alive while `_replay` builds the next: +4 MiB at 0.9
 
     return _RunAccumulator(edges, sI, sA, sAI, actuations)
 

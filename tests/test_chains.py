@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import aoa_lab
+from aoa_lab import chains
 from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, avg_aoa,
                               avg_aoai)
 from aoa_lab.chains import (MAX_CHAIN_STATES, TAIL_MASS_LIMIT, aoa_series_mean,
@@ -266,10 +267,11 @@ class TestStationaryTruncated:
             assert d.delta < 1e-13
             assert d.residual < 1e-11
 
-    def test_convergence_error_on_tiny_iteration_cap(self):
+    def test_convergence_error_on_tiny_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(chains, "MAX_SWEEPS", 2)
         ch = build_aoa_chain(make_params(0.5, 0.5), cap=40)
         with pytest.raises(ConvergenceError):
-            stationary(ch, maxiter=2)
+            stationary(ch)
 
     def test_occupancy_marginals_match_system_stationary(self):
         # The exact 3-state occupancy law, ordered by occupancy code; at

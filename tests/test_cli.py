@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,10 +279,9 @@ class TestTrace:
                                   "both"])
     def test_output_across_piece_edges_matches_run_trace(
             self, capsys, tmp_path, monkeypatch, piece, rates):
-        # Small scan pieces and print pieces put many edges, and every carried
-        # age and occupancy, inside a short file; 203 slots end mid-piece.
+        # Small pieces put many edges, and every carried age and occupancy,
+        # inside a short file; 203 slots end mid-piece.
         monkeypatch.setattr(engine, "_TRACE_PIECE", piece)
-        monkeypatch.setattr(cli, "_TRACE_ROWS", 5)
         flags = np.random.default_rng(piece).random((203, 2)) < rates
         f, rows = self._reference_trace(tmp_path, flags)
         code, out, _ = run_cli(capsys, "trace", "--events", str(f))
@@ -302,11 +304,11 @@ class TestTrace:
         assert out == GOLDEN_TRACE_OUTPUT
 
     def test_memory_beyond_the_parse_does_not_grow_with_the_file(self, tmp_path):
-        # The replay holds two flag arrays of one byte a slot, and one scan
-        # piece of `_TRACE_PIECE` slots and one print piece of `_TRACE_ROWS`
-        # rows at a time (tracemalloc counts numpy's buffers), so beyond what
-        # parsing the file takes, its peak stays near 4 MiB whether the file
-        # fits one piece or spans several.  The scan's block table, built once
+        # The replay holds two flag arrays of one byte a slot, and one piece
+        # of `_TRACE_PIECE` slots, scanned and printed, at a time
+        # (tracemalloc counts numpy's buffers), so beyond what
+        # parsing the file takes, its peak stays near 2 MiB whether the file
+        # spans 3 pieces or 15.  The scan's block table, built once
         # per process, is built before the measurement.
         engine._block_table()
         rng = np.random.default_rng(5)
@@ -326,6 +328,27 @@ class TestTrace:
                     finally:
                         tracemalloc.stop()
             assert peaks[1] - peaks[0] <= 8 * 2 ** 20, n
+
+    def test_closed_pipe_exits_141_quietly(self, tmp_path):
+        # A reader that stops early, as `head -1` does, closes the pipe while
+        # `trace` still has most of its 430 kB of rows to print.
+        f = tmp_path / "ev.csv"
+        flags = np.random.default_rng(3).random((20_000, 2)) < (0.3, 0.6)
+        f.write_text("t,data,energy\n" + "".join(
+            f"{t},{int(d)},{int(e)}\n" for t, (d, e) in enumerate(flags, start=1)))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        with open(tmp_path / "err", "w+b") as err:
+            proc = subprocess.Popen([sys.executable, "-m", "aoa_lab", "trace", "--events", str(f)],
+                                    stdout=subprocess.PIPE, stderr=err,
+                                    env=dict(os.environ, PYTHONPATH=src))
+            try:
+                assert proc.stdout.readline() == (",".join(TRACE_FIELDS) + "\n").encode()
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == 141
+            finally:
+                proc.kill()
+            err.seek(0)
+            assert err.read() == b""
 
     def test_json_lines_are_json_dumps_of_each_row(self, capsys, tmp_path):
         # Each line comes from one fixed template; its bytes are those of

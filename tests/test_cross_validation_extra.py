@@ -11,8 +11,9 @@ import pytest
 
 from aoa_lab.chains import (build_aoa_chain, build_aoai_chain, choose_cap,
                             level_masses, stationary)
+from aoa_lab.cli import TRACE_FIELDS
 from aoa_lab.core import make_params, shorthand
-from aoa_lab.engine import _scan_events, _simulate
+from aoa_lab.engine import _scan_events, _simulate, _trace_columns
 from aoa_lab.errors import DomainError
 
 
@@ -76,20 +77,13 @@ class TestDistributionAgreement:
     # match the chain's stationary level masses in total variation.
 
     def _empirical_age_masses(self, p, which, slots, seed, cap):
+        # The simulator's own ages: `trace`'s columns of the seeded flags.
         u = np.random.default_rng(seed).random((slots, 2))
-        d = u[:, 0] < p.lambda1
-        e = u[:, 1] < p.lambda2
-        act, _, _, _ = _scan_events(d, e, 0, 0)
-        g = np.arange(slots, dtype=np.int64)
-        la = np.maximum.accumulate(np.where(act, g, np.int64(-1)))
-        if which == "aoa":
-            ages = g - la + 1
-        else:
-            ld = np.maximum.accumulate(np.where(d, g, np.int64(-1)))
-            aoi = g - ld + 1
-            aoi_at_act = np.where(la >= 0, aoi[np.maximum(la, 0)], 1)
-            ages = aoi_at_act + (g - la)
-        hist = np.bincount(np.minimum(ages[1000:], cap), minlength=cap + 1)
+        hist = np.zeros(cap + 1, dtype=np.int64)
+        column = TRACE_FIELDS.index(which)
+        for rows in _trace_columns(u[:, 0] < p.lambda1, u[:, 1] < p.lambda2):
+            ages = rows[rows[:, 0] > 1000, column]
+            hist += np.bincount(np.minimum(ages, cap), minlength=cap + 1)
         return hist / hist.sum()
 
     @pytest.mark.parametrize("which,builder", [("aoa", build_aoa_chain),
