@@ -23,8 +23,6 @@ import os
 import sys
 from typing import Optional, Sequence, TextIO
 
-import numpy as np
-
 from . import engine, validation
 from .core import Params
 from .errors import (AoaLabError, CapError, ConvergenceError, DomainError,
@@ -127,8 +125,7 @@ def cmd_sweep(args) -> int:
     points = _parse_grid(args.grid)
     methods = _parse_methods(args.methods)
     report = validation.sweep(points, methods, args.slots, args.seed,
-                              tol_rel=args.tol_rel, warmup=args.warmup,
-                              tail_eps=args.tail_eps)
+                              warmup=args.warmup, tail_eps=args.tail_eps)
     order = validation.METHOD_ORDER
     rows = sorted((r for c in report.rows for r in c.routes if r.method in methods),
                   key=lambda r: (r.lambda1, r.lambda2, order.index(r.method)))
@@ -166,13 +163,11 @@ def cmd_trace(args) -> int:
     # The whole file is parsed before the first row is printed, so a malformed
     # file prints nothing; then the scan replays it piece by piece, as
     # `engine.run_trace` would, and each piece is printed whole.
-    events = engine.read_events_csv(args.events)
-    data = np.fromiter((ev.data_arrived for ev in events), bool, len(events))
-    energy = np.fromiter((ev.energy_arrived for ev in events), bool, len(events))
+    pieces = engine._trace_columns(*engine.read_events_csv(args.events))
     if not args.json:
         print(",".join(TRACE_FIELDS))
     template = _TRACE_JSON if args.json else _TRACE_CSV
-    for rows in engine._trace_columns(data, energy):
+    for rows in pieces:
         print("\n".join(template % tuple(row) for row in rows.tolist()))
     return 0
 
@@ -227,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--warmup", type=int, default=None)
     sp.add_argument("--tail-eps", type=float, default=1e-10, dest="tail_eps")
-    sp.add_argument("--tol-rel", type=float, default=0.01, dest="tol_rel")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_sweep)
 

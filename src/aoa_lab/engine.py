@@ -166,19 +166,15 @@ def run_trace(events: Sequence[SlotEvents]) -> list[tuple[EngineState, bool]]:
     return out
 
 
-# The four possible events of a slot, indexed by (data, energy).  The rows of
-# an events file share them, so a long file costs one list entry per slot.
-_SLOT_EVENTS = {(d, e): SlotEvents(bool(d), bool(e)) for d in (0, 1) for e in (0, 1)}
-
-
-def read_events_csv(path) -> list[SlotEvents]:
+def read_events_csv(path) -> np.ndarray:
     """Parse an event-trace file: header `t,data,energy`, one {0,1} row per slot.
 
-    Slots must be numbered consecutively from 1; blank lines take no number.
-    Raises DomainError naming the offending line on any malformed content.
-    Equal rows share one `SlotEvents` instance.
+    Returns the (2, slots) bool array of the data and energy flags, the input
+    of the scan.  Slots must be numbered consecutively from 1; blank lines
+    take no number.  Raises DomainError naming the offending line on any
+    malformed content.
     """
-    events = []
+    codes = bytearray()  # data | energy << 1, one byte a slot
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -193,17 +189,18 @@ def read_events_csv(path) -> list[SlotEvents]:
             if len(row) != 3:
                 raise DomainError(f"line {lineno}: expected 3 fields, got {len(row)}")
             try:
-                t, d, e = (int(x.strip()) for x in row)
+                t, d, e = map(int, row)  # int strips surrounding whitespace
             except ValueError:
                 raise DomainError(f"line {lineno}: non-integer value in {row!r}") from None
-            if t != len(events) + 1:
-                raise DomainError(f"line {lineno}: slot index must be {len(events) + 1}, got {t}")
+            if t != len(codes) + 1:
+                raise DomainError(f"line {lineno}: slot index must be {len(codes) + 1}, got {t}")
             if d not in (0, 1) or e not in (0, 1):
                 raise DomainError(f"line {lineno}: data and energy must be 0 or 1, got {d},{e}")
-            events.append(_SLOT_EVENTS[d, e])
-    if not events:
+            codes.append(d | e << 1)
+    if not codes:
         raise DomainError("line 2: no event rows after header")
-    return events
+    flags = np.frombuffer(codes, dtype=np.uint8)
+    return np.stack((flags & 1, flags >> 1)).astype(bool)
 
 
 # ---------------------------------------------------------------------------

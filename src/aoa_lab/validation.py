@@ -113,8 +113,14 @@ def route_rows(
     min(1000, slots // 10)); its measured slots are split into
     min(`N_BATCHES`, slots - warmup) batches, and a run too short for two
     batches reports uncertainty 0.0.  The chain route truncates at `cap`, or
-    at `chains.choose_cap(p, tail_eps)` when `cap` is None.
+    at `chains.choose_cap(p, tail_eps)` when `cap` is None.  An unknown
+    method, or the simulation route without `slots` or `seed`, raises
+    DomainError.
     """
+    if method not in ROUTE_METRICS:
+        raise DomainError(f"method must be one of {METHOD_ORDER}, got {method!r}")
+    if method == "sim" and (slots is None or seed is None):
+        raise DomainError(f"the sim route needs slots and seed, got slots={slots}, seed={seed}")
     wanted = [m for m in metrics if m in ROUTE_METRICS[method]]
     row = functools.partial(Row, p.lambda1, p.lambda2, method)
     if method == "analytic":

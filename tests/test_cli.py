@@ -13,7 +13,7 @@ import pytest
 from aoa_lab import cli, engine, validation
 from aoa_lab.chains import choose_cap
 from aoa_lab.cli import CSV_HEADER, TRACE_FIELDS, main
-from aoa_lab.core import Params
+from aoa_lab.core import Params, SlotEvents
 from aoa_lab.engine import read_events_csv, run_trace
 
 GOLDEN_TRACE_EVENTS = "t,data,energy\n1,0,0\n2,1,0\n3,0,0\n4,0,1\n5,0,0\n6,1,0\n7,0,0\n"
@@ -77,6 +77,16 @@ def run_cli(capsys, *args):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def assert_same_lines(out, lines):
+    """`out` is `lines`, each ended by a newline.  A mismatch is reported at
+    its first line: pytest's diff of two texts thousands of lines long runs
+    for minutes."""
+    got = out.splitlines(keepends=True)
+    for lineno, (a, b) in enumerate(zip(got, lines), start=1):
+        assert a == b + "\n", f"line {lineno}"
+    assert len(got) == len(lines)
 
 
 def csv_rows(out):
@@ -229,6 +239,19 @@ def test_golden_stdout(capsys, args, expected):
     assert out == expected
 
 
+# The events of the piece-edge test, by kind: seeded flags at these (data,
+# energy) rates, or None for stale packets: data at the first slot of each
+# piece and energy at its last, so that every piece ends on an actuation of
+# a packet `piece - 1` slots old, whose aoi the next piece carries.
+_EDGE_EVENTS = {"random": (0.3, 0.6), "data-rich": (0.9, 0.1), "none": (0, 0),
+                "data-only": (1, 0), "energy-only": (0, 1), "both": (1, 1), "stale": None}
+# Patched small pieces replay every kind; the real size, random and stale.
+_EDGE_CASES = [pytest.param(piece, kind, id=f"{kind}-{piece}")
+               for kind in _EDGE_EVENTS for piece in (8, 64)] + [
+    pytest.param(engine._TRACE_PIECE, kind, id=f"{kind}-{engine._TRACE_PIECE}")
+    for kind in ("random", "stale")]
+
+
 class TestTrace:
     def test_golden_staircase(self, capsys, tmp_path):
         f = tmp_path / "ev.csv"
@@ -255,7 +278,8 @@ class TestTrace:
             f"{t},{int(d)},{int(e)}\n" for t, (d, e) in enumerate(flags, start=1)))
         rows = [(s.slot, int(d), int(e), s.system.cache, s.system.battery, int(act),
                  s.ages.aoi, s.ages.aoa, s.ages.aoai)
-                for (d, e), (s, act) in zip(flags, run_trace(read_events_csv(f)))]
+                for (d, e), (s, act) in zip(flags, run_trace(
+                    [SlotEvents(bool(d), bool(e)) for d, e in flags]))]
         return f, rows
 
     @classmethod
@@ -273,24 +297,27 @@ class TestTrace:
         expected = [dict(zip(TRACE_FIELDS, row)) for row in rows]
         assert [json.loads(line) for line in out.splitlines()] == expected
 
-    @pytest.mark.parametrize("piece", [8, 64])
-    @pytest.mark.parametrize("rates", [(0.3, 0.6), (0.9, 0.1), (0, 0), (1, 0), (0, 1), (1, 1)],
-                             ids=["random", "data-rich", "none", "data-only", "energy-only",
-                                  "both"])
+    @pytest.mark.parametrize("piece, kind", _EDGE_CASES)
     def test_output_across_piece_edges_matches_run_trace(
-            self, capsys, tmp_path, monkeypatch, piece, rates):
+            self, capsys, tmp_path, monkeypatch, piece, kind):
         # Small pieces put many edges, and every carried age and occupancy,
-        # inside a short file; 203 slots end mid-piece.
+        # inside a short file; 203 slots end mid-piece.  At the real size,
+        # 3.5 pieces do.
+        n = 203 if piece < engine._TRACE_PIECE else 7 * piece // 2
         monkeypatch.setattr(engine, "_TRACE_PIECE", piece)
-        flags = np.random.default_rng(piece).random((203, 2)) < rates
+        rates = _EDGE_EVENTS[kind]
+        if rates is None:
+            t = np.arange(n) % piece
+            flags = np.column_stack((t == 0, t == piece - 1))
+        else:
+            flags = np.random.default_rng(piece).random((n, 2)) < rates
         f, rows = self._reference_trace(tmp_path, flags)
         code, out, _ = run_cli(capsys, "trace", "--events", str(f))
         assert code == 0
-        assert out == "".join(line + "\n" for line in
-                              [",".join(TRACE_FIELDS)] + [",".join(map(str, r)) for r in rows])
+        assert_same_lines(out, [",".join(TRACE_FIELDS)] + [",".join(map(str, r)) for r in rows])
         code, out, _ = run_cli(capsys, "trace", "--events", str(f), "--json")
         assert code == 0
-        assert out == "".join(json.dumps(dict(zip(TRACE_FIELDS, r))) + "\n" for r in rows)
+        assert_same_lines(out, [json.dumps(dict(zip(TRACE_FIELDS, r))) for r in rows])
 
     def test_trace_does_not_step_slot_by_slot(self, capsys, tmp_path, monkeypatch):
         # `engine.step` is the reference only; the command runs the scan.

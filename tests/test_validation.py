@@ -131,6 +131,18 @@ class TestRouteRows:
                 assert r.cap == (50 if m == "chain" else None)
                 assert type(r.value) is float and type(r.uncertainty) is float, r
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError, match="method must be one of .* got 'bogus'"):
+            route_rows(make_params(0.5, 0.5), "bogus")
+
+    def test_sim_without_slots_rejected(self):
+        with pytest.raises(DomainError, match="needs slots and seed, got slots=None, seed=1"):
+            route_rows(make_params(0.5, 0.5), "sim", seed=1)
+
+    def test_sim_without_seed_rejected(self):
+        with pytest.raises(DomainError, match="needs slots and seed, got slots=5000, seed=None"):
+            route_rows(make_params(0.5, 0.5), "sim", slots=5_000)
+
 
 class TestSweep:
     def test_nonmonotone_witnesses_on_scarce_energy_row(self):
