@@ -163,7 +163,8 @@ def cmd_trace(args) -> int:
     # The whole file is parsed before the first row is printed, so a malformed
     # file prints nothing; then the scan replays it piece by piece, as
     # `engine.run_trace` would, and each piece is printed whole.
-    pieces = engine._trace_columns(*engine.read_events_csv(args.events))
+    flags = engine.read_events_csv(args.events)
+    pieces = engine._trace_columns(flags.T)
     if not args.json:
         print(",".join(TRACE_FIELDS))
     template = _TRACE_JSON if args.json else _TRACE_CSV

@@ -23,25 +23,27 @@ reference semantics.  `run` and `run_batched` simulate long horizons in
 chunks of slots, in three vectorised stages:
 
 * the events are drawn in pieces of `_DRAW` slots into one small buffer
-  and thresholded into the chunk's data and energy flags.  Where a second
-  CPU may run it, one helper thread draws chunk i+1 into a second set of
-  flags while the calling thread scans chunk i and takes its age sums; the
-  helper alone touches the generator and draws the chunks in order, so
-  every seeded result is the same either way;
-* the occupancy scan bit-packs the data and energy flags into 8-slot
+  and thresholded, by one compare a piece, into the chunk's (k, 2) flags,
+  one row a slot, data then energy.  Where a second CPU may run it, one
+  helper thread draws chunk i+1 into a second flag array while the calling
+  thread scans chunk i and takes its age sums; the helper alone touches the
+  generator and draws the chunks in order, so every seeded result is the
+  same either way;
+* the occupancy scan bit-packs the flags, by one `np.packbits`, into 8-slot
   blocks and looks them up in a table that composes the one-slot table of
-  the same slot rules (`_step_core`).  It runs on two levels: vectorised
-  gathers compose the maps of groups of 64 blocks, one Python step per group
-  carries the state, and more gathers hand each block its start state.
-  Tests replay it against `step` bit for bit;
+  the same slot rules (`_step_core`).  A prefix scan over the blocks' maps
+  of the 3 occupancy states hands each block its start state: an up-sweep
+  composes pairs of maps level by level, and a down-sweep carries the
+  states back down, one vectorised gather per level.  Tests replay it
+  against `step` bit for bit;
 * the age sums are renewal-reward sums over the arrival and actuation slots:
   an age that restarts at a and runs n slots adds n*a + n*(n-1)/2, so no
   per-slot age is stored, and every batch sum is an exact integer.
 
 `_replay` is the one loop over chunks: it alone carries the state across
-chunk edges and works out each actuation's packet, from the scan's cache
-states.  `run_batched` sums the ages over its events; `trace` expands them
-to one row per slot (`_trace_columns`).
+chunk edges and works out each actuation's packet: the one that arrived in
+the same slot, else the last arrival before it.  `run_batched` sums the ages
+over its events; `trace` expands them to one row per slot (`_trace_columns`).
 """
 
 from __future__ import annotations
@@ -78,10 +80,11 @@ __all__ = [
 # (0.05, 0.05) took 0.128 s at 2^18 slots, 0.136 s at 2^17 and 0.159 s at 2^16.
 _CHUNK = 1 << 18
 # Slots per draw.  A chunk's events are drawn in pieces of this many slots
-# into one 512 KiB buffer, two float64 draws per slot, and thresholded into
-# the chunk's flags, so no chunk-long float buffer is ever held.  Results do
-# not depend on either size.
-_DRAW = 1 << 15
+# into one 256 KiB buffer, two float64 draws per slot, and thresholded against
+# a threshold buffer of the same size into the chunk's flags, so no chunk-long
+# float buffer is ever held.  2^15 timed the same.  Results do not depend on
+# either size.
+_DRAW = 1 << 14
 # Slots per piece of `trace`'s replay, each printed whole: a 600 000-row
 # `--json` trace peaked at 44.4 MiB resident at 2^12, 52.5 at 2^14, 60.5 at 2^15.
 _TRACE_PIECE = 1 << 12
@@ -169,10 +172,10 @@ def run_trace(events: Sequence[SlotEvents]) -> list[tuple[EngineState, bool]]:
 def read_events_csv(path) -> np.ndarray:
     """Parse an event-trace file: header `t,data,energy`, one {0,1} row per slot.
 
-    Returns the (2, slots) bool array of the data and energy flags, the input
-    of the scan.  Slots must be numbered consecutively from 1; blank lines
-    take no number.  Raises DomainError naming the offending line on any
-    malformed content.
+    Returns the (2, slots) bool array of the data and energy flags, the
+    transpose of the (slots, 2) array that the scan reads.  Slots must be
+    numbered consecutively from 1; blank lines take no number.  Raises
+    DomainError naming the offending line on any malformed content.
     """
     codes = bytearray()  # data | energy << 1, one byte a slot
     with open(path, newline="") as fh:
@@ -199,8 +202,9 @@ def read_events_csv(path) -> np.ndarray:
             codes.append(d | e << 1)
     if not codes:
         raise DomainError("line 2: no event rows after header")
-    flags = np.frombuffer(codes, dtype=np.uint8)
-    return np.stack((flags & 1, flags >> 1)).astype(bool)
+    flags = np.unpackbits(np.frombuffer(codes, dtype=np.uint8)[:, None], axis=1, count=2,
+                          bitorder="little")  # (slots, 2): bit 0, data, then bit 1, energy
+    return flags.view(bool).T
 
 
 # ---------------------------------------------------------------------------
@@ -224,81 +228,90 @@ def _transition_table() -> bytes:
 
 _TRANSITIONS = _transition_table()
 
-_BLOCK = 8  # slots per block: a byte of data bits and a byte of energy bits
-_GROUP = 64  # blocks per group of the scan's first level
+_BLOCK = 8  # slots per block: 16 bits, a data bit and an energy bit per slot
 
 
 @functools.cache
-def _block_table() -> tuple[np.ndarray, np.ndarray]:
+def _block_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_TRANSITIONS` composed over 8-slot blocks; built on first use.
 
-    A block is `data bits | energy bits << 8`, bit i of each byte holding
-    slot i, so `np.packbits(..., bitorder="little")` of the data and energy
-    flags gives the two bytes.  Both returned arrays are indexed by
-    `block << 2 | state` (index 3 of each block repeats state 0 and is never
-    read):
+    A block is a 16-bit code with interleaved bits: bit 2i holds the data
+    flag of slot i and bit 2i+1 its energy flag, so `np.packbits` of a (k, 2)
+    flag array, little bit order, read as little-endian uint16, gives the
+    blocks.  A map of the 3 states to the 3 states is coded
+    f(0) + 3 f(1) + 9 f(2), from 0 to 26.  Returns:
 
-    * `table`, little-endian uint64: byte i is the `_TRANSITIONS` entry of
-      slot i, end-of-slot state | actuated << 2;
-    * `final`, uint8: the state after the block, for the passes that carry
-      the state from block to block.
+    * `table`, little-endian uint64, indexed by `block << 2 | state` (index 3
+      of each block repeats state 0 and is never read): byte i is the
+      `_TRANSITIONS` entry of slot i, end-of-slot state | actuated << 2;
+    * `maps`, uint8 per block: the code of the block's map from its start
+      state to its end state;
+    * `compose`, a (256, 256) uint8 array: `compose[b, a]` is the code of map
+      a followed by map b, for a, b < 27.  Read flat, its index is
+      `a | b << 8`, so two adjacent uint8 map codes, viewed as one
+      little-endian uint16, index their composition.
     """
     step = np.frombuffer(_TRANSITIONS, dtype=np.uint8)
     block = np.arange(1 << 16)[:, None]
     state = np.array([0, 1, 2, 0], dtype=np.uint8)[None, :]
     table = np.zeros((1 << 16, 4, _BLOCK), dtype=np.uint8)
     for i in range(_BLOCK):
-        code = (block >> i & 1) | (block >> (_BLOCK + i) & 1) << 1
-        table[:, :, i] = step[state * 4 + code]
+        table[:, :, i] = step[state * 4 + (block >> 2 * i & 3)]
         state = table[:, :, i] & 3
     table = table.view("<u8").ravel()
-    final = state.ravel()
-    table.flags.writeable = final.flags.writeable = False
-    return table, final
+    maps = state[:, 0] + 3 * state[:, 1] + 9 * state[:, 2]
+    codes = np.arange(27)
+    image = codes // np.array([[1], [3], [9]]) % 3  # image[s, f] = f(s)
+    compose = np.zeros((256, 256), dtype=np.uint8)
+    compose[:27, :27] = sum(image[image[s], codes[:, None]] * 3 ** s for s in range(3))
+    for array in (table, maps, compose):
+        array.flags.writeable = False
+    return table, maps, compose
 
 
-def _scan_events(data: np.ndarray, energy: np.ndarray, cache: int, battery: int):
+def _scan_events(flags: np.ndarray, cache: int, battery: int):
     """Run the occupancy recursion over one chunk; returns (act, state, C, B).
 
-    The data and energy flags are bit-packed into 8-slot blocks, the tail
-    padded with empty slots, which leave every state unchanged.  The scan has
-    two levels over groups of 64 blocks.  First, 64 vectorised gathers in
-    `_block_table`'s final states compose each group's map from the 3 start
-    states to its end state, and one Python pass over the groups carries the
-    state through those maps.  Then 64 more gathers give each block's start
-    state, and one gather of the blocks' table entries gives each slot's
-    end-of-slot state and actuation bit.
+    `flags` is the chunk's (k, 2) bool array, one row a slot, data then
+    energy.  One `np.packbits` turns it into 16-bit blocks of 8 slots, padded
+    with empty blocks to a power of two; padding only follows the chunk's
+    slots, so it changes none of their states.  A prefix scan over the
+    blocks' maps then gives each block its start state (Blelloch's up-sweep
+    and down-sweep): each up-sweep level composes adjacent pairs of maps by
+    one gather in `compose`, up to the map of the whole chunk; each
+    down-sweep level hands a left child its parent's start state and a right
+    child that state carried through its left sibling's map, one gather
+    again.  A state s is carried as the constant map to s, code 13 s, so
+    carrying it through a map is a composition too.  One last gather of the
+    blocks' table entries gives each slot's end-of-slot state and actuation
+    bit.
     """
-    k = len(data)
-    table, final = _block_table()
+    k = len(flags)
+    table, maps, compose = _block_table()
     n_blocks = -(-k // _BLOCK)
-    n_groups = -(-n_blocks // _GROUP)
-    bits = np.zeros((n_groups * _GROUP, 2), dtype=np.uint8)
-    bits[:n_blocks, 0] = np.packbits(data, bitorder="little")
-    bits[:n_blocks, 1] = np.packbits(energy, bitorder="little")
-    # Row j holds block j of every group, shifted to leave the state's 2 bits.
-    rows = bits.view("<u2").reshape(n_groups, _GROUP).T.astype(np.intp, order="C") << 2
-    maps = np.tile(np.arange(3, dtype=np.uint8), (n_groups, 1))  # [group, start state]
-    for row in rows:
-        maps = final[row[:, None] + maps]
-    group_maps = maps.tobytes()
-    entry = cache * 2 + battery
-    # The assignment expression carries the state through the comprehension,
-    # which runs faster than a for loop that stores each entry by index.
-    ends = bytes([entry := group_maps[g + entry] for g in range(0, 3 * n_groups, 3)])
-    state = np.empty(n_groups, dtype=np.uint8)
-    state[0] = cache * 2 + battery
-    state[1:] = np.frombuffer(ends, dtype=np.uint8)[:-1]
-    index = np.empty_like(rows)
-    for row, out in zip(rows, index):
-        np.add(row, state, out=out)
-        state = final[out]
-    packed = table[index.T.ravel()].view(np.uint8)[:k]
-    return packed > 3, packed & 3, entry >> 1, entry & 1
+    blocks = np.zeros(1 << (n_blocks - 1).bit_length(), dtype="<u2")
+    blocks.view(np.uint8)[:-(-k // 4)] = np.packbits(flags.ravel(), bitorder="little")
+    pairs = compose.ravel()
+    levels = [maps.take(blocks)]
+    while len(levels[-1]) > 1:
+        levels.append(pairs.take(levels[-1].view("<u2")))
+    start = np.array([13 * (cache * 2 + battery)], dtype=np.uint8)
+    for level in reversed(levels[:-1]):
+        below = np.empty(len(level), dtype=np.uint8)
+        below[0::2] = start
+        below[1::2] = level[0::2]
+        below[1::2] = pairs.take(below.view("<u2"))
+        start = below
+    index = blocks[:n_blocks].astype(np.intp) << 2
+    index |= start[:n_blocks] // 13
+    packed = table.take(index).view(np.uint8)[:k]
+    state = packed & 3
+    end = int(state[-1])
+    return packed > 3, state, end >> 1, end & 1
 
 
 def _replay(chunks):
-    """Scan consecutive (data, energy) flag chunks from the canonical start.
+    """Scan consecutive (k, 2) flag chunks from the canonical start.
 
     Yields per chunk the scan's `act` and `st`, and in chunk-local slots the
     arrivals `sd`, the actuations `sa` and the end-of-slot aoi `base` at each
@@ -310,27 +323,22 @@ def _replay(chunks):
     last_d = last_a = -1
     aoi_at_last_act = 1
     done = 0
-    for d, e in chunks:
-        k = len(d)
-        cache_in = cache
-        act, st, cache, battery = _scan_events(d, e, cache, battery)
-        pd = np.flatnonzero(d)
+    for flags in chunks:
+        k = len(flags)
+        act, st, cache, battery = _scan_events(flags, cache, battery)
+        data = flags[:, 0]
+        pd = np.flatnonzero(data)
         pa = np.flatnonzero(act)
         sd = np.concatenate(([last_d - done], pd))
         sa = np.concatenate(([last_a - done], pa))
-        # The aoi at an actuation.  The cache holds the last arrival until it
-        # is actuated, so an arrival is actuated, once, iff the cache is empty
-        # when the next arrival comes (or at the chunk end): the actuated
-        # arrivals, in order, are the packets of `pa`.  The carried arrival
-        # counts only if it was still cached when the chunk began.
-        held = np.empty(k, dtype=bool)  # the cache at the end of slot t - 1
-        held[0] = cache_in
-        np.equal(st[:-1], 2, out=held[1:])
-        used = np.empty(len(sd), dtype=bool)  # sd[j] is actuated in this chunk
-        np.logical_not(held[pd], out=used[:-1])
-        used[-1] = not cache
-        used[0] &= bool(cache_in)
-        base = np.concatenate(([aoi_at_last_act], pa - sd[used] + 1))
+        # The aoi at an actuation.  The cache holds only the last arrival, so
+        # the actuated packet is the one that arrived in the same slot, of aoi
+        # 1, or else the last arrival before it.
+        base = np.ones(len(sa), dtype=np.int64)
+        base[0] = aoi_at_last_act
+        stale = np.flatnonzero(~data[pa])
+        t = pa[stale]
+        base[stale + 1] = t + 1 - sd[np.searchsorted(sd, t) - 1]
         yield act, st, sd, sa, base
         last_d = done + int(sd[-1])
         last_a = done + int(sa[-1])
@@ -338,20 +346,21 @@ def _replay(chunks):
         done += k
 
 
-def _trace_columns(data: np.ndarray, energy: np.ndarray):
-    """`run_trace` of whole flag arrays, on `_replay`: yields int64 rows of
-    (slot, data, energy, cache, battery, actuated, aoi, aoa, aoai), one array
-    per piece of `_TRACE_PIECE` slots.  From each event of `_replay` to the
-    next, the aoi and aoa grow from 1 and the aoai from `base`.
+def _trace_columns(flags: np.ndarray):
+    """`run_trace` of a whole (slots, 2) flag array, on `_replay`: yields int64
+    rows of (slot, data, energy, cache, battery, actuated, aoi, aoa, aoai), one
+    array per piece of `_TRACE_PIECE` slots.  From each event of `_replay` to
+    the next, the aoi and aoa grow from 1 and the aoai from `base`.
     """
-    starts = range(0, len(data), _TRACE_PIECE)
-    pieces = [(data[lo:lo + _TRACE_PIECE], energy[lo:lo + _TRACE_PIECE]) for lo in starts]
-    for lo, (d, e), (act, st, sd, sa, base) in zip(starts, pieces, _replay(pieces)):
-        t = np.arange(len(d))
-        arrived = np.repeat(sd, np.diff(sd.clip(0), append=len(d)))
-        spans = np.diff(sa.clip(0), append=len(d))
+    starts = range(0, len(flags), _TRACE_PIECE)
+    pieces = [flags[lo:lo + _TRACE_PIECE] for lo in starts]
+    for lo, piece, (act, st, sd, sa, base) in zip(starts, pieces, _replay(pieces)):
+        k = len(piece)
+        t = np.arange(k)
+        arrived = np.repeat(sd, np.diff(sd.clip(0), append=k))
+        spans = np.diff(sa.clip(0), append=k)
         acted, aoi_at_act = np.repeat(sa, spans), np.repeat(base, spans)
-        yield np.column_stack((lo + t + 1, d, e, st >> 1, st & 1, act,
+        yield np.column_stack((lo + t + 1, piece, st >> 1, st & 1, act,
                                t - arrived + 1, t - acted + 1, t - acted + aoi_at_act))
 
 
@@ -404,20 +413,21 @@ def _draws_ahead() -> bool:
     return _usable_cpus() > 1 and multiprocessing.parent_process() is None
 
 
-def _draw_chunk(rng, u: np.ndarray, flags: np.ndarray, l1: float, l2: float) -> np.ndarray:
-    """Draw one chunk's events into `flags`, a (2, k) bool array; returns it.
+def _draw_chunk(rng, u: np.ndarray, thr: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Draw one chunk's events into `flags`, a (k, 2) bool array; returns it.
 
-    The chunk is drawn in pieces of `len(u)` slots into the float buffer `u`,
-    which consumes the generator exactly as `rng.random((k, 2))` does: per
-    slot the data draw first, then the energy draw.
+    The chunk is drawn in pieces of `len(u)` slots into the (len(u), 2) float
+    buffer `u`, which consumes the generator exactly as `rng.random((k, 2))`
+    does: per slot the data draw first, then the energy draw.  Each piece is
+    compared in one pass with `thr`, of the same shape, whose every row is
+    (lambda1, lambda2): against a broadcast (2,) row, numpy loops over rows
+    of two, and the compare took 12 times as long.
     """
-    d, e = flags
-    k = flags.shape[1]
+    k = len(flags)
     for lo in range(0, k, len(u)):
-        piece = u[:min(len(u), k - lo)]
+        piece = u[:k - lo]
         rng.random(out=piece)
-        np.less(piece[:, 0], l1, out=d[lo:lo + len(piece)])
-        np.less(piece[:, 1], l2, out=e[lo:lo + len(piece)])
+        np.less(piece, thr[:len(piece)], out=flags[lo:lo + len(piece)])
     return flags
 
 
@@ -445,35 +455,36 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
     edges = warmup + (np.arange(n_batches + 1, dtype=np.int64) * measured) // n_batches
 
     rng = np.random.default_rng(seed)
-    l1, l2 = p.lambda1, p.lambda2
     sI = np.zeros(n_batches, dtype=np.int64)
     sA = np.zeros(n_batches, dtype=np.int64)
     sAI = np.zeros(n_batches, dtype=np.int64)
     actuations = 0
 
-    # One draw buffer and one or two pairs of flag buffers for every chunk:
-    # fresh ones would fault in their pages each time.  Drawing ahead, the
-    # helper thread draws chunk i+1 into the second pair while the calling
-    # thread scans chunk i.  Drawing in place, the calling thread draws chunk
-    # i+1 into the one pair once the scan of chunk i is done.  Either way,
-    # one thread draws every chunk, in order.
+    # One draw buffer, its threshold rows and one or two flag buffers for
+    # every chunk: fresh ones would fault in their pages each time.  Drawing
+    # ahead, the helper thread draws chunk i+1 into the second flag buffer
+    # while the calling thread scans chunk i.  Drawing in place, the calling
+    # thread draws chunk i+1 into the one flag buffer once the scan of chunk
+    # i is done.  Either way, one thread draws every chunk, in order.
     ahead = _draws_ahead()
     chunk = min(_CHUNK, slots)
     u = np.empty((min(_DRAW, chunk), 2))
-    flags = np.empty((2 if ahead else 1, 2, chunk), dtype=bool)
+    thr = np.empty_like(u)
+    thr[:] = p.lambda1, p.lambda2
+    flags = np.empty((2 if ahead else 1, chunk, 2), dtype=bool)
 
     def draw(lo: int) -> np.ndarray:
-        pair = flags[lo // chunk % len(flags), :, :min(chunk, slots - lo)]
-        return _draw_chunk(rng, u, pair, l1, l2)
+        buffer = flags[lo // chunk % len(flags), :min(chunk, slots - lo)]
+        return _draw_chunk(rng, u, thr, buffer)
 
     def drawn(helper):
         if ahead:
             pending = helper.submit(draw, 0)
         for lo in range(0, slots, chunk):
-            d, e = pending.result() if ahead else draw(lo)
+            events = pending.result() if ahead else draw(lo)
             if ahead and lo + chunk < slots:
                 pending = helper.submit(draw, lo + chunk)
-            yield d, e
+            yield events
 
     with ThreadPoolExecutor(1) if ahead else nullcontext() as helper:
         lo = 0

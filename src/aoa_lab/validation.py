@@ -114,13 +114,15 @@ def route_rows(
     min(`N_BATCHES`, slots - warmup) batches, and a run too short for two
     batches reports uncertainty 0.0.  The chain route truncates at `cap`, or
     at `chains.choose_cap(p, tail_eps)` when `cap` is None.  An unknown
-    method, or the simulation route without `slots` or `seed`, raises
-    DomainError.
+    method, or the simulation route without `slots` or `seed` or with
+    `slots` not positive, raises DomainError.
     """
     if method not in ROUTE_METRICS:
         raise DomainError(f"method must be one of {METHOD_ORDER}, got {method!r}")
     if method == "sim" and (slots is None or seed is None):
         raise DomainError(f"the sim route needs slots and seed, got slots={slots}, seed={seed}")
+    if method == "sim" and slots <= 0:  # before the default warmup is taken from it
+        raise DomainError(f"slots must be positive, got {slots}")
     wanted = [m for m in metrics if m in ROUTE_METRICS[method]]
     row = functools.partial(Row, p.lambda1, p.lambda2, method)
     if method == "analytic":

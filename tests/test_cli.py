@@ -151,6 +151,16 @@ class TestSimulate:
                              "--slots", "100", "--warmup", "100")
         assert code == 2
 
+    @pytest.mark.parametrize("command,slots", [("simulate", "-5"), ("simulate", "0"),
+                                               ("validate", "-5")])
+    def test_nonpositive_slots_exit_two(self, capsys, command, slots):
+        # The error names the slots given, not a warmup derived from them.
+        where = (["--lambda1", "0.5", "--lambda2", "0.5"] if command == "simulate"
+                 else ["--grid", "0.5:0.5:0.1"])
+        code, out, err = run_cli(capsys, command, *where, "--slots", slots)
+        assert code == 2
+        assert out == "" and err == f"error: slots must be positive, got {slots}\n"
+
     def test_short_run_uses_the_validate_warmup_rule(self, capsys):
         # Without --warmup a 500-slot run warms up for 50 slots, as `validate`
         # would, instead of failing on a 1000-slot warmup.

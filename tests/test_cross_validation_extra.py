@@ -63,7 +63,7 @@ class TestKernelFuzz:
         rng = np.random.default_rng(99)
         for l1, l2 in [(0.05, 0.95), (0.5, 0.5), (0.95, 0.05), (1.0, 0.3), (0.3, 1.0)]:
             u = rng.random((1_000_000, 2))
-            act, st, cache, battery = _scan_events(u[:, 0] < l1, u[:, 1] < l2, 0, 0)
+            act, st, cache, battery = _scan_events(u < (l1, l2), 0, 0)
             assert not (st == 3).any()
             assert (cache, battery) != (1, 1)
 
@@ -81,7 +81,7 @@ class TestDistributionAgreement:
         u = np.random.default_rng(seed).random((slots, 2))
         hist = np.zeros(cap + 1, dtype=np.int64)
         column = TRACE_FIELDS.index(which)
-        for rows in _trace_columns(u[:, 0] < p.lambda1, u[:, 1] < p.lambda2):
+        for rows in _trace_columns(u < (p.lambda1, p.lambda2)):
             ages = rows[rows[:, 0] > 1000, column]
             hist += np.bincount(np.minimum(ages, cap), minlength=cap + 1)
         return hist / hist.sum()

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import threading
 import tracemalloc
@@ -134,38 +135,60 @@ class TestTrajectoryProperties:
 
 class TestKernels:
     def test_scan_matches_step_replay_from_each_start_state(self):
-        # 511..513, 4096, 4097 and 3*512 + 5 cross the edges of the scan's
-        # 64-block (512-slot) groups; 7..17 those of its 8-slot blocks.
+        # The scan pads its blocks to a power of two and sweeps a binary tree
+        # over them: 1, 2 and 3 blocks and 2^j - 1, 2^j and 2^j + 1 blocks
+        # cross the tree's edges, each with its last block full and short.
         rng = np.random.default_rng(1234)
+        counts = [1, 2, 3] + [(1 << j) + d for j in range(2, 10) for d in (-1, 0, 1)]
         for cache, battery in ((0, 0), (0, 1), (1, 0)):
-            for n in (1, 7, 8, 9, 16, 17, 511, 512, 513, 1000, 3 * 512 + 5, 4096, 4097, 5000):
-                data = rng.random(n) < 0.5
-                energy = rng.random(n) < 0.5
-                act, stt, c, b = _scan_events(data, energy, cache, battery)
+            for n in [8 * b - short for b in counts for short in (0, 5)]:
+                flags = rng.random((n, 2)) < 0.5
+                act, stt, c, b = _scan_events(flags, cache, battery)
                 assert len(act) == len(stt) == n
                 state = _state(cache, battery, 1, 1, 1)
-                for t, (x, y) in enumerate(zip(data.tolist(), energy.tolist())):
+                for t, (x, y) in enumerate(flags.tolist()):
                     state, actuated = step(state, SlotEvents(x, y))
                     assert act[t] == actuated
                     assert stt[t] == state.system.cache * 2 + state.system.battery
                 assert (c, b) == (state.system.cache, state.system.battery)
 
     def test_block_table_entries_are_eight_slot_steps(self):
-        # A block is `data bits | energy bits << 8`, bit i holding slot i;
-        # both arrays are indexed by `block << 2 | state`.
-        table, final = _block_table()
+        # A block interleaves its slots' flags, bit 2i data and bit 2i+1
+        # energy of slot i; `table` is indexed by `block << 2 | state` and
+        # `maps` holds each block's map f as f(0) + 3 f(1) + 9 f(2).
+        table, maps, _ = _block_table()
         rng = np.random.default_rng(77)
-        blocks = [0x0000, 0x00FF, 0xFF00, 0xFFFF] + rng.integers(0, 1 << 16, 4096).tolist()
+        blocks = [0x0000, 0x5555, 0xAAAA, 0xFFFF] + rng.integers(0, 1 << 16, 4096).tolist()
         for block in blocks:
             for start in range(3):
                 entry = int(table[block << 2 | start])
                 state = start
                 for i in range(8):
-                    code = (block >> i & 1) | (block >> (8 + i) & 1) << 1
-                    expected = _TRANSITIONS[state * 4 + code]
+                    expected = _TRANSITIONS[state * 4 + (block >> 2 * i & 3)]
                     assert entry >> (8 * i) & 0xFF == expected
                     state = expected & 3
-                assert final[block << 2 | start] == state
+                assert maps[block] // 3 ** start % 3 == state
+
+    def test_compose_table_applies_two_maps_in_turn(self):
+        _, _, compose = _block_table()
+        for a, b in itertools.product(range(27), repeat=2):
+            after = [b // 3 ** (a // 3 ** s % 3) % 3 for s in range(3)]
+            assert compose[b, a] == after[0] + 3 * after[1] + 9 * after[2]
+            assert compose.ravel()[a | b << 8] == compose[b, a]
+
+    @pytest.mark.parametrize("piece", [1, 3, 8, 64, engine._DRAW])
+    def test_draw_chunk_flags_are_thresholded_draws(self, piece):
+        # The chunk ends in a short piece: 1000 slots in pieces of 3 or 64,
+        # and 2 * `_DRAW` + 5 slots in pieces of `_DRAW`.
+        l1, l2 = 0.3, 0.8
+        k = 1000 if piece < 1000 else 2 * piece + 5
+        u = np.empty((piece, 2))
+        thr = np.empty_like(u)
+        thr[:] = l1, l2
+        flags = np.empty((k, 2), dtype=bool)
+        drawn = engine._draw_chunk(np.random.default_rng(8), u, thr, flags)
+        assert drawn is flags
+        assert np.array_equal(flags, np.random.default_rng(8).random((k, 2)) < (l1, l2))
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.001, max_value=1.0),
@@ -180,10 +203,11 @@ class TestKernels:
     # A 7-slot chunk makes every carry (occupancy, last arrival, last
     # actuation, aoi at the last actuation) cross chunk edges inside the
     # warmup and inside each measured batch; 7, 8 and 9 cut chunks short of,
-    # at and past the 8-slot block of the scan, and 511, 512 and 513 its
-    # 64-block group.  Draws of 1, 3, 8 and 64 slots put the edges of the
-    # draw pieces inside chunks, blocks and groups.  Rates down to 0.001 draw
-    # chunks and runs without an arrival or an actuation.  `ahead` draws each
+    # at and past the 8-slot block of the scan, and 511, 512 and 513 at and
+    # past the 64 blocks of a power-of-two scan tree.  Draws of 1, 3, 8 and
+    # 64 slots put the edges of the draw pieces inside chunks and blocks.
+    # Rates down to 0.001 draw chunks and runs without an arrival or an
+    # actuation.  `ahead` draws each
     # next chunk on the helper thread (True) or in the calling thread (False);
     # every example runs both ways.
     @example(0.3, 0.6, 5, 1000, 7, 100, 4, 3, False)
@@ -293,10 +317,10 @@ class TestRun:
         assert tuple(stderrs.tolist()) == expected_stderrs
 
     def test_memory_peak_does_not_grow_with_the_run(self):
-        # A run reuses one draw buffer of `_DRAW` slots and two pairs of flag
-        # buffers of `_CHUNK` slots, one drawn while the other is scanned,
-        # and each chunk's temporaries are freed before the next, so 4e6
-        # slots, 16 chunks, allocate at most a fixed amount at any one time
+        # A run reuses one draw buffer of `_DRAW` slots, its thresholds and
+        # two flag buffers of `_CHUNK` slots, one drawn while the other is
+        # scanned, and each chunk's temporaries are freed before the next, so
+        # 4e6 slots, 16 chunks, allocate at most a fixed amount at any one time
         # (tracemalloc counts numpy's buffers, on every thread): 32 MiB at
         # dense rates, whose event lists are long, and 5 MiB at sparse rates,
         # where the buffers are most of the peak.  The block table, built

@@ -143,6 +143,12 @@ class TestRouteRows:
         with pytest.raises(DomainError, match="needs slots and seed, got slots=5000, seed=None"):
             route_rows(make_params(0.5, 0.5), "sim", slots=5_000)
 
+    @pytest.mark.parametrize("slots", [0, -5])
+    def test_sim_with_nonpositive_slots_rejected(self, slots):
+        # Before the default warmup, min(1000, slots // 10), is taken from it.
+        with pytest.raises(DomainError, match=f"^slots must be positive, got {slots}$"):
+            route_rows(make_params(0.5, 0.5), "sim", slots=slots, seed=1)
+
 
 class TestSweep:
     def test_nonmonotone_witnesses_on_scarce_energy_row(self):
