@@ -100,8 +100,8 @@ def cmd_analytic(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = _cli_params(args.lambda1, args.lambda2)
-    _emit(validation.route_rows(p, "sim", slots=args.slots, seed=args.seed,
-                                warmup=args.warmup), args.json, sys.stdout)
+    _emit(validation.route_rows(p, "sim", slots=args.slots, seed=args.seed),
+          args.json, sys.stdout)
     return 0
 
 
@@ -125,16 +125,16 @@ def cmd_sweep(args) -> int:
     points = _parse_grid(args.grid)
     methods = _parse_methods(args.methods)
     report = validation.sweep(points, methods, args.slots, args.seed,
-                              warmup=args.warmup, tail_eps=args.tail_eps)
+                              tail_eps=args.tail_eps)
     order = validation.METHOD_ORDER
     rows = sorted((r for c in report.rows for r in c.routes if r.method in methods),
                   key=lambda r: (r.lambda1, r.lambda2, order.index(r.method)))
+    fh = open(args.out, "w", newline="")
     try:
-        with open(args.out, "w", newline="") as fh:
+        with fh:
             _emit(rows, False, fh)
-    except BaseException:
-        if os.path.exists(args.out):
-            os.remove(args.out)
+    except BaseException:  # leave no partial file, and no other file
+        os.remove(args.out)
         raise
     return 0
 
@@ -142,8 +142,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     points = _parse_grid(args.grid)
     report = validation.sweep(points, validation.METHOD_ORDER, args.slots, args.seed,
-                              tol_rel=args.tol_rel, warmup=args.warmup,
-                              tail_eps=args.tail_eps)
+                              tol_rel=args.tol_rel, tail_eps=args.tail_eps)
     for r in report.rows:
         verdict = "PASS" if r.passed else "FAIL"
         print(f"{verdict} lambda1={_fmt(r.params.lambda1)} lambda2={_fmt(r.params.lambda2)} "
@@ -201,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_lambdas(sp)
     sp.add_argument("--slots", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--warmup", type=int, default=None,
-                    help="slots left out of the averages (default min(1000, slots // 10))")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_simulate)
 
@@ -221,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--methods", default="analytic")
     sp.add_argument("--slots", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--warmup", type=int, default=None)
     sp.add_argument("--tail-eps", type=float, default=1e-10, dest="tail_eps")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_sweep)
@@ -230,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", required=True)
     sp.add_argument("--slots", type=int, default=1_000_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--warmup", type=int, default=None)
     sp.add_argument("--tail-eps", type=float, default=1e-10, dest="tail_eps")
     sp.add_argument("--tol-rel", type=float, default=0.01, dest="tol_rel")
     sp.set_defaults(func=cmd_validate)

@@ -88,6 +88,9 @@ _DRAW = 1 << 14
 # Slots per piece of `trace`'s replay, each printed whole: a 600 000-row
 # `--json` trace peaked at 44.4 MiB resident at 2^12, 52.5 at 2^14, 60.5 at 2^15.
 _TRACE_PIECE = 1 << 12
+# Batches of `run_batched`'s batch-means standard error, unless a run has
+# fewer measured slots.
+N_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,8 @@ def read_events_csv(path) -> np.ndarray:
     DomainError naming the offending line on any malformed content.
     """
     codes = bytearray()  # data | energy << 1, one byte a slot
-    with open(path, newline="") as fh:
+    # Undecodable bytes become U+FFFD, which the line checks below reject.
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -431,18 +435,13 @@ def _draw_chunk(rng, u: np.ndarray, thr: np.ndarray, flags: np.ndarray) -> np.nd
     return flags
 
 
-@dataclass
-class _RunAccumulator:
-    """Exact integer tallies of a simulated run, split into measurement batches."""
+def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
+    """Simulate and tally exactly; returns (edges, sums, actuations).
 
-    batch_edges: np.ndarray  # int64, length n_batches + 1, edges within [warmup, slots]
-    sum_aoi: np.ndarray      # int64 per batch
-    sum_aoa: np.ndarray
-    sum_aoai: np.ndarray
-    actuations: int
-
-
-def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> _RunAccumulator:
+    `edges` are the int64 batch edges, `n_batches + 1` of them from `warmup`
+    to `slots`; `sums` is the (3, n_batches) int64 array of the aoi, aoa and
+    aoai sums over each batch; `actuations` counts the measured ones.
+    """
     if slots <= warmup:
         raise DomainError(f"slots ({slots}) must exceed warmup ({warmup})")
     if warmup < 0:
@@ -455,9 +454,7 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
     edges = warmup + (np.arange(n_batches + 1, dtype=np.int64) * measured) // n_batches
 
     rng = np.random.default_rng(seed)
-    sI = np.zeros(n_batches, dtype=np.int64)
-    sA = np.zeros(n_batches, dtype=np.int64)
-    sAI = np.zeros(n_batches, dtype=np.int64)
+    sums = np.zeros((3, n_batches), dtype=np.int64)
     actuations = 0
 
     # One draw buffer, its threshold rows and one or two flag buffers for
@@ -492,53 +489,48 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int) -> 
             # Renewal-reward age sums from the event slots alone.  Batch edges
             # are query points; a batch outside the chunk clips to empty.
             q = np.clip(edges - lo, 0, chunk)
-            sI += _age_sums(sd, (1,), q)[0]
-            sums = _age_sums(sa, (1, base), q)
-            sA += sums[0]
-            sAI += sums[1]
+            sums[0] += _age_sums(sd, (1,), q)[0]
+            sums[1:] += _age_sums(sa, (1, base), q)
             # sa[0], the carried actuation, is negative and never counted.
             actuations += len(sa) - int(np.searchsorted(sa, max(warmup - lo, 0)))
             lo += chunk
             del act, st, sd, sa, base  # else alive while `_replay` builds the next: +4 MiB at 0.9
 
-    return _RunAccumulator(edges, sI, sA, sAI, actuations)
+    return edges, sums, actuations
 
 
-def run(p: Params, slots: int, seed: int, warmup: int = 1000) -> RunSummary:
+def run(p: Params, slots: int, seed: int, warmup: int | None = None) -> RunSummary:
     """Simulate `slots` slots with a seeded generator and average the ages.
 
     Per slot the generator draws the data event first, then the energy event.
-    The first `warmup` slots are excluded from the averages; `seed` must be
-    nonnegative.  Identical (p, slots, seed, warmup) always produce a
-    bit-identical summary.
+    The first `warmup` slots, by default min(1000, slots // 10), are excluded
+    from the averages; `seed` must be nonnegative.  Identical (p, slots,
+    seed, warmup) always produce a bit-identical summary.
     """
     return run_batched(p, slots, seed, warmup, n_batches=1)[0]
 
 
-def run_batched(p: Params, slots: int, seed: int, warmup: int = 1000,
-                n_batches: int = 20):
+def run_batched(p: Params, slots: int, seed: int, warmup: int | None = None,
+                n_batches: int | None = None):
     """Like `run` but also return per-batch means and batch-means standard errors.
 
     Returns (RunSummary, means, stderrs) where means/stderrs are length-3
     arrays ordered (aoi, aoa, aoai) and the standard error comes from the
-    sample standard deviation of the `n_batches` batch means (NaN when
-    `n_batches` is 1).
+    sample standard deviation of the `n_batches` batch means, by default
+    min(`N_BATCHES`, slots - warmup) of them (NaN when there is one).
     """
-    acc = _simulate(p, slots, seed, warmup, n_batches=n_batches)
+    if slots <= 0:  # before the default warmup is taken from it
+        raise DomainError(f"slots must be positive, got {slots}")
+    if warmup is None:
+        warmup = min(1000, slots // 10)
+    if n_batches is None:
+        n_batches = max(1, min(N_BATCHES, slots - warmup))
+    edges, sums, actuations = _simulate(p, slots, seed, warmup, n_batches)
     measured = slots - warmup
-    sizes = np.diff(acc.batch_edges).astype(float)
-    summary = RunSummary(
-        slots=slots,
-        mean_aoi=int(acc.sum_aoi.sum()) / measured,
-        mean_aoa=int(acc.sum_aoa.sum()) / measured,
-        mean_aoai=int(acc.sum_aoai.sum()) / measured,
-        actuation_count=acc.actuations,
-        seed=seed,
-        warmup=warmup,
-    )
-    means = np.array([summary.mean_aoi, summary.mean_aoa, summary.mean_aoai])
-    stderrs = np.empty(3)
-    for i, sums in enumerate((acc.sum_aoi, acc.sum_aoa, acc.sum_aoai)):
-        bm = sums / sizes
-        stderrs[i] = bm.std(ddof=1) / np.sqrt(n_batches) if n_batches > 1 else np.nan
-    return summary, means, stderrs
+    # Python ints, so each mean is the correctly rounded quotient of exact sums.
+    means = np.array([total / measured for total in sums.sum(axis=1).tolist()])
+    summary = RunSummary(slots, *means.tolist(), actuations, seed, warmup)
+    if n_batches == 1:
+        return summary, means, np.full(3, np.nan)
+    batch_means = sums / np.diff(edges)
+    return summary, means, batch_means.std(axis=1, ddof=1) / np.sqrt(n_batches)

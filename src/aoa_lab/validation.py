@@ -20,10 +20,10 @@ exact (the tests check them against the slot-rule table), and the rounding
 of their float evaluation is not reported.  That rounding is about 1e-14 on
 most of the square but grows toward the 0/0 corner (1, 1): 3e-12 at
 (0.9999, 0.9999).  The overlap clause is a genuine statistical test: a
-simulated mean over `N_BATCHES` = 20 batch means is t-distributed with 19
-degrees of freedom, so a correct simulation lands more than three standard
-errors from an exact route with probability 2 * t.sf(3, 19) = 0.0074 per
-comparison.  Isolated failures at about that 0.74 percent rate are expected
+simulated mean over `engine.N_BATCHES` = 20 batch means is t-distributed
+with 19 degrees of freedom, so a correct simulation lands more than three
+standard errors from an exact route with probability 2 * t.sf(3, 19) = 0.0074
+per comparison.  Isolated failures at about that 0.74 percent rate are expected
 sampling fluctuations.
 
 `sweep` spreads the points over a pool of `default_workers()` processes, at
@@ -66,8 +66,6 @@ METRICS = ("aoi", "aoa", "aoai")
 ROUTE_METRICS = {"analytic": METRICS, "sim": METRICS, "chain": ("aoa", "aoai"),
                  "series": ("aoa",)}
 SERIES_ROUNDING_BOUND = 1e-12
-# Batch count of the batch-means standard error of every simulation route.
-N_BATCHES = 20
 # Most values one `A:B:STEP` grid range may give.  Step 0.001 over the CLI's
 # rate range [0.01, 1] gives 991; a larger count is a mistyped step, and the
 # list of grid points grows as its square.
@@ -101,7 +99,6 @@ def route_rows(
     *,
     slots: Optional[int] = None,
     seed: Optional[int] = None,
-    warmup: Optional[int] = None,
     tail_eps: float = 1e-10,
     cap: Optional[int] = None,
 ) -> list[Row]:
@@ -109,31 +106,24 @@ def route_rows(
 
     Rows follow the order of `metrics`; metrics outside
     `ROUTE_METRICS[method]` are skipped.  The simulation route needs `slots`
-    and `seed` and leaves out the first `warmup` slots (default
-    min(1000, slots // 10)); its measured slots are split into
-    min(`N_BATCHES`, slots - warmup) batches, and a run too short for two
-    batches reports uncertainty 0.0.  The chain route truncates at `cap`, or
-    at `chains.choose_cap(p, tail_eps)` when `cap` is None.  An unknown
-    method, or the simulation route without `slots` or `seed` or with
-    `slots` not positive, raises DomainError.
+    and `seed`, and takes its warmup and batches from `engine.run_batched`'s
+    defaults; a run too short for two batches reports uncertainty 0.0.  The
+    chain route truncates at `cap`, or at `chains.choose_cap(p, tail_eps)`
+    when `cap` is None.  An unknown method, or the simulation route without
+    `slots` or `seed`, raises DomainError.
     """
     if method not in ROUTE_METRICS:
         raise DomainError(f"method must be one of {METHOD_ORDER}, got {method!r}")
     if method == "sim" and (slots is None or seed is None):
         raise DomainError(f"the sim route needs slots and seed, got slots={slots}, seed={seed}")
-    if method == "sim" and slots <= 0:  # before the default warmup is taken from it
-        raise DomainError(f"slots must be positive, got {slots}")
     wanted = [m for m in metrics if m in ROUTE_METRICS[method]]
     row = functools.partial(Row, p.lambda1, p.lambda2, method)
     if method == "analytic":
         ref = analytic.averages(p)
         return [row(m, getattr(ref, f"{m}_bar"), 0.0) for m in wanted]
     if method == "sim":
-        if warmup is None:
-            warmup = min(1000, slots // 10)
-        nb = max(1, min(N_BATCHES, slots - warmup))
-        _, means, stderrs = engine.run_batched(p, slots, seed, warmup, n_batches=nb)
-        est = {m: (float(v), float(s) if nb > 1 else 0.0)
+        _, means, stderrs = engine.run_batched(p, slots, seed)
+        est = {m: (float(v), 0.0 if math.isnan(s) else float(s))
                for m, v, s in zip(METRICS, means, stderrs)}
         return [row(m, *est[m], slots=slots, seed=seed) for m in wanted]
     if method == "chain":
@@ -234,7 +224,6 @@ def cross_check(
     seed: int,
     tol_rel: float = 0.01,
     methods: Sequence[str] = METHOD_ORDER,
-    warmup: Optional[int] = None,
     tail_eps: float = 1e-10,
 ) -> list[CrossCheckResult]:
     """Compute each metric by every requested route; returns one result per metric.
@@ -250,8 +239,7 @@ def cross_check(
     if not tol_rel > 0.0:
         raise DomainError(f"tol_rel must be positive, got {tol_rel}")
     rows = [r for m in METHOD_ORDER if m == "analytic" or m in methods
-            for r in route_rows(p, m, slots=slots, seed=seed, warmup=warmup,
-                                tail_eps=tail_eps)]
+            for r in route_rows(p, m, slots=slots, seed=seed, tail_eps=tail_eps)]
     results = []
     for metric in METRICS:
         routes = tuple(r for r in rows if r.metric == metric)
@@ -289,8 +277,7 @@ def grid_range(spec: str) -> list[float]:
 
 
 def _point_worker(args):
-    p, slots, seed, tol_rel, methods, warmup, tail_eps = args
-    return cross_check(p, slots, seed, tol_rel, methods, warmup, tail_eps)
+    return cross_check(*args)
 
 
 def _neighbour_steps(keys):
@@ -342,7 +329,6 @@ def sweep(
     slots: int,
     seed: int,
     tol_rel: float = 0.01,
-    warmup: Optional[int] = None,
     tail_eps: float = 1e-10,
     max_workers: Optional[int] = None,
 ) -> SweepReport:
@@ -356,7 +342,7 @@ def sweep(
     if not points:
         raise DomainError("sweep needs at least one grid point")
     pts = sorted(points, key=lambda p: (p.lambda1, p.lambda2))
-    jobs = [(p, slots, seed + i, tol_rel, tuple(methods), warmup, tail_eps)
+    jobs = [(p, slots, seed + i, tol_rel, tuple(methods), tail_eps)
             for i, p in enumerate(pts)]
     workers = min(default_workers() if max_workers is None else max(1, max_workers), len(jobs))
     if workers > 1:

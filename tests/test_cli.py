@@ -28,8 +28,9 @@ t,data,energy,cache,battery,actuated,aoi,aoa,aoai
 7,0,0,1,0,0,2,4,6
 """
 
-# Stdout of four commands, frozen byte for byte: a change to any route's
-# numbers or to the output format shows here.
+# Stdout of five commands, frozen byte for byte: a change to any route's
+# numbers or to the output format shows here.  The 5000-slot run warms up
+# for slots // 10 slots, the 100 000-slot one for 1000.
 GOLDEN_STDOUT = [
     (("analytic", "--lambda1", "0.2", "--lambda2", "0.4"), """\
 lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap
@@ -66,6 +67,13 @@ symmetry_max_rel_dev=0.0110455842
 aoa_nonmonotone_witnesses=none
 aoai_monotone=true
 ordering_violations=none
+"""),
+    (("simulate", "--lambda1", "0.3", "--lambda2", "0.7", "--slots", "5000",
+      "--seed", "3"), """\
+lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap
+0.3,0.7,sim,aoi,3.29711111,0.0895050429,5000,3,
+0.3,0.7,sim,aoa,3.292,0.0882503969,5000,3,
+0.3,0.7,sim,aoai,3.32666667,0.0878485909,5000,3,
 """),
 ]
 
@@ -145,11 +153,6 @@ class TestSimulate:
         assert float(rows["aoa"]["value"]) == pytest.approx(2.0, rel=0.01)
         assert rows["aoa"]["slots"] == "1000000" and rows["aoa"]["seed"] == "7"
         assert float(rows["aoa"]["uncertainty"]) > 0
-
-    def test_slots_not_above_warmup_exit_two(self, capsys):
-        code, _, _ = run_cli(capsys, "simulate", "--lambda1", "0.5", "--lambda2", "0.5",
-                             "--slots", "100", "--warmup", "100")
-        assert code == 2
 
     @pytest.mark.parametrize("command,slots", [("simulate", "-5"), ("simulate", "0"),
                                                ("validate", "-5")])
@@ -242,7 +245,7 @@ def test_json_keys_are_the_csv_header(capsys, args):
 
 
 @pytest.mark.parametrize("args,expected", GOLDEN_STDOUT,
-                         ids=[args[0] for args, _ in GOLDEN_STDOUT])
+                         ids=[args[0] for args, _ in GOLDEN_STDOUT[:-1]] + ["simulate-short"])
 def test_golden_stdout(capsys, args, expected):
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
@@ -416,8 +419,33 @@ class TestTrace:
         code, _, _ = run_cli(capsys, "trace", "--events", str(tmp_path / "nope.csv"))
         assert code == 2
 
+    def test_undecodable_byte_exit_two_names_line(self, capsys, tmp_path):
+        # Read as UTF-8 whatever the locale; the bad byte is a bad value.
+        f = tmp_path / "ev.csv"
+        f.write_bytes(b"t,data,energy\n1,1,0\n2,\xff,1\n")
+        code, out, err = run_cli(capsys, "trace", "--events", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
 
 class TestSweep:
+    def test_unopenable_out_file_is_kept(self, capsys, tmp_path, monkeypatch):
+        # As a read-only file in a writable directory: the open fails, and the
+        # file that was there stays.
+        out_file = tmp_path / "s.csv"
+        out_file.write_text("kept\n")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(out_file))
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        code, _, err = run_cli(capsys, "sweep", "--grid", "0.5:0.5:0.1",
+                               "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: [Errno 13] Permission denied")
+        assert out_file.read_text() == "kept\n"
+
     def test_analytic_grid_row_count(self, capsys, tmp_path):
         out_file = tmp_path / "s.csv"
         code, _, _ = run_cli(capsys, "sweep", "--grid", "0.1:0.9:0.2",

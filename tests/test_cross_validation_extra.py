@@ -68,8 +68,9 @@ class TestKernelFuzz:
             assert (cache, battery) != (1, 1)
 
     def test_actuation_count_bounded_by_slots(self):
-        acc = _simulate(make_params(0.9, 0.9), 50_000, seed=1, warmup=0, n_batches=1)
-        assert 0 <= acc.actuations <= 50_000
+        _, _, actuations = _simulate(make_params(0.9, 0.9), 50_000, seed=1, warmup=0,
+                                     n_batches=1)
+        assert 0 <= actuations <= 50_000
 
 
 class TestDistributionAgreement:

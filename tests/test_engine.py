@@ -231,15 +231,17 @@ class TestKernels:
             mp.setattr(engine, "_CHUNK", chunk)
             mp.setattr(engine, "_DRAW", draw)
             mp.setattr(engine, "_draws_ahead", lambda: ahead)
-            acc = _simulate(p, slots, seed, warmup=warmup, n_batches=n_batches)
-        edges = acc.batch_edges.tolist()
+            edges, sums, actuations = _simulate(p, slots, seed, warmup=warmup,
+                                                n_batches=n_batches)
+        edges = edges.tolist()
         assert edges[0] == warmup and edges[-1] == slots
+        assert sums.shape == (3, n_batches) and sums.dtype == np.int64
         for b in range(n_batches):
             batch = traj[edges[b]:edges[b + 1]]
-            assert acc.sum_aoi[b] == sum(s.ages.aoi for s, _ in batch)
-            assert acc.sum_aoa[b] == sum(s.ages.aoa for s, _ in batch)
-            assert acc.sum_aoai[b] == sum(s.ages.aoai for s, _ in batch)
-        assert acc.actuations == sum(act for _, act in traj[warmup:])
+            assert sums[0, b] == sum(s.ages.aoi for s, _ in batch)
+            assert sums[1, b] == sum(s.ages.aoa for s, _ in batch)
+            assert sums[2, b] == sum(s.ages.aoai for s, _ in batch)
+        assert actuations == sum(act for _, act in traj[warmup:])
 
 
 class TestRun:
@@ -256,6 +258,13 @@ class TestRun:
     def test_slots_not_exceeding_warmup_rejected(self):
         with pytest.raises(DomainError):
             run(make_params(0.5, 0.5), 100, seed=1, warmup=100)
+
+    def test_short_run_takes_a_tenth_as_warmup(self):
+        # A 1000-slot warmup would leave none of the 500 slots to measure.
+        p = make_params(0.5, 0.5)
+        s = run(p, 500, seed=1)
+        assert s.warmup == 50
+        assert s == run(p, 500, seed=1, warmup=50)
 
     def test_negative_seed_rejected(self):
         # numpy's own error would be a ValueError, which the CLI maps to no

@@ -1,9 +1,10 @@
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from aoa_lab import validation
+from aoa_lab import engine, validation
 from aoa_lab.analytic import averages
 from aoa_lab.core import Params, make_params
 from aoa_lab.errors import DomainError
@@ -148,6 +149,20 @@ class TestRouteRows:
         # Before the default warmup, min(1000, slots // 10), is taken from it.
         with pytest.raises(DomainError, match=f"^slots must be positive, got {slots}$"):
             route_rows(make_params(0.5, 0.5), "sim", slots=slots, seed=1)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 500, 20_000])
+def test_sim_rows_are_run_batched_with_its_defaults(slots):
+    # One measured slot makes one batch: a NaN standard error, reported 0.0.
+    p = make_params(0.3, 0.7)
+    rows = route_rows(p, "sim", slots=slots, seed=4)
+    _, means, stderrs = engine.run_batched(p, slots, 4)
+    assert [r.value for r in rows] == means.tolist()
+    if slots == 1:
+        assert np.isnan(stderrs).all()
+        assert [r.uncertainty for r in rows] == [0.0] * 3
+    else:
+        assert [r.uncertainty for r in rows] == stderrs.tolist()
 
 
 class TestSweep:
