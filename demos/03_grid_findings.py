@@ -5,8 +5,8 @@
 #    is scarce: past a point, pushing more packets makes actions older,
 #    because fresh arrivals keep displacing the cached packet that the next
 #    harvest would have actuated;
-#  * nor in the energy rate when data is scarce: `validation.sweep` reports
-#    every neighbour step of the grid, on either axis, where it rises;
+#  * nor in the energy rate when data is scarce: `validation.findings`
+#    reports every neighbour step of the grid, on either axis, where it rises;
 #  * the average actuated-information age IS strictly decreasing in both
 #    rates;
 #  * both surfaces are only approximately symmetric in their two arguments;
@@ -16,7 +16,7 @@
 import numpy as np
 
 from aoa_lab import averages, make_params
-from aoa_lab.validation import sweep
+from aoa_lab.validation import findings
 
 grid = np.round(np.arange(0.1, 1.0, 0.1), 12)
 
@@ -29,12 +29,10 @@ dip = grid[int(np.argmin(row))]
 print(f"  -> interior minimum near lambda1={dip:.1f}; beyond it, more data "
       "packets make actions OLDER.\n")
 
-# The closed-form findings of the sweep need no simulation: the analytic
-# route alone, in this process.
-report = sweep([make_params(a, b) for a in grid for b in grid], ("analytic",),
-               slots=1, seed=0, max_workers=1)
+# The findings come from the closed forms alone: no route runs.
+_, witnesses, _, _ = findings([make_params(a, b) for a in grid for b in grid])
 print("neighbour steps where the average actuation age rises with lambda2:")
-for axis, l1, lo, hi in report.aoa_nonmonotone_witnesses:
+for axis, l1, lo, hi in witnesses:
     if axis == "lambda2":
         print(f"  lambda1={l1:.1f}  lambda2 {lo:.1f} -> {hi:.1f}")
 print("  -> with data scarce, more energy makes actions OLDER too: at")

@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
 from typing import Optional, Sequence, TextIO
 
@@ -124,17 +125,24 @@ def _parse_methods(spec: str) -> list[str]:
 def cmd_sweep(args) -> int:
     points = _parse_grid(args.grid)
     methods = _parse_methods(args.methods)
-    report = validation.sweep(points, methods, args.slots, args.seed,
-                              tail_eps=args.tail_eps)
-    order = validation.METHOD_ORDER
-    rows = sorted((r for c in report.rows for r in c.routes if r.method in methods),
-                  key=lambda r: (r.lambda1, r.lambda2, order.index(r.method)))
-    fh = open(args.out, "w", newline="")
+    # Open before the sweep, so an unwritable path fails at once; "a" keeps a
+    # file that is there until the rows are ready, then empties a regular one.
+    keep = os.path.exists(args.out)
+    fh = open(args.out, "a", newline="")
     try:
         with fh:
+            report = validation.sweep(points, methods, args.slots, args.seed,
+                                      tail_eps=args.tail_eps)
+            order = validation.METHOD_ORDER
+            rows = sorted((r for c in report.rows for r in c.routes if r.method in methods),
+                          key=lambda r: (r.lambda1, r.lambda2, order.index(r.method)))
+            if keep and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                keep = False
+                fh.truncate(0)
             _emit(rows, False, fh)
-    except BaseException:  # leave no partial file, and no other file
-        os.remove(args.out)
+    except BaseException:  # leave no partial file, and no file the sweep did not write
+        if not keep:
+            os.remove(args.out)
         raise
     return 0
 
@@ -147,13 +155,13 @@ def cmd_validate(args) -> int:
         verdict = "PASS" if r.passed else "FAIL"
         print(f"{verdict} lambda1={_fmt(r.params.lambda1)} lambda2={_fmt(r.params.lambda2)} "
               f"metric={r.metric} max_rel_disagreement={_fmt(r.max_rel_disagreement)}")
+    sym_dev, witnesses, monotone, violations = validation.findings(points)
     wit = ";".join(f"({axis},{_fmt(at)},{_fmt(lo)},{_fmt(hi)})"
-                   for axis, at, lo, hi in report.aoa_nonmonotone_witnesses) or "none"
-    vio = ";".join(f"({_fmt(a)},{_fmt(b)}:{msg})"
-                   for a, b, msg in report.ordering_violations) or "none"
-    print(f"symmetry_max_rel_dev={_fmt(report.symmetry_max_rel_dev)}")
+                   for axis, at, lo, hi in witnesses) or "none"
+    vio = ";".join(f"({_fmt(a)},{_fmt(b)}:{msg})" for a, b, msg in violations) or "none"
+    print(f"symmetry_max_rel_dev={_fmt(sym_dev)}")
     print(f"aoa_nonmonotone_witnesses={wit}")
-    print(f"aoai_monotone={'true' if report.aoai_monotone else 'false'}")
+    print(f"aoai_monotone={'true' if monotone else 'false'}")
     print(f"ordering_violations={vio}")
     return 0 if report.all_passed else 1
 

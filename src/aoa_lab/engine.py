@@ -181,8 +181,9 @@ def read_events_csv(path) -> np.ndarray:
     DomainError naming the offending line on any malformed content.
     """
     codes = bytearray()  # data | energy << 1, one byte a slot
-    # Undecodable bytes become U+FFFD, which the line checks below reject.
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+    # A leading byte-order mark, as spreadsheet CSV exports write, is dropped;
+    # undecodable bytes become U+FFFD, which the line checks below reject.
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

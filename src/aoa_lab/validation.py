@@ -1,4 +1,4 @@
-"""Cross-method verification and parameter-sweep findings.
+"""Cross-method verification and the grid's qualitative findings.
 
 Every metric can be computed by several independent routes: closed form,
 seeded simulation, truncated-chain solve, and (for the actuation age) the
@@ -7,9 +7,9 @@ recursive series; `ROUTE_METRICS` says which route covers which metric.
 metric, the long-format record that the CLI prints (one CSV line or JSON
 object per row).  `cross_check` runs all requested routes at one point and
 scores their pairwise agreement; `sweep` does that over a grid, with point i
-of the sorted grid seeded `seed + i`, and summarizes the closed form's
-findings: approximate symmetry, mean ordering, and the sign of each
-neighbour step of the grid, along either axis (see `SweepReport`).
+of the sorted grid seeded `seed + i`, and nothing more.  `findings` is a
+separate call over the closed form alone: approximate symmetry, mean
+ordering, and the sign of each neighbour step of the grid, along either axis.
 
 A point passes when, for every pair of routes, the relative disagreement is
 below tol_rel AND the two 3-sigma-style intervals (value plus or minus three
@@ -27,13 +27,14 @@ per comparison.  Isolated failures at about that 0.74 percent rate are expected
 sampling fluctuations.
 
 `sweep` spreads the points over a pool of `default_workers()` processes, at
-most one per point.  Its report depends neither on the worker count nor on
-the host's CPU count: each worker's numerics run on one thread, since no
-route passes BLAS a vector long enough for BLAS to split across its threads
-(see `chains.mean_age`) and the workers' simulations draw in place.  Outside
-a pool, a simulation draws each next chunk on one helper thread
-(`engine._draws_ahead`), which consumes the generator in the same order and
-changes no draw.
+most one per point, when it runs the sim or chain route; a grid of closed
+forms alone runs in the calling process.  Its report depends neither on the
+worker count nor on the host's CPU count: each worker's numerics run on one
+thread, since no route passes BLAS a vector long enough for BLAS to split
+across its threads (see `chains.mean_age`) and the workers' simulations draw
+in place.  Outside a pool, a simulation draws each next chunk on one helper
+thread (`engine._draws_ahead`), which consumes the generator in the same
+order and changes no draw.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import analytic, chains, engine
@@ -55,6 +56,7 @@ __all__ = [
     "Row",
     "SweepReport",
     "cross_check",
+    "findings",
     "route_rows",
     "sweep",
     "grid_range",
@@ -158,39 +160,23 @@ class CrossCheckResult:
     max_rel_disagreement: float = 0.0
     passed: bool = True
 
-    # Read-only wide view of `routes` (None where a route is absent), kept
-    # only because the benchmark's `perfbench/workload.py::check_validate`
-    # reads these names; delete them once it reads `routes`.
+    # Read-only wide view of `routes` (None where a route is absent): the
+    # values and uncertainties that the benchmark's `check_validate` in
+    # `perfbench/workload.py` reads; delete them once it reads `routes`.
     analytic = _wide("analytic", "value")
     simulated = _wide("sim", "value")
     sim_stderr = _wide("sim", "uncertainty")
     chain = _wide("chain", "value")
     chain_bound = _wide("chain", "uncertainty")
-    chain_cap = _wide("chain", "cap")
     series = _wide("series", "value")
     series_bound = _wide("series", "uncertainty")
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Grid-wide cross-check rows plus the qualitative findings.
-
-    aoa_nonmonotone_witnesses lists the (axis, fixed, low, high) neighbour
-    steps where the closed-form actuation age rises: `axis` ("lambda1" or
-    "lambda2") goes from `low` to its next grid value `high`, the other rate
-    at `fixed`; aoai_monotone says the actuated-information age falls on all.
-    ordering_violations lists (lambda1, lambda2, description) where the mean
-    ordering aoi <= aoa <= aoai fails; the first leg genuinely fails in the
-    data-scarce / energy-rich corner of the parameter square.
-    symmetry_max_rel_dev is reported, never asserted: the closed forms are
-    only approximately symmetric in their arguments.
-    """
+    """Grid-wide cross-check rows: one `CrossCheckResult` per point and metric."""
 
     rows: tuple
-    symmetry_max_rel_dev: float
-    aoa_nonmonotone_witnesses: tuple
-    aoai_monotone: bool
-    ordering_violations: tuple = field(default_factory=tuple)
 
     @property
     def all_passed(self) -> bool:
@@ -289,8 +275,20 @@ def _neighbour_steps(keys):
                 yield (axis, lo[fixed], lo[1 - fixed], hi[1 - fixed]), lo, hi
 
 
-def _findings(points: Sequence[Params]):
-    """Closed-form findings over the grid: symmetry, monotonicity, ordering."""
+def findings(points: Sequence[Params]):
+    """Closed-form findings over the grid of `points`, in any order.
+
+    Returns (symmetry_max_rel_dev, aoa_nonmonotone_witnesses, aoai_monotone,
+    ordering_violations).  The witnesses are the (axis, fixed, low, high)
+    neighbour steps where the closed-form actuation age rises: `axis`
+    ("lambda1" or "lambda2") goes from `low` to its next grid value `high`,
+    the other rate at `fixed`; aoai_monotone says the actuated-information
+    age falls on all.  The violations are (lambda1, lambda2, description)
+    where the mean ordering aoi <= aoa <= aoai fails; the first leg genuinely
+    fails in the data-scarce / energy-rich corner of the parameter square.
+    The symmetry deviation is reported, never asserted: the closed forms are
+    only approximately symmetric in their arguments.
+    """
     avg = {(p.lambda1, p.lambda2): analytic.averages(p) for p in points}
     sym_dev = 0.0
     for (a, b), m in avg.items():
@@ -332,7 +330,7 @@ def sweep(
     tail_eps: float = 1e-10,
     max_workers: Optional[int] = None,
 ) -> SweepReport:
-    """Cross-check every grid point and assemble the findings report.
+    """Cross-check every grid point: one `CrossCheckResult` per point and metric.
 
     Points are evaluated in sorted order with per-point seeds seed + index,
     and no route's numbers depend on its thread count, so the report is
@@ -345,7 +343,7 @@ def sweep(
     jobs = [(p, slots, seed + i, tol_rel, tuple(methods), tail_eps)
             for i, p in enumerate(pts)]
     workers = min(default_workers() if max_workers is None else max(1, max_workers), len(jobs))
-    if workers > 1:
+    if workers > 1 and ("sim" in methods or "chain" in methods):
         # Forked workers inherit what this process has set up, so build the
         # scan's block table and import the chain solver once, here, rather
         # than once in every worker of every pool.
@@ -357,12 +355,4 @@ def sweep(
             per_point = list(pool.map(_point_worker, jobs))
     else:
         per_point = [_point_worker(j) for j in jobs]
-    rows = tuple(r for triple in per_point for r in triple)
-    sym_dev, witnesses, monotone, violations = _findings(pts)
-    return SweepReport(
-        rows=rows,
-        symmetry_max_rel_dev=sym_dev,
-        aoa_nonmonotone_witnesses=witnesses,
-        aoai_monotone=monotone,
-        ordering_violations=violations,
-    )
+    return SweepReport(tuple(r for triple in per_point for r in triple))

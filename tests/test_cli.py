@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from contextlib import redirect_stdout
@@ -428,8 +430,89 @@ class TestTrace:
         assert out == ""
         assert err.startswith("error: line 3: ") and err.count("\n") == 1
 
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        # Spreadsheet CSV exports start the file with a UTF-8 byte-order mark.
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(GOLDEN_TRACE_EVENTS, encoding="utf-8")
+        bom.write_text(GOLDEN_TRACE_EVENTS, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbft,data,energy\n")
+        np.testing.assert_array_equal(read_events_csv(bom), read_events_csv(plain))
+        code, out, _ = run_cli(capsys, "trace", "--events", str(bom))
+        assert code == 0 and out == GOLDEN_TRACE_OUTPUT
+
 
 class TestSweep:
+    def test_unwritable_out_path_fails_before_the_sweep(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(validation, "sweep", refuse)
+        code, _, err = run_cli(capsys, "sweep", "--grid", "0.5:0.5:0.1",
+                               "--out", "/no/such/dir/x.csv")
+        assert code == 2
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("existed", [True, False])
+    def test_sweep_that_raises_leaves_the_path_as_it_was(self, capsys, tmp_path, existed):
+        # A negative seed fails inside the sweep, after the file is open.
+        out_file = tmp_path / "s.csv"
+        if existed:
+            out_file.write_text("kept\n")
+        code, _, err = run_cli(capsys, "sweep", "--grid", "0.5:0.5:0.1", "--methods", "sim",
+                               "--slots", "1000", "--seed", "-3", "--out", str(out_file))
+        assert code == 2 and "seed must be nonnegative" in err
+        if existed:
+            assert out_file.read_text() == "kept\n"
+        else:
+            assert not out_file.exists()
+
+    @pytest.mark.parametrize("existed", [True, False])
+    def test_failed_write_leaves_no_partial_file(self, capsys, tmp_path, monkeypatch, existed):
+        out_file = tmp_path / "s.csv"
+        if existed:
+            out_file.write_text("kept\n")
+
+        def fail_midway(rows, as_json, out):
+            out.write(CSV_HEADER + "\n")
+            out.flush()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_emit", fail_midway)
+        code, _, err = run_cli(capsys, "sweep", "--grid", "0.5:0.5:0.1",
+                               "--out", str(out_file))
+        assert code == 2 and err.startswith("error: [Errno 28] No space left on device")
+        assert not out_file.exists()
+
+    def test_existing_file_is_replaced_whole(self, capsys, tmp_path):
+        out_file = tmp_path / "s.csv"
+        out_file.write_text("x" * 10_000)
+        assert run_cli(capsys, "sweep", "--grid", "0.5:0.5:0.1", "--out", str(out_file))[0] == 0
+        lines = out_file.read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 4
+
+    def test_out_to_a_pipe_is_written_and_kept(self, capsys, tmp_path):
+        # A FIFO, like /dev/stdout piped on: it cannot be truncated, and the
+        # sweep neither empties nor removes it.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, _, err = run_cli(capsys, "sweep", "--grid", "0.5:0.5:0.1", "--out", str(fifo))
+        reader.join(timeout=60)
+        assert (code, err) == (0, "")
+        assert got[0].splitlines()[0] == CSV_HEADER and len(got[0].splitlines()) == 4
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_sweep_computes_no_findings(self, capsys, tmp_path, monkeypatch):
+        def refuse(points):
+            raise AssertionError("findings computed")
+
+        monkeypatch.setattr(validation, "findings", refuse)
+        code, _, _ = run_cli(capsys, "sweep", "--grid", "0.1:0.9:0.4",
+                             "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+
     def test_unopenable_out_file_is_kept(self, capsys, tmp_path, monkeypatch):
         # As a read-only file in a writable directory: the open fails, and the
         # file that was there stays.

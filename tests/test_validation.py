@@ -1,4 +1,5 @@
 import os
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,8 +10,8 @@ from aoa_lab.analytic import averages
 from aoa_lab.core import Params, make_params
 from aoa_lab.errors import DomainError
 from aoa_lab.validation import (MAX_GRID_VALUES, METHOD_ORDER, ROUTE_METRICS,
-                                _findings, _neighbour_steps, cross_check,
-                                default_workers, grid_range, route_rows, sweep)
+                                _neighbour_steps, cross_check, default_workers,
+                                findings, grid_range, route_rows, sweep)
 
 
 def by_method(result):
@@ -169,16 +170,14 @@ class TestSweep:
     def test_nonmonotone_witnesses_on_scarce_energy_row(self):
         # The actuation age falls from lambda1 = 0.1 to 0.3, then rises on
         # every neighbour step of the row.
-        points = [Params(a / 10, 0.1) for a in range(1, 10)]
-        rep = sweep(points, methods=("analytic",), slots=10 ** 5, seed=0)
-        assert rep.aoa_nonmonotone_witnesses == tuple(
+        _, witnesses, _, _ = findings([Params(a / 10, 0.1) for a in range(1, 10)])
+        assert witnesses == tuple(
             ("lambda1", 0.1, a / 10, (a + 1) / 10) for a in range(3, 9))
 
     def test_witnesses_on_the_acceptance_grid_along_both_axes(self):
         g = grid_range("0.1:0.9:0.2")
-        rep = sweep([Params(a, b) for a in g for b in g], methods=("analytic",),
-                    slots=10 ** 5, seed=0)
-        assert rep.aoa_nonmonotone_witnesses == (
+        _, witnesses, _, _ = findings([Params(a, b) for a in g for b in g])
+        assert witnesses == (
             ("lambda1", 0.1, 0.3, 0.5), ("lambda1", 0.1, 0.5, 0.7),
             ("lambda1", 0.1, 0.7, 0.9), ("lambda1", 0.3, 0.7, 0.9),
             ("lambda2", 0.1, 0.3, 0.5), ("lambda2", 0.1, 0.5, 0.7),
@@ -191,7 +190,7 @@ class TestSweep:
     def test_witness_count_is_linear_in_the_grid_points(self):
         g = grid_range("0.01:1:0.01")
         n = len(g)
-        _, witnesses, monotone, _ = _findings([Params(a, b) for a in g for b in g])
+        _, witnesses, monotone, _ = findings([Params(a, b) for a in g for b in g])
         along = [w[0] for w in witnesses]
         assert (along.count("lambda1"), along.count("lambda2")) == (2715, 2259)
         assert len(witnesses) == 4974 <= 2 * n * (n - 1)
@@ -205,12 +204,21 @@ class TestSweep:
 
     def test_full_grid_findings(self):
         points = [Params(a / 10, b / 10) for a in range(1, 10) for b in range(1, 10)]
-        rep = sweep(points, methods=("analytic",), slots=10 ** 5, seed=0)
-        assert rep.aoai_monotone
-        assert rep.symmetry_max_rel_dev > 0.0
-        assert rep.ordering_violations  # aoi/aoa ordering genuinely fails off-diagonal
-        assert all("aoai" not in msg for _, _, msg in rep.ordering_violations)
-        assert rep.all_passed  # analytic-only rows have nothing to disagree with
+        sym_dev, _, monotone, violations = findings(points)
+        assert monotone
+        assert sym_dev > 0.0
+        assert violations  # aoi/aoa ordering genuinely fails off-diagonal
+        assert all("aoai" not in msg for _, _, msg in violations)
+        # Analytic-only rows have nothing to disagree with.
+        assert sweep(points, methods=("analytic",), slots=10 ** 5, seed=0).all_passed
+
+    def test_point_order_does_not_matter(self):
+        g = grid_range("0.1:0.9:0.2")
+        points = [Params(a, b) for a in g for b in g]
+        shuffled = points[:]
+        random.Random(3).shuffle(shuffled)
+        assert shuffled != points
+        assert findings(shuffled) == findings(points)
 
     def test_deterministic(self):
         # The same report in one process and from a two-worker pool.  The
@@ -250,13 +258,12 @@ class TestWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert default_workers() == 1
 
-    @pytest.mark.parametrize("threads,max_workers,n_points,pools", [
-        ("8", None, 4, [4]), ("2", None, 4, [2]), ("8", 8, 4, [4]), ("8", None, 1, [])])
-    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch, threads, max_workers,
-                                                   n_points, pools):
-        # A forked pool starts all its workers at the first submit, so a pool
-        # larger than the grid starts workers that get no point.  A thread
-        # pool stands in for the process pool and records its size.
+    @staticmethod
+    def _pool_sizes(monkeypatch, threads, max_workers, n_points, methods):
+        """The sizes of the pools `sweep` starts, whose report is the serial one.
+
+        A thread pool stands in for the process pool and records its size.
+        """
         sizes = []
 
         class Pool(ThreadPoolExecutor):
@@ -267,6 +274,19 @@ class TestWorkers:
         monkeypatch.setattr(validation, "ProcessPoolExecutor", Pool)
         monkeypatch.setenv("AOA_LAB_THREADS", threads)
         points = [Params(0.5 + 0.4 * (i // 2), 0.5 + 0.4 * (i % 2)) for i in range(n_points)]
-        kw = dict(methods=("analytic",), slots=10 ** 5, seed=0)
+        kw = dict(methods=methods, slots=300, seed=0)
         assert sweep(points, max_workers=max_workers, **kw) == sweep(points, max_workers=1, **kw)
-        assert sizes == pools
+        return sizes
+
+    @pytest.mark.parametrize("threads,max_workers,n_points,pools", [
+        ("8", None, 4, [4]), ("2", None, 4, [2]), ("8", 8, 4, [4]), ("8", None, 1, [])])
+    def test_pool_has_at_most_one_worker_per_point(self, monkeypatch, threads, max_workers,
+                                                   n_points, pools):
+        # A forked pool starts all its workers at the first submit, so a pool
+        # larger than the grid starts workers that get no point.
+        assert self._pool_sizes(monkeypatch, threads, max_workers, n_points, ("sim",)) == pools
+
+    @pytest.mark.parametrize("methods", [("analytic",), ("analytic", "series")])
+    def test_closed_form_grid_starts_no_pool(self, monkeypatch, methods):
+        # A closed-form point takes microseconds, less than sending it to a worker.
+        assert self._pool_sizes(monkeypatch, "8", None, 4, methods) == []
