@@ -181,7 +181,7 @@ def _check_size(kind: str, cap: int, n_states: int) -> None:
 
 
 def _a_priori_tail_mass(r: float, cap: int) -> float:
-    return r ** cap / (1.0 - r) if r > 0.0 else 0.0
+    return r ** cap / (1.0 - r)
 
 
 def build_aoa_chain(p: Params, cap: int) -> TruncatedChain:
@@ -326,13 +326,9 @@ def mean_age(dist: StationaryDist, chain: TruncatedChain) -> tuple[float, float]
     m_cap = float(masses[chain.level_cap])
     mean = float((np.arange(chain.level_cap + 1) * masses).sum())
     r = chain.decay_rate
-    if r > 0.0:
-        est_tail = m_cap * r / (1.0 - r)
-        bound = m_cap * (chain.level_cap * r / (1.0 - r) + r / (1.0 - r) ** 2)
-        bound += mean * est_tail
-    else:
-        est_tail = 0.0
-        bound = 0.0
+    est_tail = m_cap * r / (1.0 - r)
+    bound = m_cap * (chain.level_cap * r / (1.0 - r) + r / (1.0 - r) ** 2)
+    bound += mean * est_tail
     eps = np.finfo(float).eps
     bound += dist.residual * chain.level_cap + 8.0 * eps * chain.level_cap * mean
     if max(chain.tail_mass, est_tail) > TAIL_MASS_LIMIT:

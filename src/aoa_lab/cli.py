@@ -72,7 +72,7 @@ def _parse_metrics(spec: str) -> list[str]:
     bad = [m for m in metrics if m not in validation.METRICS]
     if bad or not metrics:
         raise DomainError(f"metrics must be from {validation.METRICS}, got {spec!r}")
-    return metrics
+    return list(dict.fromkeys(metrics))  # repeats dropped, first-seen order kept
 
 
 def _parse_grid(spec: str) -> list[Params]:

@@ -38,7 +38,8 @@ chunks of slots, in three vectorised stages:
   against `step` bit for bit;
 * the age sums are renewal-reward sums over the arrival and actuation slots:
   an age that restarts at a and runs n slots adds n*a + n*(n-1)/2, so no
-  per-slot age is stored, and every batch sum is an exact integer.
+  per-slot age is stored.  Each batch's share of a chunk is summed in closed
+  form from the starts inside it, and every batch sum is an exact integer.
 
 `_replay` is the one loop over chunks: it alone carries the state across
 chunk edges and works out each actuation's packet: the one that arrived in
@@ -369,36 +370,27 @@ def _trace_columns(flags: np.ndarray):
                                t - arrived + 1, t - acted + 1, t - acted + aoi_at_act))
 
 
-def _age_sums(starts: np.ndarray, bases, q: np.ndarray) -> np.ndarray:
-    """Sums of ages over each slot range [q[i], q[i+1]), for sorted q.
+def _age_sums(starts: np.ndarray, bases, a: int, z: int) -> list[int]:
+    """Sums of ages over the slot range [a, z), a < z: one per entry of `bases`.
 
-    Returns one row per entry of `bases`.  Each age restarts at `base[j]` (a
-    scalar `base` is used at every start) at slot `starts[j]`, sorted and at
-    or before q[0], and grows by one each slot until the next start.  A
-    segment that starts at age a and lasts n slots adds n*a + n*(n-1)/2, so
-    only the start slots are needed, and every sum is an exact int64.  The
-    search and the gaps between starts are shared by all the bases.
+    Each age restarts at `base[j]` (a scalar `base` is used at every start)
+    at slot `starts[j]`, sorted with starts[0] <= a, and grows by one each
+    slot until the next start.  A segment that starts at age b and lasts n
+    slots adds n*b + n*(n-1)/2, so only the start slots are needed.  The range
+    spans segment i, the last to start at or before a, to segment j-1, the
+    last to start before z: the segments between whole, less the h slots of
+    segment i before a, and segment j-1 cut to its m slots before z.  Their
+    n*(n-1)/2 terms come to (n.n + m*m - h*h - (z - a)) / 2.  Every sum is
+    exact.
     """
-    j = np.searchsorted(starts, q, side="right") - 1
-    m = q - starts[j]
-    # Each range gains the part of its last segment before its end, loses
-    # the part of its first segment before its start, and adds the whole
-    # segments j[i] .. j[i+1]-1 in between.
-    ramp = np.diff(m * (m - 1) // 2)
-    n = np.diff(starts)
-    hops = [(i, j[i], j[i + 1]) for i in np.flatnonzero(np.diff(j)).tolist()]
-    for i, lo, hi in hops:
-        span = n[lo:hi]
-        ramp[i] += (int(span @ span) - int(starts[hi] - starts[lo])) // 2
-    sums = np.empty((len(bases), len(ramp)), dtype=np.int64)
-    for row, base in zip(sums, bases):
-        if np.ndim(base) == 0:  # `base` counts once in every slot of a range
-            row[:] = ramp + base * np.diff(q)
-        else:
-            row[:] = ramp + np.diff(m * base[j])
-            for i, lo, hi in hops:
-                row[i] += int(n[lo:hi] @ base[lo:hi])
-    return sums
+    i = int(starts.searchsorted(a, "right")) - 1
+    j = int(starts.searchsorted(z))
+    n = np.diff(starts[i:j])
+    h, m = a - int(starts[i]), z - int(starts[j - 1])
+    ramp = (int(n @ n) + m * m - h * h - (z - a)) // 2
+    return [ramp + base * (z - a) if np.ndim(base) == 0
+            else ramp + int(n @ base[i:j - 1]) + m * int(base[j - 1]) - h * int(base[i])
+            for base in bases]
 
 
 def _usable_cpus() -> int:
@@ -486,12 +478,15 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
 
     with ThreadPoolExecutor(1) if ahead else nullcontext() as helper:
         lo = 0
+        cuts = edges.tolist()  # Python ints: no range end can overflow
         for act, st, sd, sa, base in _replay(drawn(helper)):
-            # Renewal-reward age sums from the event slots alone.  Batch edges
-            # are query points; a batch outside the chunk clips to empty.
-            q = np.clip(edges - lo, 0, chunk)
-            sums[0] += _age_sums(sd, (1,), q)[0]
-            sums[1:] += _age_sums(sa, (1, base), q)
+            # Renewal-reward age sums from the event slots alone, over each
+            # batch's share of the chunk.
+            for b in range(n_batches):
+                a, z = max(cuts[b] - lo, 0), min(cuts[b + 1] - lo, len(act))
+                if a < z:
+                    sums[0, b] += _age_sums(sd, (1,), a, z)[0]
+                    sums[1:, b] += _age_sums(sa, (1, base), a, z)
             # sa[0], the carried actuation, is negative and never counted.
             actuations += len(sa) - int(np.searchsorted(sa, max(warmup - lo, 0)))
             lo += chunk

@@ -107,17 +107,20 @@ def route_rows(
     """Run one route at `p`: a `Row` for each of `metrics` that it covers.
 
     Rows follow the order of `metrics`; metrics outside
-    `ROUTE_METRICS[method]` are skipped.  The simulation route needs `slots`
-    and `seed`, and takes its warmup and batches from `engine.run_batched`'s
-    defaults; a run too short for two batches reports uncertainty 0.0.  The
-    chain route truncates at `cap`, or at `chains.choose_cap(p, tail_eps)`
-    when `cap` is None.  An unknown method, or the simulation route without
-    `slots` or `seed`, raises DomainError.
+    `ROUTE_METRICS[method]` are skipped.  The simulation route needs `seed`
+    and 2 or more `slots`, since its standard error takes two batch means or
+    more, and takes its warmup and batches from `engine.run_batched`'s
+    defaults.  The chain route truncates at `cap`, or at
+    `chains.choose_cap(p, tail_eps)` when `cap` is None.  An unknown method,
+    or a simulation call without `slots` or `seed` or with one slot, raises
+    DomainError.
     """
     if method not in ROUTE_METRICS:
         raise DomainError(f"method must be one of {METHOD_ORDER}, got {method!r}")
     if method == "sim" and (slots is None or seed is None):
         raise DomainError(f"the sim route needs slots and seed, got slots={slots}, seed={seed}")
+    if method == "sim" and slots == 1:  # nonpositive slots are `run_batched`'s to reject
+        raise DomainError("the sim route needs 2 slots or more, for two batch means, got 1")
     wanted = [m for m in metrics if m in ROUTE_METRICS[method]]
     row = functools.partial(Row, p.lambda1, p.lambda2, method)
     if method == "analytic":
@@ -125,8 +128,7 @@ def route_rows(
         return [row(m, getattr(ref, f"{m}_bar"), 0.0) for m in wanted]
     if method == "sim":
         _, means, stderrs = engine.run_batched(p, slots, seed)
-        est = {m: (float(v), 0.0 if math.isnan(s) else float(s))
-               for m, v, s in zip(METRICS, means, stderrs)}
+        est = {m: (float(v), float(s)) for m, v, s in zip(METRICS, means, stderrs)}
         return [row(m, *est[m], slots=slots, seed=seed) for m in wanted]
     if method == "chain":
         if cap is None:

@@ -115,6 +115,12 @@ class TestAnalytic:
         assert [r["value"] for r in rows] == ["2", "2.26666667", "2.44444444"]
         assert all(r["uncertainty"] == "0" for r in rows)
 
+    def test_repeated_metrics_print_once(self, capsys):
+        code, out, _ = run_cli(capsys, "analytic", "--lambda1", "0.5", "--lambda2", "0.5",
+                               "--metrics", "aoai,aoi,aoai,aoi")
+        assert code == 0
+        assert [r["metric"] for r in csv_rows(out)] == ["aoai", "aoi"]
+
     def test_saturated_corner(self, capsys):
         code, out, _ = run_cli(capsys, "analytic", "--lambda1", "1", "--lambda2", "1")
         assert code == 0
@@ -165,6 +171,18 @@ class TestSimulate:
         code, out, err = run_cli(capsys, command, *where, "--slots", slots)
         assert code == 2
         assert out == "" and err == f"error: slots must be positive, got {slots}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
+    def test_one_slot_exit_two(self, capsys, tmp_path, command):
+        # One slot is one batch: no standard error to report.
+        where = {"simulate": ["--lambda1", "0.5", "--lambda2", "0.5"],
+                 "validate": ["--grid", "0.5:0.5:0.1"],
+                 "sweep": ["--grid", "0.5:0.5:0.1", "--methods", "sim",
+                           "--out", str(tmp_path / "rows.csv")]}[command]
+        code, out, err = run_cli(capsys, command, *where, "--slots", "1")
+        assert code == 2
+        assert out == "" and err == ("error: the sim route needs 2 slots or more, "
+                                     "for two batch means, got 1\n")
 
     def test_short_run_uses_the_validate_warmup_rule(self, capsys):
         # Without --warmup a 500-slot run warms up for 50 slots, as `validate`

@@ -218,6 +218,11 @@ class TestKernels:
     @example(0.001, 0.5, 1, 50, 8, 10, 2, 1, True)
     @example(0.4, 0.7, 9, 1500, 513, 30, 4, 64, False)
     @example(0.4, 0.7, 9, 1500, 513, 30, 4, 64, True)
+    # The chunk is the warmup and the batch length: every batch edge is a
+    # chunk edge, and each batch one chunk's whole range.
+    @example(0.3, 0.6, 5, 1500, 300, 300, 4, 64, False)
+    @example(0.3, 0.6, 5, 1500, 300, 300, 4, 64, True)
+    @example(1.0, 1.0, 2, 1200, 300, 300, 3, 8, False)  # and every slot a restart
     def test_fast_path_matches_reference_step_loop(self, l1, l2, seed, slots, chunk,
                                                    warmup, n_batches, draw, ahead):
         warmup = min(warmup, slots - 1)
@@ -242,6 +247,27 @@ class TestKernels:
             assert sums[1, b] == sum(s.ages.aoa for s, _ in batch)
             assert sums[2, b] == sum(s.ages.aoai for s, _ in batch)
         assert actuations == sum(act for _, act in traj[warmup:])
+
+    def test_age_sums_match_per_slot_sums(self):
+        # Every range [a, z) of 40 slots, so ranges that begin or end on an
+        # age restart, ranges without one inside and ranges whose age began
+        # at the carried start, far before slot 0, are all among them.
+        rng = np.random.default_rng(23)
+        k = 40
+        for carried, density in itertools.product((-1, -10 ** 9), (0.0, 0.1, 0.5, 1.0)):
+            inside = np.flatnonzero(rng.random(k) < density)
+            starts = np.concatenate(([carried], inside)).astype(np.int64)
+            base = rng.integers(1, 10 ** 6, len(starts))
+            restarts = dict(zip(starts.tolist(), base.tolist()))
+            ages, ones = [], []  # per slot, with `base` and with every base 1
+            age, one = int(base[0]) - 1 - carried, -carried  # at slot -1
+            for t in range(k):
+                age, one = (restarts[t], 1) if t in restarts else (age + 1, one + 1)
+                ages.append(age)
+                ones.append(one)
+            for a, z in itertools.combinations(range(k + 1), 2):
+                assert engine._age_sums(starts, (1, base), a, z) == [sum(ones[a:z]),
+                                                                     sum(ages[a:z])]
 
 
 class TestRun:

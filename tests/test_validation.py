@@ -151,19 +151,23 @@ class TestRouteRows:
         with pytest.raises(DomainError, match=f"^slots must be positive, got {slots}$"):
             route_rows(make_params(0.5, 0.5), "sim", slots=slots, seed=1)
 
+    def test_sim_with_one_slot_rejected(self):
+        # One slot makes one batch, whose standard error `run_batched` leaves
+        # NaN: the route has no error bound to report.
+        p = make_params(0.3, 0.7)
+        assert np.isnan(engine.run_batched(p, 1, 4)[2]).all()
+        with pytest.raises(DomainError, match="^the sim route needs 2 slots or more, "
+                                              "for two batch means, got 1$"):
+            route_rows(p, "sim", slots=1, seed=4)
 
-@pytest.mark.parametrize("slots", [1, 2, 500, 20_000])
+
+@pytest.mark.parametrize("slots", [2, 500, 20_000])
 def test_sim_rows_are_run_batched_with_its_defaults(slots):
-    # One measured slot makes one batch: a NaN standard error, reported 0.0.
     p = make_params(0.3, 0.7)
     rows = route_rows(p, "sim", slots=slots, seed=4)
     _, means, stderrs = engine.run_batched(p, slots, 4)
     assert [r.value for r in rows] == means.tolist()
-    if slots == 1:
-        assert np.isnan(stderrs).all()
-        assert [r.uncertainty for r in rows] == [0.0] * 3
-    else:
-        assert [r.uncertainty for r in rows] == stderrs.tolist()
+    assert [r.uncertainty for r in rows] == stderrs.tolist()
 
 
 class TestSweep:
