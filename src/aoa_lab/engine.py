@@ -22,13 +22,16 @@ actuation (the age of the packet just consumed), else +1.
 reference semantics.  `run` and `run_batched` simulate long horizons in
 chunks of slots, in three vectorised stages:
 
-* the events are drawn in pieces of `_DRAW` slots into one small buffer
-  and thresholded, by one compare a piece, into the chunk's (k, 2) flags,
-  one row a slot, data then energy.  Where a second CPU may run it, one
-  helper thread draws chunk i+1 into a second flag array while the calling
-  thread scans chunk i and takes its age sums; the helper alone touches the
-  generator and draws the chunks in order, so every seeded result is the
-  same either way;
+* the events are drawn in pieces of `_DRAW` slots into a small buffer and
+  thresholded, by one compare a piece, into the chunk's (k, 2) flags, one
+  row a slot, data then energy.  A piece's draws are addressed by its
+  position in the seeded stream: slot s takes PCG64 outputs 2s and 2s+1, so
+  any thread with its own copy of the generator, moved on to slot s, draws
+  that piece.  Where a second CPU may run it, a helper thread draws pieces
+  of chunk i+1 into a second flag array while the calling thread scans chunk
+  i and takes its age sums; then the calling thread draws the pieces still
+  undrawn.  Which thread draws which piece depends on timing, and no seeded
+  result depends on it;
 * the occupancy scan bit-packs the flags, by one `np.packbits`, into 8-slot
   blocks and looks them up in a table that composes the one-slot table of
   the same slot rules (`_step_core`).  A prefix scan over the blocks' maps
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -80,12 +84,14 @@ __all__ = [
 # sparse-rate runs, whose per-chunk overhead dominates: a 10^7-slot run at
 # (0.05, 0.05) took 0.128 s at 2^18 slots, 0.136 s at 2^17 and 0.159 s at 2^16.
 _CHUNK = 1 << 18
-# Slots per draw.  A chunk's events are drawn in pieces of this many slots
-# into one 256 KiB buffer, two float64 draws per slot, and thresholded against
-# a threshold buffer of the same size into the chunk's flags, so no chunk-long
-# float buffer is ever held.  2^15 timed the same.  Results do not depend on
-# either size.
-_DRAW = 1 << 14
+# Slots per draw piece.  Each drawing thread draws a chunk's pieces into a
+# 128 KiB buffer of its own, two float64 draws per slot, and thresholds them
+# against one shared threshold buffer of the same size into the chunk's flags,
+# so no chunk-long float buffer is ever held: 384 KiB with two threads.  At
+# 2^14, 768 KiB, the `sim` benchmark's peak resident memory rose by 0.3-0.4 MB
+# and its time fell in one of two rounds of runs (BENCH_sim_split_draw.json).
+# Results do not depend on the size.
+_DRAW = 1 << 13
 # Slots per piece of `trace`'s replay, each printed whole: a 600 000-row
 # `--json` trace peaked at 44.4 MiB resident at 2^12, 52.5 at 2^14, 60.5 at 2^15.
 _TRACE_PIECE = 1 << 12
@@ -410,21 +416,49 @@ def _draws_ahead() -> bool:
     return _usable_cpus() > 1 and multiprocessing.parent_process() is None
 
 
-def _draw_chunk(rng, u: np.ndarray, thr: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Draw one chunk's events into `flags`, a (k, 2) bool array; returns it.
+def _drawer(seed: int, thr: np.ndarray):
+    """A draw function with a generator and a draw buffer of its own.
 
-    The chunk is drawn in pieces of `len(u)` slots into the (len(u), 2) float
-    buffer `u`, which consumes the generator exactly as `rng.random((k, 2))`
-    does: per slot the data draw first, then the energy draw.  Each piece is
-    compared in one pass with `thr`, of the same shape, whose every row is
+    `draw(flags, slot)` fills `flags`, an (n, 2) bool array with n <=
+    len(thr), with the events of slots slot to slot + n - 1, whatever it drew
+    before: the rows of `default_rng(seed).random((slots, 2)) < thr[0]`.
+    Slot s takes outputs 2s and 2s+1 of the PCG64 stream, the data draw then
+    the energy draw, and `Generator.random` makes one double of each, so
+    `advance` moves the generator to any slot.  Each drawing thread needs its
+    own: a shared generator's lock would run their draws one after the other.
+    The draws are compared in one pass with `thr`, whose every row is
     (lambda1, lambda2): against a broadcast (2,) row, numpy loops over rows
     of two, and the compare took 12 times as long.
     """
-    k = len(flags)
-    for lo in range(0, k, len(u)):
-        piece = u[:k - lo]
+    bits = np.random.PCG64(seed)
+    rng = np.random.Generator(bits)
+    u = np.empty_like(thr)
+    at = 0  # the slot whose draws the generator gives next
+
+    def draw(flags: np.ndarray, slot: int) -> None:
+        nonlocal at
+        bits.advance(2 * (slot - at))
+        piece = u[:len(flags)]
         rng.random(out=piece)
-        np.less(piece, thr[:len(piece)], out=flags[lo:lo + len(piece)])
+        np.less(piece, thr[:len(piece)], out=flags)
+        at = slot + len(flags)
+
+    return draw
+
+
+def _draw_claimed(draw, flags: np.ndarray, lo: int, pieces) -> np.ndarray:
+    """Draw the pieces of one chunk that `pieces` hands out, until none is left.
+
+    `flags` holds the chunk's slots lo to lo + k - 1 and `pieces` counts its
+    pieces of `_DRAW` slots, from 0.  Two threads may claim pieces from the
+    same counter, each with its own `draw`; each piece is drawn once, by
+    whichever thread took its number.  Returns `flags`.
+    """
+    for i in pieces:
+        a = i * _DRAW
+        if a >= len(flags):
+            break
+        draw(flags[a:a + _DRAW], lo + a)
     return flags
 
 
@@ -446,34 +480,37 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
         raise DomainError(f"n_batches must be in [1, {measured}], got {n_batches}")
     edges = warmup + (np.arange(n_batches + 1, dtype=np.int64) * measured) // n_batches
 
-    rng = np.random.default_rng(seed)
     sums = np.zeros((3, n_batches), dtype=np.int64)
     actuations = 0
 
-    # One draw buffer, its threshold rows and one or two flag buffers for
-    # every chunk: fresh ones would fault in their pages each time.  Drawing
-    # ahead, the helper thread draws chunk i+1 into the second flag buffer
-    # while the calling thread scans chunk i.  Drawing in place, the calling
-    # thread draws chunk i+1 into the one flag buffer once the scan of chunk
-    # i is done.  Either way, one thread draws every chunk, in order.
+    # One or two flag buffers for every chunk, one threshold buffer and a
+    # draw buffer per drawing thread: fresh ones would fault in their pages
+    # each time.  Drawing ahead, the helper thread claims pieces of chunk i+1,
+    # in the other flag buffer, while the calling thread scans chunk i; then
+    # the calling thread claims the pieces still undrawn and waits for the
+    # helper's last one.  Both claim chunk 0 at once.  Drawing in place, the
+    # calling thread claims every piece of chunk i+1 once the scan of chunk i
+    # is done.  Each piece's draws come from its own place in the stream, so
+    # the flags are the same whichever thread draws it.
     ahead = _draws_ahead()
     chunk = min(_CHUNK, slots)
-    u = np.empty((min(_DRAW, chunk), 2))
-    thr = np.empty_like(u)
+    thr = np.empty((min(_DRAW, chunk), 2))
     thr[:] = p.lambda1, p.lambda2
+    calling_draw, helper_draw = _drawer(seed, thr), ahead and _drawer(seed, thr)
     flags = np.empty((2 if ahead else 1, chunk, 2), dtype=bool)
 
-    def draw(lo: int) -> np.ndarray:
-        buffer = flags[lo // chunk % len(flags), :min(chunk, slots - lo)]
-        return _draw_chunk(rng, u, thr, buffer)
-
     def drawn(helper):
-        if ahead:
-            pending = helper.submit(draw, 0)
+        def share(lo: int):  # chunk lo's claims, handed first to the helper if there is one
+            job = flags[lo // chunk % len(flags), :min(chunk, slots - lo)], lo, itertools.count()
+            return job, helper and helper.submit(_draw_claimed, helper_draw, *job)
+
+        job, helped = share(0)
         for lo in range(0, slots, chunk):
-            events = pending.result() if ahead else draw(lo)
-            if ahead and lo + chunk < slots:
-                pending = helper.submit(draw, lo + chunk)
+            events = _draw_claimed(calling_draw, *job)
+            if helped:
+                helped.result()
+            if lo + chunk < slots:
+                job, helped = share(lo + chunk)
             yield events
 
     with ThreadPoolExecutor(1) if ahead else nullcontext() as helper:

@@ -32,9 +32,10 @@ forms alone runs in the calling process.  Its report depends neither on the
 worker count nor on the host's CPU count: each worker's numerics run on one
 thread, since no route passes BLAS a vector long enough for BLAS to split
 across its threads (see `chains.mean_age`) and the workers' simulations draw
-in place.  Outside a pool, a simulation draws each next chunk on one helper
-thread (`engine._draws_ahead`), which consumes the generator in the same
-order and changes no draw.
+in place.  Outside a pool, a simulation shares the draw between the calling
+thread and one helper thread (`engine._draws_ahead`); each piece of slots is
+drawn from its own position in the seeded stream, so the result does not
+depend on which thread draws which piece.
 """
 
 from __future__ import annotations
@@ -94,6 +95,19 @@ class Row:
     cap: Optional[int] = None
 
 
+def _check_sim(slots: Optional[int], seed: Optional[int]) -> None:
+    """Raise the sim route's argument errors, in the order the route meets them."""
+    if slots is None or seed is None:
+        raise DomainError(f"the sim route needs slots and seed, got slots={slots}, seed={seed}")
+    if slots == 1:
+        raise DomainError("the sim route needs 2 slots or more, for two batch means, got 1")
+    # `engine.run_batched`'s own checks, with its messages.
+    if slots <= 0:
+        raise DomainError(f"slots must be positive, got {slots}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+
+
 def route_rows(
     p: Params,
     method: str,
@@ -117,10 +131,8 @@ def route_rows(
     """
     if method not in ROUTE_METRICS:
         raise DomainError(f"method must be one of {METHOD_ORDER}, got {method!r}")
-    if method == "sim" and (slots is None or seed is None):
-        raise DomainError(f"the sim route needs slots and seed, got slots={slots}, seed={seed}")
-    if method == "sim" and slots == 1:  # nonpositive slots are `run_batched`'s to reject
-        raise DomainError("the sim route needs 2 slots or more, for two batch means, got 1")
+    if method == "sim":
+        _check_sim(slots, seed)
     wanted = [m for m in metrics if m in ROUTE_METRICS[method]]
     row = functools.partial(Row, p.lambda1, p.lambda2, method)
     if method == "analytic":
@@ -206,6 +218,24 @@ def _pairwise_verdict(entries, tol_rel: float) -> tuple[float, bool]:
     return max_rel, ok
 
 
+def _check_arguments(methods, slots, seed, tol_rel, tail_eps) -> None:
+    """Raise the first argument error of `cross_check` with these arguments, if any.
+
+    The checks run in `cross_check`'s order: its own, then the sim route's,
+    then the chain route's, so a call with several bad arguments names the
+    one that the routes would meet first.
+    """
+    unknown = set(methods) - set(METHOD_ORDER)
+    if unknown:
+        raise DomainError(f"unknown methods: {sorted(unknown)}")
+    if not tol_rel > 0.0:
+        raise DomainError(f"tol_rel must be positive, got {tol_rel}")
+    if "sim" in methods:
+        _check_sim(slots, seed)
+    if "chain" in methods and not 0.0 < tail_eps < 1.0:  # `chains.choose_cap`'s check
+        raise DomainError(f"tail_eps must be in (0, 1), got {tail_eps}")
+
+
 def cross_check(
     p: Params,
     slots: int,
@@ -221,11 +251,7 @@ def cross_check(
     passed=False rather than an error; solver failures (ConvergenceError,
     TruncationError, CapError) propagate.
     """
-    unknown = set(methods) - set(METHOD_ORDER)
-    if unknown:
-        raise DomainError(f"unknown methods: {sorted(unknown)}")
-    if not tol_rel > 0.0:
-        raise DomainError(f"tol_rel must be positive, got {tol_rel}")
+    _check_arguments(methods, slots, seed, tol_rel, tail_eps)
     rows = [r for m in METHOD_ORDER if m == "analytic" or m in methods
             for r in route_rows(p, m, slots=slots, seed=seed, tail_eps=tail_eps)]
     results = []
@@ -338,9 +364,13 @@ def sweep(
     and no route's numbers depend on its thread count, so the report is
     deterministic for fixed inputs regardless of the worker count
     (`max_workers`, default `default_workers()`) and of the CPUs it may use.
+    An argument that `cross_check` rejects at the first point raises before
+    any route runs.
     """
     if not points:
         raise DomainError("sweep needs at least one grid point")
+    # Else a bad argument would fail only once the pool had started.
+    _check_arguments(methods, slots, seed, tol_rel, tail_eps)
     pts = sorted(points, key=lambda p: (p.lambda1, p.lambda2))
     jobs = [(p, slots, seed + i, tol_rel, tuple(methods), tail_eps)
             for i, p in enumerate(pts)]

@@ -658,6 +658,45 @@ class TestValidate:
         assert "aoi_bar" in out  # the (0.1, 0.3) violation is visible
 
 
+@pytest.mark.parametrize("command, args, message", [
+    pytest.param("validate", ("--tail-eps", "2"), "tail_eps must be in (0, 1), got 2.0",
+                 id="validate-tail-eps"),
+    pytest.param("validate", ("--seed", "-1"), "seed must be nonnegative, got -1",
+                 id="validate-seed"),
+    pytest.param("validate", ("--tol-rel", "0"), "tol_rel must be positive, got 0.0",
+                 id="validate-tol-rel"),
+    pytest.param("validate", ("--seed", "-1", "--tail-eps", "2"),
+                 "seed must be nonnegative, got -1", id="validate-sim-before-chain"),
+    pytest.param("sweep", ("--methods", "chain", "--tail-eps", "2"),
+                 "tail_eps must be in (0, 1), got 2.0", id="sweep-tail-eps"),
+    pytest.param("sweep", ("--methods", "sim", "--seed", "-1"),
+                 "seed must be nonnegative, got -1", id="sweep-seed"),
+    pytest.param("sweep", ("--methods", "analytic,series", "--seed", "-1", "--tail-eps", "2"),
+                 None, id="sweep-routes-not-asked-for"),
+])
+def test_bad_argument_fails_before_any_route_runs(capsys, tmp_path, monkeypatch,
+                                                  command, args, message):
+    # A 25-point grid would run on the pool; each bad argument is the first
+    # point's, so it fails before the pool starts or any route runs.  A route
+    # that is not asked for checks none of its arguments.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    if message is not None:
+        monkeypatch.setattr(engine, "run_batched", refuse)
+        monkeypatch.setattr(validation.chains, "choose_cap", refuse)
+        monkeypatch.setattr(validation, "ProcessPoolExecutor", refuse)
+    out_file = tmp_path / "s.csv"
+    extra = ("--out", str(out_file)) if command == "sweep" else ()
+    code, out, err = run_cli(capsys, command, "--grid", "0.1:0.9:0.2", "--slots", "3000000",
+                             *args, *extra)
+    if message is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+        assert not out_file.exists()
+
+
 @pytest.mark.parametrize("grid", ["nan:nan:1", "0.5:inf:1", "0.5:1e9:1"])
 @pytest.mark.parametrize("command", ["sweep", "validate"])
 def test_runaway_grid_exit_two_at_once(capsys, tmp_path, command, grid):

@@ -177,18 +177,23 @@ class TestKernels:
             assert compose.ravel()[a | b << 8] == compose[b, a]
 
     @pytest.mark.parametrize("piece", [1, 3, 8, 64, engine._DRAW])
-    def test_draw_chunk_flags_are_thresholded_draws(self, piece):
-        # The chunk ends in a short piece: 1000 slots in pieces of 3 or 64,
-        # and 2 * `_DRAW` + 5 slots in pieces of `_DRAW`.
+    def test_drawn_pieces_are_the_thresholded_draws_at_their_slot(self, piece):
+        # One draw function draws pieces of every length up to its buffer's,
+        # odd ones among them, at slots forward and back in the stream; each
+        # must be the matching rows of one long draw from the same seed.
         l1, l2 = 0.3, 0.8
-        k = 1000 if piece < 1000 else 2 * piece + 5
-        u = np.empty((piece, 2))
-        thr = np.empty_like(u)
+        k = 4 * piece + 1000
+        expected = np.random.default_rng(8).random((k, 2)) < (l1, l2)
+        thr = np.empty((piece, 2))
         thr[:] = l1, l2
-        flags = np.empty((k, 2), dtype=bool)
-        drawn = engine._draw_chunk(np.random.default_rng(8), u, thr, flags)
-        assert drawn is flags
-        assert np.array_equal(flags, np.random.default_rng(8).random((k, 2)) < (l1, l2))
+        draw = engine._drawer(8, thr)
+        rng = np.random.default_rng(5)
+        lengths = [piece, piece, 1, piece] + rng.integers(1, piece + 1, 30).tolist()
+        slots = [0, piece, 2 * piece + 5, 1] + [int(rng.integers(0, k - n + 1)) for n in lengths[4:]]
+        for n, slot in zip(lengths, slots):
+            flags = np.empty((n, 2), dtype=bool)
+            draw(flags, slot)
+            assert np.array_equal(flags, expected[slot:slot + n]), (n, slot)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.001, max_value=1.0),
@@ -207,8 +212,8 @@ class TestKernels:
     # past the 64 blocks of a power-of-two scan tree.  Draws of 1, 3, 8 and
     # 64 slots put the edges of the draw pieces inside chunks and blocks.
     # Rates down to 0.001 draw chunks and runs without an arrival or an
-    # actuation.  `ahead` draws each
-    # next chunk on the helper thread (True) or in the calling thread (False);
+    # actuation.  `ahead` has the helper thread and the calling thread share
+    # each chunk's pieces (True) or the calling thread draw them all (False);
     # every example runs both ways.
     @example(0.3, 0.6, 5, 1000, 7, 100, 4, 3, False)
     @example(0.3, 0.6, 5, 1000, 7, 100, 4, 3, True)
@@ -352,9 +357,10 @@ class TestRun:
         assert tuple(stderrs.tolist()) == expected_stderrs
 
     def test_memory_peak_does_not_grow_with_the_run(self):
-        # A run reuses one draw buffer of `_DRAW` slots, its thresholds and
-        # two flag buffers of `_CHUNK` slots, one drawn while the other is
-        # scanned, and each chunk's temporaries are freed before the next, so
+        # A run reuses a draw buffer of `_DRAW` slots for each of its two
+        # drawing threads, one threshold buffer of the same size and two flag
+        # buffers of `_CHUNK` slots, one drawn while the other is scanned,
+        # and each chunk's temporaries are freed before the next, so
         # 4e6 slots, 16 chunks, allocate at most a fixed amount at any one time
         # (tracemalloc counts numpy's buffers, on every thread): 32 MiB at
         # dense rates, whose event lists are long, and 5 MiB at sparse rates,
@@ -387,25 +393,91 @@ class TestRun:
                 run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
         assert threading.active_count() == threads
 
-    def test_draw_error_on_the_helper_thread_reaches_the_caller(self):
-        draw_chunk = engine._draw_chunk
-        drawn_on = []
+    @pytest.mark.parametrize("failing", ["calling", "helper"])
+    def test_draw_error_on_either_thread_reaches_the_caller(self, failing):
+        # Both threads draw; the second chunk's claims fail on one of them.
+        draw_claimed = engine._draw_claimed
+        caller = threading.current_thread()
+        calls, raised_on = [], []
 
-        def draw(*args):
-            drawn_on.append(threading.current_thread())
-            if len(drawn_on) == 2:
-                raise RuntimeError("draw failed")
-            return draw_chunk(*args)
+        def claim(*args):
+            on_caller = threading.current_thread() is caller
+            if on_caller == (failing == "calling"):
+                calls.append(None)
+                if len(calls) == 2:
+                    raised_on.append(threading.current_thread())
+                    raise RuntimeError("draw failed")
+            return draw_claimed(*args)
 
         threads = threading.active_count()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_draws_ahead", lambda: True)
-            mp.setattr(engine, "_draw_chunk", draw)
+            mp.setattr(engine, "_draw_claimed", claim)
             with pytest.raises(RuntimeError, match="draw failed"):
                 run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
-        assert len(drawn_on) == 2
-        assert threading.main_thread() not in drawn_on
+        assert len(raised_on) == 1
+        assert (raised_on[0] is caller) == (failing == "calling")
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("stalled", ["helper", "calling"])
+    @pytest.mark.parametrize("l1, l2, slots, chunk, piece", [
+        (0.05, 0.05, 5003, 1000, 64),
+        (0.3, 0.6, 5003, 1000, 64),
+        (0.9, 0.9, 4000, 1000, 64),
+        (0.5, 0.5, 2503, 1000, 3),
+        (0.3, 0.6, 3 * engine._CHUNK + 5, engine._CHUNK, engine._DRAW),
+    ])
+    def test_result_does_not_depend_on_which_thread_draws(self, l1, l2, slots, chunk, piece,
+                                                          stalled):
+        # The stalled thread takes the first piece of each chunk and draws it
+        # only once the other thread has drawn all the rest, so the other
+        # thread draws almost every piece and skips the first of each chunk,
+        # and the stalled one jumps a chunk's length between its pieces.
+        # 1000-slot chunks of 64-slot pieces end in a short piece, and 3-slot
+        # pieces in a piece of one slot.
+        drawer, draw_claimed = engine._drawer, engine._draw_claimed
+        caller = threading.current_thread()
+        n_chunks = -(-slots // chunk)
+        taken, done = ([threading.Event() for _ in range(n_chunks)] for _ in range(2))
+        pieces = {"stalled": 0, "busy": 0}
+
+        def stalls():
+            return (threading.current_thread() is caller) == (stalled == "calling")
+
+        def stalling_drawer(seed, thr):
+            draw = drawer(seed, thr)
+
+            def stalling_draw(flags, slot):
+                if stalls():
+                    taken[slot // chunk].set()
+                    assert done[slot // chunk].wait(60)
+                pieces["stalled" if stalls() else "busy"] += 1
+                draw(flags, slot)
+            return stalling_draw
+
+        def claim(draw, flags, lo, counter):
+            if stalls():
+                return draw_claimed(draw, flags, lo, counter)
+            assert taken[lo // chunk].wait(60)
+            draw_claimed(draw, flags, lo, counter)
+            done[lo // chunk].set()
+            return flags
+
+        p = make_params(l1, l2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CHUNK", chunk)
+            mp.setattr(engine, "_DRAW", piece)
+            mp.setattr(engine, "_draws_ahead", lambda: False)
+            edges, sums, actuations = _simulate(p, slots, 3, 100, 4)
+            mp.setattr(engine, "_draws_ahead", lambda: True)
+            mp.setattr(engine, "_drawer", stalling_drawer)
+            mp.setattr(engine, "_draw_claimed", claim)
+            edges2, sums2, actuations2 = _simulate(p, slots, 3, 100, 4)
+        assert np.array_equal(edges2, edges) and np.array_equal(sums2, sums)
+        assert actuations2 == actuations
+        assert pieces["stalled"] == n_chunks
+        assert pieces["stalled"] + pieces["busy"] == sum(
+            -(-min(chunk, slots - lo) // piece) for lo in range(0, slots, chunk))
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_pool_workers_draw_in_place(self, method):
