@@ -14,7 +14,7 @@ ref = averages(p)
 print(f"\nclosed forms:      aoi={ref.aoi_bar:.9f}  aoa={ref.aoa_bar:.9f}  "
       f"aoai={ref.aoai_bar:.9f}")
 
-sim = run(p, slots=2_000_000, seed=7, warmup=1000)
+sim = run(p, slots=2_000_000, seed=7)
 print(f"simulation:        aoi={sim.mean_aoi:.9f}  aoa={sim.mean_aoa:.9f}  "
       f"aoai={sim.mean_aoai:.9f}   ({sim.slots:,} slots, seed {sim.seed})")
 

@@ -182,10 +182,10 @@ def run_trace(events: Sequence[SlotEvents]) -> list[tuple[EngineState, bool]]:
 def read_events_csv(path) -> np.ndarray:
     """Parse an event-trace file: header `t,data,energy`, one {0,1} row per slot.
 
-    Returns the (2, slots) bool array of the data and energy flags, the
-    transpose of the (slots, 2) array that the scan reads.  Slots must be
-    numbered consecutively from 1; blank lines take no number.  Raises
-    DomainError naming the offending line on any malformed content.
+    Returns the (slots, 2) bool array that the scan reads, one row a slot,
+    data then energy.  Slots must be numbered consecutively from 1; blank
+    lines take no number.  Raises DomainError naming the offending line on
+    any malformed content.
     """
     codes = bytearray()  # data | energy << 1, one byte a slot
     # A leading byte-order mark, as spreadsheet CSV exports write, is dropped;
@@ -216,7 +216,7 @@ def read_events_csv(path) -> np.ndarray:
         raise DomainError("line 2: no event rows after header")
     flags = np.unpackbits(np.frombuffer(codes, dtype=np.uint8)[:, None], axis=1, count=2,
                           bitorder="little")  # (slots, 2): bit 0, data, then bit 1, energy
-    return flags.view(bool).T
+    return flags.view(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +468,10 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
     `edges` are the int64 batch edges, `n_batches + 1` of them from `warmup`
     to `slots`; `sums` is the (3, n_batches) int64 array of the aoi, aoa and
     aoai sums over each batch; `actuations` counts the measured ones.
+    Unchecked: `run_batched` passes 0 <= warmup < slots, 1 <= n_batches <=
+    slots - warmup and a nonnegative seed.
     """
-    if slots <= warmup:
-        raise DomainError(f"slots ({slots}) must exceed warmup ({warmup})")
-    if warmup < 0:
-        raise DomainError(f"warmup must be nonnegative, got {warmup}")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
     measured = slots - warmup
-    if n_batches < 1 or n_batches > measured:
-        raise DomainError(f"n_batches must be in [1, {measured}], got {n_batches}")
     edges = warmup + (np.arange(n_batches + 1, dtype=np.int64) * measured) // n_batches
 
     sums = np.zeros((3, n_batches), dtype=np.int64)
@@ -532,38 +526,40 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
     return edges, sums, actuations
 
 
-def run(p: Params, slots: int, seed: int, warmup: int | None = None) -> RunSummary:
+def _check_run(slots: int, seed: int) -> None:
+    """Raise `run_batched`'s argument errors, one slot first: two batch means or more."""
+    if slots == 1:
+        raise DomainError("the sim route needs 2 slots or more, for two batch means, got 1")
+    if slots <= 0:
+        raise DomainError(f"slots must be positive, got {slots}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+
+
+def run(p: Params, slots: int, seed: int) -> RunSummary:
+    """The summary of `run_batched(p, slots, seed)`."""
+    return run_batched(p, slots, seed)[0]
+
+
+def run_batched(p: Params, slots: int, seed: int):
     """Simulate `slots` slots with a seeded generator and average the ages.
 
     Per slot the generator draws the data event first, then the energy event.
-    The first `warmup` slots, by default min(1000, slots // 10), are excluded
-    from the averages; `seed` must be nonnegative.  Identical (p, slots,
-    seed, warmup) always produce a bit-identical summary.
+    The one run rule: the first warmup = min(1000, slots // 10) slots are left
+    out of the averages, and the rest is split into min(`N_BATCHES`, slots -
+    warmup) batches, two or more, since `slots` must be 2 or more; `seed`
+    must be nonnegative.  Returns (RunSummary, means, stderrs): means and
+    stderrs are length-3 arrays ordered (aoi, aoa, aoai), and each standard
+    error comes from the sample standard deviation of the batch means.
+    Identical (p, slots, seed) always give bit-identical results.
     """
-    return run_batched(p, slots, seed, warmup, n_batches=1)[0]
-
-
-def run_batched(p: Params, slots: int, seed: int, warmup: int | None = None,
-                n_batches: int | None = None):
-    """Like `run` but also return per-batch means and batch-means standard errors.
-
-    Returns (RunSummary, means, stderrs) where means/stderrs are length-3
-    arrays ordered (aoi, aoa, aoai) and the standard error comes from the
-    sample standard deviation of the `n_batches` batch means, by default
-    min(`N_BATCHES`, slots - warmup) of them (NaN when there is one).
-    """
-    if slots <= 0:  # before the default warmup is taken from it
-        raise DomainError(f"slots must be positive, got {slots}")
-    if warmup is None:
-        warmup = min(1000, slots // 10)
-    if n_batches is None:
-        n_batches = max(1, min(N_BATCHES, slots - warmup))
+    _check_run(slots, seed)
+    warmup = min(1000, slots // 10)
+    n_batches = min(N_BATCHES, slots - warmup)
     edges, sums, actuations = _simulate(p, slots, seed, warmup, n_batches)
     measured = slots - warmup
     # Python ints, so each mean is the correctly rounded quotient of exact sums.
     means = np.array([total / measured for total in sums.sum(axis=1).tolist()])
     summary = RunSummary(slots, *means.tolist(), actuations, seed, warmup)
-    if n_batches == 1:
-        return summary, means, np.full(3, np.nan)
     batch_means = sums / np.diff(edges)
     return summary, means, batch_means.std(axis=1, ddof=1) / np.sqrt(n_batches)

@@ -99,13 +99,7 @@ def _check_sim(slots: Optional[int], seed: Optional[int]) -> None:
     """Raise the sim route's argument errors, in the order the route meets them."""
     if slots is None or seed is None:
         raise DomainError(f"the sim route needs slots and seed, got slots={slots}, seed={seed}")
-    if slots == 1:
-        raise DomainError("the sim route needs 2 slots or more, for two batch means, got 1")
-    # `engine.run_batched`'s own checks, with its messages.
-    if slots <= 0:
-        raise DomainError(f"slots must be positive, got {slots}")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    engine._check_run(slots, seed)
 
 
 def route_rows(
@@ -121,13 +115,13 @@ def route_rows(
     """Run one route at `p`: a `Row` for each of `metrics` that it covers.
 
     Rows follow the order of `metrics`; metrics outside
-    `ROUTE_METRICS[method]` are skipped.  The simulation route needs `seed`
-    and 2 or more `slots`, since its standard error takes two batch means or
-    more, and takes its warmup and batches from `engine.run_batched`'s
-    defaults.  The chain route truncates at `cap`, or at
-    `chains.choose_cap(p, tail_eps)` when `cap` is None.  An unknown method,
-    or a simulation call without `slots` or `seed` or with one slot, raises
-    DomainError.
+    `ROUTE_METRICS[method]` are skipped.  The simulation route is
+    `engine.run_batched(p, slots, seed)`, whose run rule sets the warmup and
+    the batches; it needs `slots` and `seed`.  The chain route truncates at
+    `cap`, or at `chains.choose_cap(p, tail_eps)` when `cap` is None.  An
+    unknown method, a simulation call without `slots` or `seed`, or one that
+    `run_batched` rejects (fewer than 2 slots, a negative seed) raises
+    DomainError before any route runs.
     """
     if method not in ROUTE_METRICS:
         raise DomainError(f"method must be one of {METHOD_ORDER}, got {method!r}")
@@ -232,8 +226,8 @@ def _check_arguments(methods, slots, seed, tol_rel, tail_eps) -> None:
         raise DomainError(f"tol_rel must be positive, got {tol_rel}")
     if "sim" in methods:
         _check_sim(slots, seed)
-    if "chain" in methods and not 0.0 < tail_eps < 1.0:  # `chains.choose_cap`'s check
-        raise DomainError(f"tail_eps must be in (0, 1), got {tail_eps}")
+    if "chain" in methods:
+        chains._check_tail_eps(tail_eps)
 
 
 def cross_check(

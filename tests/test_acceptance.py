@@ -31,7 +31,6 @@ from exact_law import slot_table_law
 
 GRID_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
 SLOTS = 10_000_000
-WARMUP = 1000
 BASE_SEED = 20240
 TAIL_EPS = 1e-10
 
@@ -79,7 +78,7 @@ def grid_sims(grid_points):
     """
     out = {}
     for i, p in enumerate(grid_points):
-        summary, _, stderrs = engine.run_batched(p, SLOTS, BASE_SEED + i, WARMUP)
+        summary, _, stderrs = engine.run_batched(p, SLOTS, BASE_SEED + i)
         out[(p.lambda1, p.lambda2)] = (summary, stderrs)
     return out
 

@@ -114,7 +114,7 @@ class TestFormulaVsSimulation:
     @pytest.mark.parametrize("l1,l2", [(0.5, 0.5), (0.8, 0.2)])
     def test_agreement_at_monte_carlo_scale(self, l1, l2):
         p = make_params(l1, l2)
-        s = engine.run(p, 1_000_000, seed=2024, warmup=1000)
+        s = engine.run(p, 1_000_000, seed=2024)
         assert s.mean_aoa == pytest.approx(avg_aoa(p), rel=0.01)
         assert s.mean_aoai == pytest.approx(avg_aoai(p), rel=0.01)
 

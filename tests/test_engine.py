@@ -278,59 +278,46 @@ class TestKernels:
 class TestRun:
     def test_deterministic_for_fixed_inputs(self):
         p = make_params(0.37, 0.62)
-        a = run(p, 50_000, seed=99, warmup=500)
-        b = run(p, 50_000, seed=99, warmup=500)
+        a = run(p, 50_000, seed=99)
+        b = run(p, 50_000, seed=99)
         assert a == b
 
     def test_different_seeds_differ(self):
         p = make_params(0.37, 0.62)
-        assert run(p, 50_000, seed=1, warmup=0) != run(p, 50_000, seed=2, warmup=0)
-
-    def test_slots_not_exceeding_warmup_rejected(self):
-        with pytest.raises(DomainError):
-            run(make_params(0.5, 0.5), 100, seed=1, warmup=100)
+        assert run(p, 50_000, seed=1) != run(p, 50_000, seed=2)
 
     def test_short_run_takes_a_tenth_as_warmup(self):
         # A 1000-slot warmup would leave none of the 500 slots to measure.
         p = make_params(0.5, 0.5)
         s = run(p, 500, seed=1)
         assert s.warmup == 50
-        assert s == run(p, 500, seed=1, warmup=50)
 
     def test_negative_seed_rejected(self):
         # numpy's own error would be a ValueError, which the CLI maps to no
         # exit code of its own.
         with pytest.raises(DomainError, match="seed"):
-            run(make_params(0.5, 0.5), 100, seed=-1, warmup=0)
+            run(make_params(0.5, 0.5), 100, seed=-1)
 
     def test_saturated_arrivals_pin_every_age_to_one(self):
-        s = run(make_params(1.0, 1.0), 10_000, seed=4, warmup=0)
+        s = run(make_params(1.0, 1.0), 10_000, seed=4)
         assert s.mean_aoi == s.mean_aoa == s.mean_aoai == 1.0
-        assert s.actuation_count == 10_000
+        assert s.actuation_count == s.slots - s.warmup
 
     def test_certain_data_gives_harvest_limited_actuation_age(self):
-        s = run(make_params(1.0, 0.5), 1_000_000, seed=11, warmup=1000)
+        s = run(make_params(1.0, 0.5), 1_000_000, seed=11)
         assert s.mean_aoi == 1.0
         assert s.mean_aoa == pytest.approx(2.0, rel=0.01)
 
     def test_mean_aoai_dominates_exactly(self):
         for seed in (0, 1, 2):
-            s = run(make_params(0.3, 0.6), 20_000, seed=seed, warmup=0)
+            s = run(make_params(0.3, 0.6), 20_000, seed=seed)
             assert s.mean_aoa <= s.mean_aoai
             assert s.mean_aoi <= s.mean_aoai
 
-    def test_warmup_drops_initial_transient(self):
-        p = make_params(0.2, 0.9)
-        full = run(p, 200_000, seed=7, warmup=0)
-        trimmed = run(p, 200_000, seed=7, warmup=1000)
-        assert trimmed.slots == full.slots
-        assert trimmed.warmup == 1000
-        assert trimmed.mean_aoi != full.mean_aoi  # means taken over different windows
-
     def test_batched_sums_consistent_with_plain_run(self):
         p = make_params(0.45, 0.3)
-        plain = run(p, 100_000, seed=5, warmup=1000)
-        summary, means, stderrs = run_batched(p, 100_000, seed=5, warmup=1000, n_batches=20)
+        plain = run(p, 100_000, seed=5)
+        summary, means, stderrs = run_batched(p, 100_000, seed=5)
         assert summary == plain
         assert means[0] == plain.mean_aoi
         assert np.all(stderrs > 0)
@@ -351,7 +338,7 @@ class TestRun:
         # Frozen values: a change to the draw order, the scan or the age sums
         # shows here.  Every run spans several `_CHUNK`-slot chunks; the
         # last is the `simulate` run of the benchmark's `sim` workload.
-        summary, _, stderrs = run_batched(make_params(l1, l2), slots, seed, warmup=1000)
+        summary, _, stderrs = run_batched(make_params(l1, l2), slots, seed)
         assert (summary.mean_aoi, summary.mean_aoa, summary.mean_aoai,
                 summary.actuation_count) == expected
         assert tuple(stderrs.tolist()) == expected_stderrs
@@ -489,8 +476,8 @@ class TestRun:
     def test_actuation_rate_matches_age_one_mass(self):
         p = make_params(0.2, 0.1)
         seeds = analytic.aoa_seed_probs(p)
-        s = run(p, 10_000_000, seed=42, warmup=0)
-        rate = s.actuation_count / s.slots
+        s = run(p, 10_000_000, seed=42)
+        rate = s.actuation_count / (s.slots - s.warmup)
         assert rate == pytest.approx(seeds.v100 + seeds.v101, abs=1e-3)
 
 
@@ -501,10 +488,10 @@ class TestEventsCsv:
         return f
 
     def test_round_trip(self, tmp_path):
-        # Row 0 holds the data flags, row 1 the energy flags, one column a slot.
-        flags = read_events_csv(self._write(tmp_path, "t,data,energy\n1,0,1\n2,1,0\n"))
+        # One row a slot: its data flag, then its energy flag.
+        flags = read_events_csv(self._write(tmp_path, "t,data,energy\n1,0,1\n2,1,0\n3,1,1\n"))
         assert flags.dtype == bool
-        assert flags.tolist() == [[False, True], [True, False]]
+        assert flags.tolist() == [[False, True], [True, False], [True, True]]
 
     def test_whitespace_padded_fields_parse(self, tmp_path):
         f = self._write(tmp_path, "t,data,energy\n1, 0 ,1\n 2 ,1,\t0\n")
@@ -533,7 +520,7 @@ class TestEventsCsv:
     def test_blank_line_takes_no_slot_number(self, tmp_path):
         plain = read_events_csv(self._write(tmp_path, "t,data,energy\n1,0,0\n2,1,0\n"))
         gapped = read_events_csv(self._write(tmp_path, "t,data,energy\n1,0,0\n\n2,1,0\n"))
-        assert gapped.tolist() == plain.tolist() == [[False, True], [False, False]]
+        assert gapped.tolist() == plain.tolist() == [[False, False], [True, False]]
 
     def test_slot_error_names_physical_line_after_blank(self, tmp_path):
         with pytest.raises(DomainError, match="line 4: slot index must be 2, got 3"):
@@ -552,7 +539,7 @@ class TestEventsCsv:
         finally:
             tracemalloc.stop()
         assert held <= 3 * len(flags)
-        assert np.array_equal(events, flags.T)
+        assert np.array_equal(events, flags)
 
     def test_non_integer_rejected(self, tmp_path):
         with pytest.raises(DomainError, match="line 2"):

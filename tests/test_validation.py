@@ -2,7 +2,6 @@ import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from aoa_lab import engine, validation
@@ -147,17 +146,18 @@ class TestRouteRows:
 
     @pytest.mark.parametrize("slots", [0, -5])
     def test_sim_with_nonpositive_slots_rejected(self, slots):
-        # Before the default warmup, min(1000, slots // 10), is taken from it.
+        # Before the warmup, min(1000, slots // 10), is taken from it.
         with pytest.raises(DomainError, match=f"^slots must be positive, got {slots}$"):
             route_rows(make_params(0.5, 0.5), "sim", slots=slots, seed=1)
 
     def test_sim_with_one_slot_rejected(self):
-        # One slot makes one batch, whose standard error `run_batched` leaves
-        # NaN: the route has no error bound to report.
+        # One slot would make one batch, with no standard error to report:
+        # `run_batched` itself raises the route's error.
         p = make_params(0.3, 0.7)
-        assert np.isnan(engine.run_batched(p, 1, 4)[2]).all()
-        with pytest.raises(DomainError, match="^the sim route needs 2 slots or more, "
-                                              "for two batch means, got 1$"):
+        message = "^the sim route needs 2 slots or more, for two batch means, got 1$"
+        with pytest.raises(DomainError, match=message):
+            engine.run_batched(p, 1, 4)
+        with pytest.raises(DomainError, match=message):
             route_rows(p, "sim", slots=1, seed=4)
 
 
