@@ -298,6 +298,29 @@ class TestRun:
         with pytest.raises(DomainError, match="seed"):
             run(make_params(0.5, 0.5), 100, seed=-1)
 
+    @pytest.mark.parametrize("slots, seed, message", [
+        (1, -1, "^the sim route needs 2 slots or more, for two batch means, got 1$"),
+        (0, -1, "^slots must be positive, got 0$"),
+        (-5, -1, "^slots must be positive, got -5$"),
+        (5, -1, "^seed must be nonnegative, got -1$"),
+    ])
+    def test_argument_errors_come_one_slot_then_slots_then_seed(self, slots, seed, message):
+        with pytest.raises(DomainError, match=message):
+            run_batched(make_params(0.5, 0.5), slots, seed)
+
+    @pytest.mark.parametrize("knob", ["warmup", "n_batches"])
+    def test_run_rule_has_no_knobs(self, knob):
+        p = make_params(0.5, 0.5)
+        for entry in (run, run_batched):
+            with pytest.raises(TypeError, match=knob):
+                entry(p, 100, 0, **{knob: 0})
+
+    def test_two_slots_give_two_batches_and_finite_stderrs(self):
+        # The fewest slots the rule accepts: no warmup, two one-slot batches.
+        summary, means, stderrs = run_batched(make_params(0.5, 0.5), 2, seed=3)
+        assert summary.warmup == 0 and summary.slots == 2
+        assert np.all(np.isfinite(means)) and np.all(np.isfinite(stderrs))
+
     def test_saturated_arrivals_pin_every_age_to_one(self):
         s = run(make_params(1.0, 1.0), 10_000, seed=4)
         assert s.mean_aoi == s.mean_aoa == s.mean_aoai == 1.0
