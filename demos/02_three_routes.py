@@ -4,8 +4,8 @@
 # truncated Markov chains, and the recursive level series.
 
 from aoa_lab import (aoa_series_mean, averages, build_aoa_chain,
-                     build_aoai_chain, choose_cap, make_params, mean_age, run,
-                     stationary)
+                     build_aoai_chain, choose_cap, make_params, mean_age,
+                     run_batched, stationary)
 
 p = make_params(0.5, 0.5)
 print(f"scenario: lambda1={p.lambda1}, lambda2={p.lambda2}")
@@ -14,7 +14,7 @@ ref = averages(p)
 print(f"\nclosed forms:      aoi={ref.aoi_bar:.9f}  aoa={ref.aoa_bar:.9f}  "
       f"aoai={ref.aoai_bar:.9f}")
 
-sim = run(p, slots=2_000_000, seed=7)
+sim = run_batched(p, slots=2_000_000, seed=7)
 print(f"simulation:        aoi={sim.mean_aoi:.9f}  aoa={sim.mean_aoa:.9f}  "
       f"aoai={sim.mean_aoai:.9f}   ({sim.slots:,} slots, seed {sim.seed})")
 

@@ -18,7 +18,7 @@ from .chains import (StationaryDist, TruncatedChain, aoa_series_mean,
 from .core import (AgeVector, Params, Shorthand, SlotEvents, SystemState,
                    make_params, shorthand)
 from .engine import (EngineState, RunSummary, initial_state, read_events_csv,
-                     run, run_batched, run_trace, step)
+                     run_batched, run_trace, step)
 from .errors import (AoaLabError, CapError, ConvergenceError, DomainError,
                      NumericalError, TruncationError)
 from .validation import CrossCheckResult, SweepReport, cross_check, sweep
@@ -33,6 +33,6 @@ __all__ = [
     "TruncatedChain", "TruncationError", "aoa_seed_probs", "aoa_series_mean",
     "aoai_seed_probs", "averages", "avg_aoa", "avg_aoai", "avg_aoi",
     "build_aoa_chain", "build_aoai_chain", "choose_cap", "cross_check",
-    "initial_state", "make_params", "mean_age", "read_events_csv", "run",
+    "initial_state", "make_params", "mean_age", "read_events_csv",
     "run_batched", "run_trace", "shorthand", "stationary", "step", "sweep",
 ]

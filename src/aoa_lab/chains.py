@@ -147,7 +147,10 @@ def _decay_rate(p: Params) -> float:
     # Slowest-decaying level branches: battery-full states thin at rate
     # 1-lambda1, cached-data states at rate 1-lambda2, the empty state at
     # their product.
-    return max(1.0 - p.lambda1, 1.0 - p.lambda2)
+    r = max(1.0 - p.lambda1, 1.0 - p.lambda2)
+    if r == 1.0:  # every tail bound divides by 1 - r
+        raise CapError(f"decay rate 1 - min(lambda1, lambda2) rounds to 1 at {p}")
+    return r
 
 
 def _check_tail_eps(tail_eps: float) -> None:

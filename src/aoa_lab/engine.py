@@ -19,8 +19,8 @@ to 1 on an actuation, else +1; aoai resets to the end-of-slot aoi on an
 actuation (the age of the packet just consumed), else +1.
 
 `step` / `run_trace` implement this one readable slot at a time and are the
-reference semantics.  `run` and `run_batched` simulate long horizons in
-chunks of slots, in three vectorised stages:
+reference semantics.  `run_batched` simulates long horizons in chunks of
+slots, in three vectorised stages:
 
 * the events are drawn in pieces of `_DRAW` slots into a small buffer and
   thresholded, by one compare a piece, into the chunk's (k, 2) flags, one
@@ -72,7 +72,6 @@ __all__ = [
     "RunSummary",
     "initial_state",
     "step",
-    "run",
     "run_batched",
     "run_trace",
     "read_events_csv",
@@ -98,6 +97,7 @@ _TRACE_PIECE = 1 << 12
 # Batches of `run_batched`'s batch-means standard error, unless a run has
 # fewer measured slots.
 N_BATCHES = 20
+_MAX_SLOTS = (2**63 - 1) // N_BATCHES  # most slots whose int64 batch edges cannot wrap
 
 
 @dataclass(frozen=True)
@@ -111,20 +111,24 @@ class EngineState:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Time averages of one seeded run.
+    """Time averages of one seeded run and their batch-means standard errors.
 
-    Averages are taken over the `slots - warmup` measured slots;
-    `actuation_count` counts actuations in the same measured window.
-    `mean_aoa <= mean_aoai` holds exactly (the bound holds per slot);
-    `mean_aoi <= mean_aoa` is an equilibrium property that holds at long
-    horizons for most of the parameter square but is provably violated by
-    this model when data is scarce and energy plentiful.
+    Averages are taken over the `slots - warmup` measured slots, and
+    `actuation_count` counts the actuations in them.  Each `stderr_*` is
+    the sample standard deviation of the batch means over the square root
+    of the batch count.  `mean_aoa <= mean_aoai` holds exactly (the bound
+    holds per slot); `mean_aoi <= mean_aoa` is an equilibrium property that
+    holds at long horizons for most of the parameter square but is provably
+    violated by this model when data is scarce and energy plentiful.
     """
 
     slots: int
     mean_aoi: float
     mean_aoa: float
     mean_aoai: float
+    stderr_aoi: float
+    stderr_aoa: float
+    stderr_aoai: float
     actuation_count: int
     seed: int
     warmup: int
@@ -532,34 +536,26 @@ def _check_run(slots: int, seed: int) -> None:
         raise DomainError("the sim route needs 2 slots or more, for two batch means, got 1")
     if slots <= 0:
         raise DomainError(f"slots must be positive, got {slots}")
+    if slots > _MAX_SLOTS:
+        raise DomainError(f"slots must be at most {_MAX_SLOTS}, got {slots}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
 
 
-def run(p: Params, slots: int, seed: int) -> RunSummary:
-    """The summary of `run_batched(p, slots, seed)`."""
-    return run_batched(p, slots, seed)[0]
-
-
-def run_batched(p: Params, slots: int, seed: int):
+def run_batched(p: Params, slots: int, seed: int) -> RunSummary:
     """Simulate `slots` slots with a seeded generator and average the ages.
 
     Per slot the generator draws the data event first, then the energy event.
     The one run rule: the first warmup = min(1000, slots // 10) slots are left
     out of the averages, and the rest is split into min(`N_BATCHES`, slots -
-    warmup) batches, two or more, since `slots` must be 2 or more; `seed`
-    must be nonnegative.  Returns (RunSummary, means, stderrs): means and
-    stderrs are length-3 arrays ordered (aoi, aoa, aoai), and each standard
-    error comes from the sample standard deviation of the batch means.
-    Identical (p, slots, seed) always give bit-identical results.
+    warmup) batches, two or more: `slots` runs from 2 to `_MAX_SLOTS`, and
+    `seed` is nonnegative.  Identical arguments give a bit-identical summary.
     """
     _check_run(slots, seed)
     warmup = min(1000, slots // 10)
     n_batches = min(N_BATCHES, slots - warmup)
     edges, sums, actuations = _simulate(p, slots, seed, warmup, n_batches)
-    measured = slots - warmup
     # Python ints, so each mean is the correctly rounded quotient of exact sums.
-    means = np.array([total / measured for total in sums.sum(axis=1).tolist()])
-    summary = RunSummary(slots, *means.tolist(), actuations, seed, warmup)
-    batch_means = sums / np.diff(edges)
-    return summary, means, batch_means.std(axis=1, ddof=1) / np.sqrt(n_batches)
+    means = [total / (slots - warmup) for total in sums.sum(axis=1).tolist()]
+    stderrs = (sums / np.diff(edges)).std(axis=1, ddof=1) / np.sqrt(n_batches)
+    return RunSummary(slots, *means, *stderrs.tolist(), actuations, seed, warmup)

@@ -19,12 +19,12 @@ and series routes.  The analytic route reports 0: its rational functions are
 exact (the tests check them against the slot-rule table), and the rounding
 of their float evaluation is not reported.  That rounding is about 1e-14 on
 most of the square but grows toward the 0/0 corner (1, 1): 3e-12 at
-(0.9999, 0.9999).  The overlap clause is a genuine statistical test: a
-simulated mean over `engine.N_BATCHES` = 20 batch means is t-distributed
-with 19 degrees of freedom, so a correct simulation lands more than three
-standard errors from an exact route with probability 2 * t.sf(3, 19) = 0.0074
-per comparison.  Isolated failures at about that 0.74 percent rate are expected
-sampling fluctuations.
+(0.9999, 0.9999).  The overlap clause is a genuine statistical test: a mean
+over n batch means is t-distributed with n - 1 degrees of freedom, so a
+correct simulation lands more than three standard errors from an exact
+route with probability 2 * t.sf(3, n - 1) per comparison: 0.0074 from 22
+slots on, with `engine.N_BATCHES` = 20 batches, where isolated failures are
+expected sampling fluctuations, but 0.205 at 2 slots, with two batches.
 
 `sweep` spreads the points over a pool of `default_workers()` processes, at
 most one per point, when it runs the sim or chain route; a grid of closed
@@ -120,8 +120,8 @@ def route_rows(
     the batches; it needs `slots` and `seed`.  The chain route truncates at
     `cap`, or at `chains.choose_cap(p, tail_eps)` when `cap` is None.  An
     unknown method, a simulation call without `slots` or `seed`, or one that
-    `run_batched` rejects (fewer than 2 slots, a negative seed) raises
-    DomainError before any route runs.
+    `run_batched` rejects (fewer than 2 slots or too many, a negative seed)
+    raises DomainError before any route runs.
     """
     if method not in ROUTE_METRICS:
         raise DomainError(f"method must be one of {METHOD_ORDER}, got {method!r}")
@@ -133,9 +133,9 @@ def route_rows(
         ref = analytic.averages(p)
         return [row(m, getattr(ref, f"{m}_bar"), 0.0) for m in wanted]
     if method == "sim":
-        _, means, stderrs = engine.run_batched(p, slots, seed)
-        est = {m: (float(v), float(s)) for m, v, s in zip(METRICS, means, stderrs)}
-        return [row(m, *est[m], slots=slots, seed=seed) for m in wanted]
+        s = engine.run_batched(p, slots, seed)
+        return [row(m, getattr(s, f"mean_{m}"), getattr(s, f"stderr_{m}"), slots=slots, seed=seed)
+                for m in wanted]
     if method == "chain":
         if cap is None:
             cap = chains.choose_cap(p, tail_eps)

@@ -72,15 +72,11 @@ def grid_points():
 def grid_sims(grid_points):
     """One 10^7-slot seeded run per grid point, shared by criteria 2 and 7.
 
-    Each value is (RunSummary, stderrs): the summary is bit-identical to
-    `engine.run`'s, and stderrs holds the batch-means standard errors ordered
-    (aoi, aoa, aoai).
+    Each value is the point's `RunSummary`, which holds the means and their
+    batch-means standard errors.
     """
-    out = {}
-    for i, p in enumerate(grid_points):
-        summary, _, stderrs = engine.run_batched(p, SLOTS, BASE_SEED + i)
-        out[(p.lambda1, p.lambda2)] = (summary, stderrs)
-    return out
+    return {(p.lambda1, p.lambda2): engine.run_batched(p, SLOTS, BASE_SEED + i)
+            for i, p in enumerate(grid_points)}
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +121,7 @@ def test_criterion_1_trace_replay(capsys, tmp_path):
 def test_criterion_2_simulation_matches_closed_forms(grid_sims):
     bad = []
     worst = 0.0
-    for (l1, l2), (s, _) in grid_sims.items():
+    for (l1, l2), s in grid_sims.items():
         ref = analytic.averages(make_params(l1, l2))
         for name, got, want in [("aoi", s.mean_aoi, ref.aoi_bar),
                                 ("aoa", s.mean_aoa, ref.aoa_bar),
@@ -231,7 +227,7 @@ def test_criterion_7_mean_ordering(grid_sims):
     problems = []
     below = set()
     checked = set()
-    for (l1, l2), (s, se) in grid_sims.items():
+    for (l1, l2), s in grid_sims.items():
         ref = analytic.averages(make_params(l1, l2))
         # (a) aoai bounds both other ages in every slot, hence in every mean;
         # the simulated means are exact integer sums over one window, so the
@@ -244,10 +240,11 @@ def test_criterion_7_mean_ordering(grid_sims):
         gap = ref.aoa_bar - ref.aoi_bar
         if gap < 0:
             below.add((l1, l2))
-        # (c) the simulation shows the same sign outside its noise.  se[0] +
-        # se[1] bounds the standard error of the difference whatever the
-        # correlation between the two means; ties inside it are not asserted.
-        se_gap = se[0] + se[1]
+        # (c) the simulation shows the same sign outside its noise.  The sum
+        # of the two standard errors bounds the standard error of the
+        # difference whatever the correlation between the two means; ties
+        # inside it are not asserted.
+        se_gap = s.stderr_aoi + s.stderr_aoa
         if abs(gap) > GAP_SIGMAS * se_gap:
             checked.add((l1, l2))
             sim_gap = s.mean_aoa - s.mean_aoi

@@ -20,7 +20,7 @@ from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params
 from aoa_lab.engine import EngineState, step
 from aoa_lab.errors import (CapError, ConvergenceError, DomainError,
                             TruncationError)
-from aoa_lab.validation import SERIES_ROUNDING_BOUND
+from aoa_lab.validation import SERIES_ROUNDING_BOUND, route_rows
 from chain_readers import occupancy_marginals, seed_masses
 from exact_law import slot_table_law
 
@@ -70,6 +70,16 @@ class TestChooseCap:
     def test_cap_overflow(self):
         with pytest.raises(CapError):
             choose_cap(make_params(1e-5, 1e-5), 1e-10)
+
+    @pytest.mark.parametrize("l1, l2", [(1e-17, 0.5), (0.5, 1e-17)])
+    def test_decay_rate_of_one_rejected(self, l1, l2):
+        # 1 - 1e-17 rounds to 1, so every tail bound would divide by zero.
+        p = Params(l1, l2)
+        message = "decay rate 1 - min\\(lambda1, lambda2\\) rounds to 1"
+        for route in (lambda: choose_cap(p, 1e-10), lambda: build_aoa_chain(p, 5),
+                      lambda: build_aoai_chain(p, 5), lambda: route_rows(p, "chain")):
+            with pytest.raises(CapError, match=message):
+                route()
 
     def test_saturated_corner(self):
         assert choose_cap(make_params(1.0, 1.0), 1e-10) >= 2

@@ -18,6 +18,9 @@ from aoa_lab.cli import CSV_HEADER, TRACE_FIELDS, main
 from aoa_lab.core import Params, SlotEvents
 from aoa_lab.engine import read_events_csv, run_trace
 
+# Most slots a sim run takes: above it the int64 batch edges would wrap.
+MAX_SLOTS = (2**63 - 1) // engine.N_BATCHES
+
 GOLDEN_TRACE_EVENTS = "t,data,energy\n1,0,0\n2,1,0\n3,0,0\n4,0,1\n5,0,0\n6,1,0\n7,0,0\n"
 GOLDEN_TRACE_OUTPUT = """\
 t,data,energy,cache,battery,actuated,aoi,aoa,aoai
@@ -171,6 +174,14 @@ class TestSimulate:
         code, out, err = run_cli(capsys, command, *where, "--slots", slots)
         assert code == 2
         assert out == "" and err == f"error: slots must be positive, got {slots}\n"
+
+    @pytest.mark.parametrize("slots", [10**18, 10**19])
+    def test_too_many_slots_exit_two(self, capsys, slots):
+        # 10**19 overflowed the int64 batch edges; 10**18 wrapped them silently.
+        code, out, err = run_cli(capsys, "simulate", "--lambda1", "0.5", "--lambda2", "0.5",
+                                 "--slots", str(slots))
+        assert code == 2
+        assert out == "" and err == f"error: slots must be at most {MAX_SLOTS}, got {slots}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
     def test_one_slot_exit_two(self, capsys, tmp_path, command):
@@ -671,6 +682,10 @@ class TestValidate:
                  "tail_eps must be in (0, 1), got 2.0", id="sweep-tail-eps"),
     pytest.param("sweep", ("--methods", "sim", "--seed", "-1"),
                  "seed must be nonnegative, got -1", id="sweep-seed"),
+    pytest.param("validate", ("--slots", str(10**19)),
+                 f"slots must be at most {MAX_SLOTS}, got {10**19}", id="validate-slots"),
+    pytest.param("sweep", ("--methods", "sim", "--slots", str(10**19)),
+                 f"slots must be at most {MAX_SLOTS}, got {10**19}", id="sweep-slots"),
     pytest.param("sweep", ("--methods", "analytic,series", "--seed", "-1", "--tail-eps", "2"),
                  None, id="sweep-routes-not-asked-for"),
 ])

@@ -13,8 +13,11 @@ from aoa_lab import analytic, engine
 from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params
 from aoa_lab.engine import (_TRANSITIONS, EngineState, _block_table,
                             _scan_events, _simulate, initial_state,
-                            read_events_csv, run, run_batched, run_trace, step)
+                            read_events_csv, run_batched, run_trace, step)
 from aoa_lab.errors import DomainError
+
+# Most slots a run takes: above it the int64 batch edges would wrap.
+MAX_SLOTS = (2**63 - 1) // engine.N_BATCHES
 
 
 def events_from_arrays(data, energy):
@@ -278,72 +281,72 @@ class TestKernels:
 class TestRun:
     def test_deterministic_for_fixed_inputs(self):
         p = make_params(0.37, 0.62)
-        a = run(p, 50_000, seed=99)
-        b = run(p, 50_000, seed=99)
+        a = run_batched(p, 50_000, seed=99)
+        b = run_batched(p, 50_000, seed=99)
         assert a == b
 
     def test_different_seeds_differ(self):
         p = make_params(0.37, 0.62)
-        assert run(p, 50_000, seed=1) != run(p, 50_000, seed=2)
+        assert run_batched(p, 50_000, seed=1) != run_batched(p, 50_000, seed=2)
 
     def test_short_run_takes_a_tenth_as_warmup(self):
         # A 1000-slot warmup would leave none of the 500 slots to measure.
         p = make_params(0.5, 0.5)
-        s = run(p, 500, seed=1)
+        s = run_batched(p, 500, seed=1)
         assert s.warmup == 50
 
     def test_negative_seed_rejected(self):
         # numpy's own error would be a ValueError, which the CLI maps to no
         # exit code of its own.
         with pytest.raises(DomainError, match="seed"):
-            run(make_params(0.5, 0.5), 100, seed=-1)
+            run_batched(make_params(0.5, 0.5), 100, seed=-1)
 
     @pytest.mark.parametrize("slots, seed, message", [
         (1, -1, "^the sim route needs 2 slots or more, for two batch means, got 1$"),
         (0, -1, "^slots must be positive, got 0$"),
         (-5, -1, "^slots must be positive, got -5$"),
+        (MAX_SLOTS + 1, -1, f"^slots must be at most {MAX_SLOTS}, got {MAX_SLOTS + 1}$"),
+        (2**63, -1, f"^slots must be at most {MAX_SLOTS}, got {2**63}$"),
         (5, -1, "^seed must be nonnegative, got -1$"),
     ])
     def test_argument_errors_come_one_slot_then_slots_then_seed(self, slots, seed, message):
         with pytest.raises(DomainError, match=message):
             run_batched(make_params(0.5, 0.5), slots, seed)
 
+    def test_most_slots_are_accepted(self):
+        # Checked, not run: a run of that length would never end.  The
+        # largest batch edge's product, batches * slots, just fits in int64.
+        engine._check_run(MAX_SLOTS, 0)
+        assert engine.N_BATCHES * MAX_SLOTS <= np.iinfo(np.int64).max
+        assert engine.N_BATCHES * (MAX_SLOTS + 1) > np.iinfo(np.int64).max
+
     @pytest.mark.parametrize("knob", ["warmup", "n_batches"])
     def test_run_rule_has_no_knobs(self, knob):
-        p = make_params(0.5, 0.5)
-        for entry in (run, run_batched):
-            with pytest.raises(TypeError, match=knob):
-                entry(p, 100, 0, **{knob: 0})
+        with pytest.raises(TypeError, match=knob):
+            run_batched(make_params(0.5, 0.5), 100, 0, **{knob: 0})
 
     def test_two_slots_give_two_batches_and_finite_stderrs(self):
         # The fewest slots the rule accepts: no warmup, two one-slot batches.
-        summary, means, stderrs = run_batched(make_params(0.5, 0.5), 2, seed=3)
-        assert summary.warmup == 0 and summary.slots == 2
-        assert np.all(np.isfinite(means)) and np.all(np.isfinite(stderrs))
+        s = run_batched(make_params(0.5, 0.5), 2, seed=3)
+        assert s.warmup == 0 and s.slots == 2
+        assert np.all(np.isfinite([s.mean_aoi, s.mean_aoa, s.mean_aoai,
+                                   s.stderr_aoi, s.stderr_aoa, s.stderr_aoai]))
 
     def test_saturated_arrivals_pin_every_age_to_one(self):
-        s = run(make_params(1.0, 1.0), 10_000, seed=4)
+        s = run_batched(make_params(1.0, 1.0), 10_000, seed=4)
         assert s.mean_aoi == s.mean_aoa == s.mean_aoai == 1.0
         assert s.actuation_count == s.slots - s.warmup
 
     def test_certain_data_gives_harvest_limited_actuation_age(self):
-        s = run(make_params(1.0, 0.5), 1_000_000, seed=11)
+        s = run_batched(make_params(1.0, 0.5), 1_000_000, seed=11)
         assert s.mean_aoi == 1.0
         assert s.mean_aoa == pytest.approx(2.0, rel=0.01)
 
     def test_mean_aoai_dominates_exactly(self):
         for seed in (0, 1, 2):
-            s = run(make_params(0.3, 0.6), 20_000, seed=seed)
+            s = run_batched(make_params(0.3, 0.6), 20_000, seed=seed)
             assert s.mean_aoa <= s.mean_aoai
             assert s.mean_aoi <= s.mean_aoai
-
-    def test_batched_sums_consistent_with_plain_run(self):
-        p = make_params(0.45, 0.3)
-        plain = run(p, 100_000, seed=5)
-        summary, means, stderrs = run_batched(p, 100_000, seed=5)
-        assert summary == plain
-        assert means[0] == plain.mean_aoi
-        assert np.all(stderrs > 0)
 
     @pytest.mark.parametrize("l1, l2, seed, slots, expected, expected_stderrs", [
         (0.1, 0.3, 3, 5_000_001,
@@ -361,10 +364,9 @@ class TestRun:
         # Frozen values: a change to the draw order, the scan or the age sums
         # shows here.  Every run spans several `_CHUNK`-slot chunks; the
         # last is the `simulate` run of the benchmark's `sim` workload.
-        summary, _, stderrs = run_batched(make_params(l1, l2), slots, seed)
-        assert (summary.mean_aoi, summary.mean_aoa, summary.mean_aoai,
-                summary.actuation_count) == expected
-        assert tuple(stderrs.tolist()) == expected_stderrs
+        s = run_batched(make_params(l1, l2), slots, seed)
+        assert (s.mean_aoi, s.mean_aoa, s.mean_aoai, s.actuation_count) == expected
+        assert (s.stderr_aoi, s.stderr_aoa, s.stderr_aoai) == expected_stderrs
 
     def test_memory_peak_does_not_grow_with_the_run(self):
         # A run reuses a draw buffer of `_DRAW` slots for each of its two
@@ -499,7 +501,7 @@ class TestRun:
     def test_actuation_rate_matches_age_one_mass(self):
         p = make_params(0.2, 0.1)
         seeds = analytic.aoa_seed_probs(p)
-        s = run(p, 10_000_000, seed=42)
+        s = run_batched(p, 10_000_000, seed=42)
         rate = s.actuation_count / (s.slots - s.warmup)
         assert rate == pytest.approx(seeds.v100 + seeds.v101, abs=1e-3)
 

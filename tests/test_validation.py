@@ -165,9 +165,9 @@ class TestRouteRows:
 def test_sim_rows_are_run_batched_with_its_defaults(slots):
     p = make_params(0.3, 0.7)
     rows = route_rows(p, "sim", slots=slots, seed=4)
-    _, means, stderrs = engine.run_batched(p, slots, 4)
-    assert [r.value for r in rows] == means.tolist()
-    assert [r.uncertainty for r in rows] == stderrs.tolist()
+    s = engine.run_batched(p, slots, 4)
+    assert [r.value for r in rows] == [s.mean_aoi, s.mean_aoa, s.mean_aoai]
+    assert [r.uncertainty for r in rows] == [s.stderr_aoi, s.stderr_aoa, s.stderr_aoai]
 
 
 class TestSweep:
