@@ -11,17 +11,20 @@ from `engine._TRANSITIONS`, the table of the slot rules in `_step_core`.
 Both rational functions are continuous on (0, 1]^2 except that they reduce
 to 0/0 at the exact double corner (lambda1, lambda2) = (1, 1); the corner
 value is the limit 1 (every slot actuates a fresh packet) and is returned
-directly there.
+directly there.  `_closed_form` states that corner rule, and the check below,
+once for every evaluator here.
 
 Supported parameter floor: lambda >= 0.01.  The denominators there are of
-order 1e-10, far above double-precision underflow; NumericalError is raised
-defensively if a denominator ever evaluates to exactly zero away from the
-handled corner.
+order 1e-10, far above double-precision underflow.  Far below the floor a
+denominator can underflow to zero or a value overflow to inf or nan, and
+NumericalError is raised there rather than a value returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Params
 from .errors import NumericalError
@@ -79,9 +82,30 @@ class AoaiSeedProbs:
     v111: float
 
 
+def _finite(what: str, p: Params, value: float) -> float:
+    if not math.isfinite(value):  # rates far below the floor overflow to inf or nan
+        raise NumericalError(f"{what} is not finite at {p}")
+    return value
+
+
+def _closed_form(p: Params, parts: tuple, corner: tuple, what: str) -> Sequence[float]:
+    """Each numerator of `parts` over its last entry, their common denominator, at `p`.
+
+    At the double corner (1, 1) the rational forms are 0/0 and `corner`,
+    their limits, is returned.  Raises NumericalError when the denominator
+    evaluates to zero or a ratio is not finite.
+    """
+    if p.lambda1 == 1.0 and p.lambda2 == 1.0:
+        return corner
+    *nums, den = parts
+    if den == 0.0:
+        raise NumericalError(f"{what}: denominator underflowed to zero")
+    return [_finite(what, p, num / den) for num in nums]
+
+
 def avg_aoi(p: Params) -> float:
     """Average age of information: 1 / lambda1."""
-    return 1 / p.lambda1
+    return _closed_form(p, (1, p.lambda1), (1.0,), "avg_aoi")[0]
 
 
 def _aoa_factored(l1: float, l2: float) -> tuple[float, float]:
@@ -109,12 +133,6 @@ def _aoai_factored(l1: float, l2: float) -> tuple[float, float]:
     return num, den
 
 
-def _ratio(num: float, den: float, what: str) -> float:
-    if den == 0.0:
-        raise NumericalError(f"{what}: denominator underflowed to zero")
-    return num / den
-
-
 def avg_aoa(p: Params) -> float:
     """Average age of actuation.
 
@@ -122,10 +140,7 @@ def avg_aoa(p: Params) -> float:
     At the double corner (1, 1) the rational form is 0/0 and the limit
     value 1 is returned.
     """
-    l1, l2 = p.lambda1, p.lambda2
-    if l1 == 1.0 and l2 == 1.0:
-        return 1.0
-    return _ratio(*_aoa_factored(l1, l2), "avg_aoa")
+    return _closed_form(p, _aoa_factored(p.lambda1, p.lambda2), (1.0,), "avg_aoa")[0]
 
 
 def avg_aoai(p: Params) -> float:
@@ -134,10 +149,7 @@ def avg_aoai(p: Params) -> float:
     Evaluates the closed-form rational function of (lambda1, lambda2); the
     double corner (1, 1) returns the limit value 1.
     """
-    l1, l2 = p.lambda1, p.lambda2
-    if l1 == 1.0 and l2 == 1.0:
-        return 1.0
-    return _ratio(*_aoai_factored(l1, l2), "avg_aoai")
+    return _closed_form(p, _aoai_factored(p.lambda1, p.lambda2), (1.0,), "avg_aoai")[0]
 
 
 def averages(p: Params) -> MetricAverages:
@@ -154,15 +166,10 @@ def aoa_seed_probs(p: Params) -> AoaSeedProbs:
     limit (1, 0).
     """
     l1, l2 = p.lambda1, p.lambda2
-    if l1 == 1.0 and l2 == 1.0:
-        return AoaSeedProbs(1.0, 0.0)
     q1, q2 = 1 - l1, 1 - l2
     den = q1 * l2 ** 3 + l1 * l2 * q2 + q1 * q2 * l2 * l2 + l1 * l1 * q2 * q2
-    if den == 0.0:
-        raise NumericalError("aoa_seed_probs: denominator underflowed to zero")
-    v100 = l1 * (1 - q1 * q2) * q2 * l2 / den
-    v101 = l1 * q1 * l2 ** 3 / den
-    return AoaSeedProbs(v100, v101)
+    parts = (l1 * (1 - q1 * q2) * q2 * l2, l1 * q1 * l2 ** 3, den)
+    return AoaSeedProbs(*_closed_form(p, parts, (1.0, 0.0), "aoa_seed_probs"))
 
 
 def aoai_seed_probs(p: Params) -> AoaiSeedProbs:
@@ -172,12 +179,7 @@ def aoai_seed_probs(p: Params) -> AoaiSeedProbs:
     limit (1, 0).
     """
     l1, l2 = p.lambda1, p.lambda2
-    if l1 == 1.0 and l2 == 1.0:
-        return AoaiSeedProbs(1.0, 0.0)
     q1, q2 = 1 - l1, 1 - l2
     den = l1 * l1 * q2 * q2 + l2 * l2 + l1 * l2 * (1 - 2 * l2)
-    if den == 0.0:
-        raise NumericalError("aoai_seed_probs: denominator underflowed to zero")
-    v110 = l1 * (l1 * l1 * q2 + l2) * q2 * l2 / den
-    v111 = q1 * l1 * l2 ** 3 / den
-    return AoaiSeedProbs(v110, v111)
+    parts = (l1 * (l1 * l1 * q2 + l2) * q2 * l2, q1 * l1 * l2 ** 3, den)
+    return AoaiSeedProbs(*_closed_form(p, parts, (1.0, 0.0), "aoai_seed_probs"))

@@ -35,10 +35,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analytic import aoa_seed_probs
+from .analytic import _finite, aoa_seed_probs
 from .core import Params, shorthand
 from .engine import _TRANSITIONS
-from .errors import CapError, ConvergenceError, DomainError, TruncationError
+from .errors import CapError, ConvergenceError, DomainError, NumericalError, TruncationError
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -183,6 +183,8 @@ def choose_cap(p: Params, tail_eps: float) -> int:
 
 
 def _check_size(kind: str, cap: int, n_states: int) -> None:
+    if cap < 2:
+        raise DomainError(f"cap must be >= 2, got {cap}")
     if n_states > MAX_CHAIN_STATES:
         raise CapError(f"{kind} chain at cap {cap} has {n_states} states, "
                        f"above the limit of {MAX_CHAIN_STATES}")
@@ -201,8 +203,6 @@ def build_aoa_chain(p: Params, cap: int) -> TruncatedChain:
     and (A,c,b) at 3A - 4 + occ.  Raises CapError when the 3*cap - 1 states
     exceed MAX_CHAIN_STATES.
     """
-    if cap < 2:
-        raise DomainError(f"cap must be >= 2, got {cap}")
     _check_size("aoa", cap, 3 * cap - 1)
     k = np.arange(3 * cap - 1)
     age, occ = (k + 4) // 3, np.where(k < 2, k, (k + 1) % 3)
@@ -221,8 +221,6 @@ def build_aoai_chain(p: Params, cap: int) -> TruncatedChain:
     (ai-1)(ai+2)/2 and (ai,i,b) is at (ai-1)(ai+2)/2 + i - 1 + b.  Raises
     CapError when the cap*(cap+3)/2 states exceed MAX_CHAIN_STATES.
     """
-    if cap < 2:
-        raise DomainError(f"cap must be >= 2, got {cap}")
     _check_size("aoai", cap, cap * (cap + 3) // 2)
     aoai = np.repeat(np.arange(1, cap + 1), np.arange(2, cap + 2))
     offset = np.arange(len(aoai)) - (aoai - 1) * (aoai + 2) // 2
@@ -361,13 +359,17 @@ def aoa_series_mean(p: Params) -> float:
     I - M is upper triangular with diagonal (1 - z, lambda1, lambda2),
     invertible for valid Params, so two back-substitutions give
     u = (I - M)^-1 1 and w = (I - M)^-1 u, and the mean is v_1 w.  Every
-    literal is an integer, so on `Fraction` rates the sum is exact.
+    literal is an integer, so on `Fraction` rates the sum is exact.  Raises
+    NumericalError, as the closed forms do, where 1 - z rounds to 0 or the
+    mean is not finite: at rates far below the CLI floor.
     """
     seeds = aoa_seed_probs(p)
     s = shorthand(p)
     l1, l2, head = p.lambda1, p.lambda2, 1 - s.z
+    if head == 0.0:
+        raise NumericalError(f"aoa_series_mean: 1 - z rounds to 0 at {p}")
     u1, u2 = 1 / l1, 1 / l2
     u0 = (1 + s.y * u1 + s.x * u2) / head
     w1, w2 = u1 / l1, u2 / l2
     w0 = (u0 + s.y * w1 + s.x * w2) / head
-    return seeds.v100 * w0 + seeds.v101 * w1
+    return _finite("aoa_series_mean", p, seeds.v100 * w0 + seeds.v101 * w1)

@@ -202,7 +202,8 @@ def read_events_csv(path) -> np.ndarray:
             raise DomainError("line 1: empty file, expected header t,data,energy") from None
         if [h.strip().lower() for h in header] != ["t", "data", "energy"]:
             raise DomainError(f"line 1: expected header t,data,energy, got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span lines
             if not row:
                 continue
             if len(row) != 3:

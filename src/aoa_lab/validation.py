@@ -63,11 +63,16 @@ __all__ = [
     "grid_range",
 ]
 
-METHOD_ORDER = ("analytic", "sim", "chain", "series")
 METRICS = ("aoi", "aoa", "aoai")
-# The metrics each route computes: the only statement of route coverage.
+# The metrics each route computes, routes in the order rows are scored and
+# printed: the only statement of route coverage and of route order.
 ROUTE_METRICS = {"analytic": METRICS, "sim": METRICS, "chain": ("aoa", "aoai"),
                  "series": ("aoa",)}
+METHOD_ORDER = tuple(ROUTE_METRICS)
+# Defaults of the chain route's tail tolerance and of the pass clause's
+# relative tolerance, for the library and the CLI alike.
+TAIL_EPS = 1e-10
+TOL_REL = 0.01
 SERIES_ROUNDING_BOUND = 1e-12
 # Most values one `A:B:STEP` grid range may give.  Step 0.001 over the CLI's
 # rate range [0.01, 1] gives 991; a larger count is a mistyped step, and the
@@ -77,7 +82,7 @@ MAX_GRID_VALUES = 1000
 
 @dataclass(frozen=True)
 class Row:
-    """One route's value of one metric at one point; fields in CSV-header order.
+    """One route's value of one metric at one point.
 
     `uncertainty` is the route's error measure (see the module docstring).
     `slots` and `seed` are set on simulation rows only, `cap` on chain rows
@@ -109,22 +114,25 @@ def route_rows(
     *,
     slots: Optional[int] = None,
     seed: Optional[int] = None,
-    tail_eps: float = 1e-10,
+    tail_eps: float = TAIL_EPS,
     cap: Optional[int] = None,
 ) -> list[Row]:
     """Run one route at `p`: a `Row` for each of `metrics` that it covers.
 
-    Rows follow the order of `metrics`; metrics outside
+    Rows follow the order of `metrics`; metrics of `METRICS` outside
     `ROUTE_METRICS[method]` are skipped.  The simulation route is
     `engine.run_batched(p, slots, seed)`, whose run rule sets the warmup and
     the batches; it needs `slots` and `seed`.  The chain route truncates at
     `cap`, or at `chains.choose_cap(p, tail_eps)` when `cap` is None.  An
-    unknown method, a simulation call without `slots` or `seed`, or one that
-    `run_batched` rejects (fewer than 2 slots or too many, a negative seed)
-    raises DomainError before any route runs.
+    unknown method or metric, a simulation call without `slots` or `seed`,
+    or one that `run_batched` rejects (fewer than 2 slots or too many, a
+    negative seed) raises DomainError before any route runs.
     """
     if method not in ROUTE_METRICS:
         raise DomainError(f"method must be one of {METHOD_ORDER}, got {method!r}")
+    unknown = [m for m in metrics if m not in METRICS]
+    if unknown:
+        raise DomainError(f"unknown metrics: {unknown}")
     if method == "sim":
         _check_sim(slots, seed)
     wanted = [m for m in metrics if m in ROUTE_METRICS[method]]
@@ -234,16 +242,16 @@ def cross_check(
     p: Params,
     slots: int,
     seed: int,
-    tol_rel: float = 0.01,
+    tol_rel: float = TOL_REL,
     methods: Sequence[str] = METHOD_ORDER,
-    tail_eps: float = 1e-10,
+    tail_eps: float = TAIL_EPS,
 ) -> list[CrossCheckResult]:
     """Compute each metric by every requested route; returns one result per metric.
 
     The analytic route always runs, whatever `methods` says.  `tol_rel` must
     be positive.  An undersampled run that misses tolerance yields
-    passed=False rather than an error; solver failures (ConvergenceError,
-    TruncationError, CapError) propagate.
+    passed=False rather than an error; a route's NumericalError (a solver,
+    truncation or cap failure among them) propagates.
     """
     _check_arguments(methods, slots, seed, tol_rel, tail_eps)
     rows = [r for m in METHOD_ORDER if m == "analytic" or m in methods
@@ -348,8 +356,8 @@ def sweep(
     methods: Sequence[str],
     slots: int,
     seed: int,
-    tol_rel: float = 0.01,
-    tail_eps: float = 1e-10,
+    tol_rel: float = TOL_REL,
+    tail_eps: float = TAIL_EPS,
     max_workers: Optional[int] = None,
 ) -> SweepReport:
     """Cross-check every grid point: one `CrossCheckResult` per point and metric.

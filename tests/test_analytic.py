@@ -9,7 +9,8 @@ from aoa_lab import engine
 from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, averages,
                               avg_aoa, avg_aoai, avg_aoi)
 from aoa_lab.chains import aoa_series_mean
-from aoa_lab.core import make_params
+from aoa_lab.core import Params, make_params
+from aoa_lab.errors import NumericalError
 from exact_law import ExactParams, slot_table_law
 
 valid_prob = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
@@ -215,3 +216,30 @@ class TestSeedProbs:
         t = aoai_seed_probs(p)
         assert 0.0 <= t.v110 <= 1.0 and 0.0 <= t.v111 <= 1.0
         assert t.v110 + t.v111 <= 1.0 + 1e-12
+
+
+class TestBelowFloatResolution:
+    """Far below the CLI floor of 0.01, NumericalError where a value is not finite.
+
+    No evaluator returns inf or nan there, nor lets a ZeroDivisionError out.
+    """
+
+    @pytest.mark.parametrize("l1,l2", [
+        (1e-100, 1e-100),  # 1 - z rounds to 0
+        (1e-300, 1.0),  # 0 * inf: nan
+        (1e-160, 0.5),  # inf, where avg_aoa is still 1e160
+    ])
+    def test_series(self, l1, l2):
+        with pytest.raises(NumericalError, match="aoa_series_mean"):
+            aoa_series_mean(Params(l1, l2))
+
+    def test_averages_overflow(self):
+        assert avg_aoa(Params(1e-160, 0.5)) == pytest.approx(1e160, rel=1e-12)
+        with pytest.raises(NumericalError, match="not finite"):
+            averages(Params(1e-320, 0.5))
+
+    @pytest.mark.parametrize("evaluator", [averages, aoa_seed_probs, aoai_seed_probs,
+                                           aoa_series_mean])
+    def test_denominator_underflow(self, evaluator):
+        with pytest.raises(NumericalError, match="denominator underflowed to zero"):
+            evaluator(Params(1e-170, 1e-170))

@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoa_lab import cli, engine, validation
+from aoa_lab import analytic, chains, cli, engine, validation
 from aoa_lab.chains import choose_cap
 from aoa_lab.cli import CSV_HEADER, TRACE_FIELDS, main
 from aoa_lab.core import Params, SlotEvents
 from aoa_lab.engine import read_events_csv, run_trace
+from aoa_lab.errors import CapError, ConvergenceError, NumericalError, TruncationError
 
 # Most slots a sim run takes: above it the int64 batch edges would wrap.
 MAX_SLOTS = (2**63 - 1) // engine.N_BATCHES
@@ -261,6 +262,37 @@ class TestChain:
                                "--metric", "aoa", "--cap", "10")
         assert code == 3
         assert "tail mass" in err
+        assert issubclass(TruncationError, NumericalError)
+
+
+def _raise_numerical(p):
+    raise NumericalError("patched closed form")
+
+
+# The other exit-3 kinds, each with a command that raises it and a patch
+# (module, attribute, value) that makes it raise, where one is needed.
+_EXIT_THREE = [
+    pytest.param(CapError, None,
+                 ("chain", "--metric", "aoai", "--lambda1", "0.01", "--lambda2", "0.01",
+                  "--cap", "3000"), "has 4504500 states", id="CapError"),
+    pytest.param(ConvergenceError, (chains, "MAX_SWEEPS", 1),
+                 ("chain", "--metric", "aoa", "--lambda1", "0.5", "--lambda2", "0.5",
+                  "--cap", "40"), "within 1 sweeps", id="ConvergenceError"),
+    pytest.param(NumericalError, (analytic, "avg_aoa", _raise_numerical),
+                 ("analytic", "--lambda1", "0.5", "--lambda2", "0.5"),
+                 "patched closed form", id="NumericalError"),
+]
+
+
+@pytest.mark.parametrize("kind,patch,args,message", _EXIT_THREE)
+def test_every_numerical_error_exits_three(capsys, monkeypatch, kind, patch, args, message):
+    # `main` names only NumericalError for exit 3, so every kind must be one.
+    assert issubclass(kind, NumericalError)
+    if patch:
+        monkeypatch.setattr(*patch)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: ") and message in err
 
 
 @pytest.mark.parametrize("args", [

@@ -550,6 +550,10 @@ class TestEventsCsv:
     def test_slot_error_names_physical_line_after_blank(self, tmp_path):
         with pytest.raises(DomainError, match="line 4: slot index must be 2, got 3"):
             read_events_csv(self._write(tmp_path, "t,data,energy\n1,0,0\n\n3,1,0\n"))
+        # A quoted field that spans two lines makes one record of lines 3 and 4.
+        spanning = 't,data,energy\n1,0,1\n"2\n",1,0\n3,0,0\n4,x,0\n'
+        with pytest.raises(DomainError, match="line 6: non-integer value"):
+            read_events_csv(self._write(tmp_path, spanning))
 
     def test_parsed_file_holds_at_most_three_bytes_a_row(self, tmp_path):
         # Two flags of one byte a row, and no more than one byte a row

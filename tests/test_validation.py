@@ -132,6 +132,11 @@ class TestRouteRows:
                 assert r.cap == (50 if m == "chain" else None)
                 assert type(r.value) is float and type(r.uncertainty) is float, r
 
+    @pytest.mark.parametrize("method", METHOD_ORDER)
+    def test_unknown_metric_rejected(self, method):
+        with pytest.raises(DomainError, match=r"unknown metrics: \['aoX'\]"):
+            route_rows(make_params(0.5, 0.5), method, ("aoa", "aoX"), slots=5_000, seed=2, cap=50)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError, match="method must be one of .* got 'bogus'"):
             route_rows(make_params(0.5, 0.5), "bogus")
