@@ -13,6 +13,8 @@
 #  * in the opposite corner (data scarce, energy rich) the mean actuation
 #    age even drops below the mean information age, 1/lambda1.
 
+import dataclasses
+
 import numpy as np
 
 from aoa_lab import averages, make_params
@@ -29,8 +31,10 @@ dip = grid[int(np.argmin(row))]
 print(f"  -> interior minimum near lambda1={dip:.1f}; beyond it, more data "
       "packets make actions OLDER.\n")
 
-# The findings come from the closed forms alone: no route runs.
-_, witnesses, _, _ = findings([make_params(a, b) for a in grid for b in grid])
+# The findings come from the closed forms alone, no route runs, and they are
+# the ones `aoa-lab validate` prints for the same grid.
+sym_dev, witnesses, monotone, violations = findings(
+    [make_params(a, b) for a in grid for b in grid])
 print("neighbour steps where the average actuation age rises with lambda2:")
 for axis, l1, lo, hi in witnesses:
     if axis == "lambda2":
@@ -39,30 +43,17 @@ print("  -> with data scarce, more energy makes actions OLDER too: at")
 print("     lambda2 = 1 every packet is actuated on arrival, so the actuation")
 print("     age climbs to the information age 1/lambda1 (see below).\n")
 
-aoa = np.array([[averages(make_params(a, b)).aoa_bar for b in grid] for a in grid])
-aoai = np.array([[averages(make_params(a, b)).aoai_bar for b in grid] for a in grid])
-aoi = np.array([[1.0 / a for _ in grid] for a in grid])
+print(f"actuated-information age falls at every neighbour step: {monotone}")
+print(f"symmetry deviation of aoa and aoai (max relative): {sym_dev:.3f}")
 
-dec_l1 = np.all(np.diff(aoai, axis=0) < 0)
-dec_l2 = np.all(np.diff(aoai, axis=1) < 0)
-print(f"actuated-information age strictly decreasing in lambda1: {dec_l1}, "
-      f"in lambda2: {dec_l2}")
-
-sym_aoa = np.max(np.abs(aoa - aoa.T) / aoa)
-sym_aoai = np.max(np.abs(aoai - aoai.T) / aoai)
-print(f"symmetry deviation (max relative): aoa {sym_aoa:.3f}, aoai {sym_aoai:.3f}")
-
-viol = [(grid[i], grid[j]) for i in range(len(grid)) for j in range(len(grid))
-        if aoa[i, j] < aoi[i, j]]
-print(f"\npoints where mean actuation age < mean information age: {len(viol)}")
-print("  " + ", ".join(f"({a:.1f},{b:.1f})" for a, b in viol))
+print(f"\npoints where the mean ordering aoi <= aoa <= aoai fails: {len(violations)}")
+for a, b, msg in violations:
+    print(f"  ({a:.1f},{b:.1f}): {msg}")
 print("  (the battery regularizes inter-actuation gaps: short waits for data")
 print("   get penalized by energy waits, long ones do not, so the actuation")
 print("   process is less bursty than the arrival process)")
 
-np.savetxt("grid_findings.csv",
-           np.column_stack([np.repeat(grid, len(grid)),
-                            np.tile(grid, len(grid)),
-                            aoi.ravel(), aoa.ravel(), aoai.ravel()]),
-           delimiter=",", header="lambda1,lambda2,aoi,aoa,aoai", comments="")
+table = [(a, b, *dataclasses.astuple(averages(make_params(a, b)))) for a in grid for b in grid]
+np.savetxt("grid_findings.csv", table, delimiter=",",
+           header="lambda1,lambda2,aoi,aoa,aoai", comments="")
 print("\nwrote grid_findings.csv (plot-ready)")

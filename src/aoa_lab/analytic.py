@@ -16,8 +16,9 @@ once for every evaluator here.
 
 Supported parameter floor: lambda >= 0.01.  The denominators there are of
 order 1e-10, far above double-precision underflow.  Far below the floor a
-denominator can underflow to zero or a value overflow to inf or nan, and
-NumericalError is raised there rather than a value returned.
+denominator can underflow to zero, a value overflow to inf or nan, or a
+level-1 mass that the model makes positive round to 0, and NumericalError is
+raised there rather than a value returned.
 """
 
 from __future__ import annotations
@@ -103,6 +104,21 @@ def _closed_form(p: Params, parts: tuple, corner: tuple, what: str) -> Sequence[
     return [_finite(what, p, num / den) for num in nums]
 
 
+def _level_one_masses(p: Params, parts: tuple, what: str) -> Sequence[float]:
+    """The two level-1 masses that `parts` gives at `p`, by `_closed_form`.
+
+    The model makes the first positive where lambda2 < 1 and the second where
+    lambda1 < 1.  Raises NumericalError where such a mass evaluates to 0, as
+    both do at (1e-100, 1e-100), where 1 - (1 - lambda1)(1 - lambda2) rounds
+    to 0.
+    """
+    masses = _closed_form(p, parts, (1.0, 0.0), what)
+    for mass, rate in zip(masses, (p.lambda2, p.lambda1)):
+        if mass == 0.0 and rate < 1.0:
+            raise NumericalError(f"{what}: a positive mass rounds to 0 at {p}")
+    return masses
+
+
 def avg_aoi(p: Params) -> float:
     """Average age of information: 1 / lambda1."""
     return _closed_form(p, (1, p.lambda1), (1.0,), "avg_aoi")[0]
@@ -169,7 +185,7 @@ def aoa_seed_probs(p: Params) -> AoaSeedProbs:
     q1, q2 = 1 - l1, 1 - l2
     den = q1 * l2 ** 3 + l1 * l2 * q2 + q1 * q2 * l2 * l2 + l1 * l1 * q2 * q2
     parts = (l1 * (1 - q1 * q2) * q2 * l2, l1 * q1 * l2 ** 3, den)
-    return AoaSeedProbs(*_closed_form(p, parts, (1.0, 0.0), "aoa_seed_probs"))
+    return AoaSeedProbs(*_level_one_masses(p, parts, "aoa_seed_probs"))
 
 
 def aoai_seed_probs(p: Params) -> AoaiSeedProbs:
@@ -182,4 +198,4 @@ def aoai_seed_probs(p: Params) -> AoaiSeedProbs:
     q1, q2 = 1 - l1, 1 - l2
     den = l1 * l1 * q2 * q2 + l2 * l2 + l1 * l2 * (1 - 2 * l2)
     parts = (l1 * (l1 * l1 * q2 + l2) * q2 * l2, q1 * l1 * l2 ** 3, den)
-    return AoaiSeedProbs(*_closed_form(p, parts, (1.0, 0.0), "aoai_seed_probs"))
+    return AoaiSeedProbs(*_level_one_masses(p, parts, "aoai_seed_probs"))

@@ -360,14 +360,16 @@ def aoa_series_mean(p: Params) -> float:
     invertible for valid Params, so two back-substitutions give
     u = (I - M)^-1 1 and w = (I - M)^-1 u, and the mean is v_1 w.  Every
     literal is an integer, so on `Fraction` rates the sum is exact.  Raises
-    NumericalError, as the closed forms do, where 1 - z rounds to 0 or the
-    mean is not finite: at rates far below the CLI floor.
+    NumericalError, as the closed forms do, where 1 - z rounds to 0 (checked
+    first), where `aoa_seed_probs` raises, or where the mean is not finite:
+    at rates far below the CLI floor.
     """
-    seeds = aoa_seed_probs(p)
     s = shorthand(p)
     l1, l2, head = p.lambda1, p.lambda2, 1 - s.z
     if head == 0.0:
-        raise NumericalError(f"aoa_series_mean: 1 - z rounds to 0 at {p}")
+        raise NumericalError(
+            f"aoa_series_mean: denominator underflowed to zero: 1 - z rounds to 0 at {p}")
+    seeds = aoa_seed_probs(p)
     u1, u2 = 1 / l1, 1 / l2
     u0 = (1 + s.y * u1 + s.x * u2) / head
     w1, w2 = u1 / l1, u2 / l2

@@ -27,6 +27,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import engine, validation
 from .core import Params
+from .engine import TRACE_FIELDS
 from .errors import AoaLabError, DomainError, NumericalError
 
 _ROW_FIELDS = tuple(f.name for f in dataclasses.fields(validation.Row))
@@ -34,7 +35,6 @@ CSV_HEADER = ",".join(_ROW_FIELDS)
 # Not dataclasses.astuple, which deep-copies every field: 0.45 s more over
 # the 30 000 rows of a 100 x 100 analytic sweep.
 _row_values = operator.attrgetter(*_ROW_FIELDS)
-TRACE_FIELDS = ("t", "data", "energy", "cache", "battery", "actuated", "aoi", "aoa", "aoai")
 # A `trace` row formatted in one step.  Every field is an int or a bool, which
 # `%d` prints as 0 or 1, so the bytes are those of ",".join(map(str, row)) and
 # of json.dumps(dict(zip(TRACE_FIELDS, row))) with the bools made ints.
@@ -115,24 +115,38 @@ def cmd_chain(args) -> int:
     return 0
 
 
+def _is_stdout(fh) -> bool:
+    """Whether `fh` is open on the file that stdout's descriptor 1 writes to.
+
+    Not if descriptor 1 was closed: then `fh` may have been given it.
+    """
+    try:
+        return fh.fileno() != 1 and os.path.samestat(os.fstat(fh.fileno()), os.fstat(1))
+    except OSError:  # descriptor 1 is closed
+        return False
+
+
 def cmd_sweep(args) -> int:
     points = _parse_grid(args.grid)
     methods = _parse_names(args.methods, validation.METHOD_ORDER, "methods")
     # Open before the sweep, so an unwritable path fails at once; "a" keeps a
     # file that is there until the rows are ready, then empties a regular one.
+    # Stdout's own file, as `--out /dev/stdout` names it, is neither emptied
+    # nor removed: the rows are printed to stdout, after what it already holds.
     keep = os.path.exists(args.out)
     fh = open(args.out, "a", newline="")
     try:
         with fh:
+            out = sys.stdout if _is_stdout(fh) else fh
             report = validation.sweep(points, methods, args.slots, args.seed,
                                       tail_eps=args.tail_eps)
             order = validation.METHOD_ORDER
             rows = sorted((r for c in report.rows for r in c.routes if r.method in methods),
                           key=lambda r: (r.lambda1, r.lambda2, order.index(r.method)))
-            if keep and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if out is fh and keep and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 keep = False
                 fh.truncate(0)
-            _emit(rows, False, fh)
+            _emit(rows, False, out)
     except BaseException:  # leave no partial file, and no file the sweep did not write
         if not keep:
             os.remove(args.out)

@@ -20,34 +20,33 @@ actuation (the age of the packet just consumed), else +1.
 
 `step` / `run_trace` implement this one readable slot at a time and are the
 reference semantics.  `run_batched` simulates long horizons in chunks of
-slots, in three vectorised stages:
+slots, in three stages, each owned by one function:
 
-* the events are drawn in pieces of `_DRAW` slots into a small buffer and
-  thresholded, by one compare a piece, into the chunk's (k, 2) flags, one
-  row a slot, data then energy.  A piece's draws are addressed by its
-  position in the seeded stream: slot s takes PCG64 outputs 2s and 2s+1, so
-  any thread with its own copy of the generator, moved on to slot s, draws
-  that piece.  Where a second CPU may run it, a helper thread draws pieces
-  of chunk i+1 into a second flag array while the calling thread scans chunk
-  i and takes its age sums; then the calling thread draws the pieces still
-  undrawn.  Which thread draws which piece depends on timing, and no seeded
-  result depends on it;
-* the occupancy scan bit-packs the flags, by one `np.packbits`, into 8-slot
+* draws, `_drawn`: the events are drawn in pieces of `_DRAW` slots into a
+  small buffer and thresholded, by one compare a piece, into the chunk's
+  (k, 2) flags, one row a slot, data then energy.  Slot s takes PCG64
+  outputs 2s and 2s+1, so any thread with its own copy of the generator,
+  moved on to slot s, draws that piece.  Where a second CPU may run it, a
+  helper thread draws ahead, and no seeded result depends on which thread
+  draws which piece;
+* replay, `_replay`: the one loop over chunks and the one counter of slots.
+  It alone carries the state across chunk edges.  Its occupancy scan,
+  `_scan_events`, bit-packs the flags, by one `np.packbits`, into 8-slot
   blocks and looks them up in a table that composes the one-slot table of
   the same slot rules (`_step_core`).  A prefix scan over the blocks' maps
   of the 3 occupancy states hands each block its start state: an up-sweep
   composes pairs of maps level by level, and a down-sweep carries the
   states back down, one vectorised gather per level.  Tests replay it
-  against `step` bit for bit;
-* the age sums are renewal-reward sums over the arrival and actuation slots:
-  an age that restarts at a and runs n slots adds n*a + n*(n-1)/2, so no
-  per-slot age is stored.  Each batch's share of a chunk is summed in closed
-  form from the starts inside it, and every batch sum is an exact integer.
+  against `step` bit for bit.  It then works out each actuation's packet:
+  the one that arrived in the same slot, else the last arrival before it;
+* tally, `_simulate`: the age sums are renewal-reward sums over the arrival
+  and actuation slots that `_replay` yields: an age that restarts at a and
+  runs n slots adds n*a + n*(n-1)/2, so no per-slot age is stored.  Each
+  batch's share of a chunk is summed in closed form from the starts inside
+  it, and every batch sum is an exact integer.
 
-`_replay` is the one loop over chunks: it alone carries the state across
-chunk edges and works out each actuation's packet: the one that arrived in
-the same slot, else the last arrival before it.  `run_batched` sums the ages
-over its events; `trace` expands them to one row per slot (`_trace_columns`).
+`trace` expands `_replay`'s events to one row per slot instead
+(`_trace_columns`).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ import itertools
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -330,48 +328,53 @@ def _scan_events(flags: np.ndarray, cache: int, battery: int):
 def _replay(chunks):
     """Scan consecutive (k, 2) flag chunks from the canonical start.
 
-    Yields per chunk the scan's `act` and `st`, and in chunk-local slots the
-    arrivals `sd`, the actuations `sa` and the end-of-slot aoi `base` at each
-    actuation, each led by the last one of the earlier chunks (before any:
-    slot -1, the virtual slot of age 1, and aoi 1).  A chunk's flags are not
-    read once the next chunk is asked for.
+    Yields per chunk its first slot `lo`, its `flags`, the scan's `act` and
+    `st`, and in chunk-local slots the arrivals `sd`, the actuations `sa` and
+    the end-of-slot aoi `base` at each actuation, each led by the last one of
+    the earlier chunks (before any: slot -1, the virtual slot of age 1, and
+    aoi 1).  A chunk's flags are not read once the next chunk is asked for.
+    `chunks` is a generator, closed when the replay ends or fails.
     """
     cache = battery = 0
     last_d = last_a = -1
     aoi_at_last_act = 1
-    done = 0
-    for flags in chunks:
-        k = len(flags)
-        act, st, cache, battery = _scan_events(flags, cache, battery)
-        data = flags[:, 0]
-        pd = np.flatnonzero(data)
-        pa = np.flatnonzero(act)
-        sd = np.concatenate(([last_d - done], pd))
-        sa = np.concatenate(([last_a - done], pa))
-        # The aoi at an actuation.  The cache holds only the last arrival, so
-        # the actuated packet is the one that arrived in the same slot, of aoi
-        # 1, or else the last arrival before it.
-        base = np.ones(len(sa), dtype=np.int64)
-        base[0] = aoi_at_last_act
-        stale = np.flatnonzero(~data[pa])
-        t = pa[stale]
-        base[stale + 1] = t + 1 - sd[np.searchsorted(sd, t) - 1]
-        yield act, st, sd, sa, base
-        last_d = done + int(sd[-1])
-        last_a = done + int(sa[-1])
-        aoi_at_last_act = int(base[-1])
-        done += k
+    lo = 0
+    try:
+        for flags in chunks:
+            act, st, cache, battery = _scan_events(flags, cache, battery)
+            data = flags[:, 0]
+            pd = np.flatnonzero(data)
+            pa = np.flatnonzero(act)
+            sd = np.concatenate(([last_d - lo], pd))
+            sa = np.concatenate(([last_a - lo], pa))
+            # The aoi at an actuation.  The cache holds only the last arrival,
+            # so the actuated packet is the one that arrived in the same slot,
+            # of aoi 1, or else the last arrival before it.
+            base = np.ones(len(sa), dtype=np.int64)
+            base[0] = aoi_at_last_act
+            stale = np.flatnonzero(~data[pa])
+            t = pa[stale]
+            base[stale + 1] = t + 1 - sd[np.searchsorted(sd, t) - 1]
+            yield lo, flags, act, st, sd, sa, base
+            last_d = lo + int(sd[-1])
+            last_a = lo + int(sa[-1])
+            aoi_at_last_act = int(base[-1])
+            lo += len(flags)
+    finally:  # on an error too, so that `_drawn` joins its helper thread at once
+        chunks.close()
+
+
+TRACE_FIELDS = ("t", "data", "energy", "cache", "battery", "actuated", "aoi", "aoa", "aoai")
 
 
 def _trace_columns(flags: np.ndarray):
     """`run_trace` of a whole (slots, 2) flag array, on `_replay`: yields int64
-    rows of (slot, data, energy, cache, battery, actuated, aoi, aoa, aoai), one
-    array per piece of `_TRACE_PIECE` slots.  From each event of `_replay` to
-    the next, the aoi and aoa grow from 1 and the aoai from `base`.
+    rows of the `TRACE_FIELDS`, t counted from 1, one array per piece of
+    `_TRACE_PIECE` slots.  From each event of `_replay` to the next, the aoi
+    and aoa grow from 1 and the aoai from `base`.
     """
-    starts = range(0, len(flags), _TRACE_PIECE)
-    pieces = [flags[lo:lo + _TRACE_PIECE] for lo in starts]
-    for lo, piece, (act, st, sd, sa, base) in zip(starts, pieces, _replay(pieces)):
+    pieces = (flags[lo:lo + _TRACE_PIECE] for lo in range(0, len(flags), _TRACE_PIECE))
+    for lo, piece, act, st, sd, sa, base in _replay(pieces):
         k = len(piece)
         t = np.arange(k)
         arrived = np.repeat(sd, np.diff(sd.clip(0), append=k))
@@ -405,14 +408,12 @@ def _age_sums(starts: np.ndarray, bases, a: int, z: int) -> list[int]:
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on: its affinity mask, if any."""
-    if hasattr(os, "sched_getaffinity"):  # not every platform has one
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The number of CPUs this process may run on: its affinity mask (Linux)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _draws_ahead() -> bool:
-    """Whether `_simulate` draws each next chunk on a helper thread.
+    """Whether `_drawn` draws each next chunk on a helper thread.
 
     Only where this process may run on more than one CPU, and not in a
     `multiprocessing` worker: `validation.sweep`'s pool already runs one
@@ -467,6 +468,39 @@ def _draw_claimed(draw, flags: np.ndarray, lo: int, pieces) -> np.ndarray:
     return flags
 
 
+def _drawn(p: Params, slots: int, seed: int):
+    """Yield the (k, 2) event flags of each chunk of `slots` slots, in order.
+
+    One or two flag buffers serve every chunk, with one threshold buffer and
+    a draw buffer per drawing thread: fresh ones would fault in their pages
+    each time.  Drawing ahead, the helper thread claims pieces of chunk i+1,
+    in the other flag buffer, while the caller scans chunk i; then the
+    calling thread claims the pieces still undrawn and waits for the
+    helper's last one.  Both claim chunk 0 at once.  Drawing in place, the
+    calling thread claims every piece of a chunk when it is asked for, and
+    the pool, which starts its thread at its first `submit`, starts none.
+    """
+    ahead = _draws_ahead()
+    chunk = min(_CHUNK, slots)
+    thr = np.empty((min(_DRAW, chunk), 2))
+    thr[:] = p.lambda1, p.lambda2
+    calling_draw, helper_draw = _drawer(seed, thr), ahead and _drawer(seed, thr)
+    flags = np.empty((2 if ahead else 1, chunk, 2), dtype=bool)
+    with ThreadPoolExecutor(1) as helper:
+        def share(lo: int):  # chunk lo's claims, handed first to the helper when drawing ahead
+            job = flags[lo // chunk % len(flags), :min(chunk, slots - lo)], lo, itertools.count()
+            return job, ahead and helper.submit(_draw_claimed, helper_draw, *job)
+
+        job, helped = share(0)
+        for lo in range(0, slots, chunk):
+            events = _draw_claimed(calling_draw, *job)
+            if helped:
+                helped.result()
+            if lo + chunk < slots:
+                job, helped = share(lo + chunk)
+            yield events
+
+
 def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
     """Simulate and tally exactly; returns (edges, sums, actuations).
 
@@ -478,56 +512,20 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
     """
     measured = slots - warmup
     edges = warmup + (np.arange(n_batches + 1, dtype=np.int64) * measured) // n_batches
-
+    cuts = edges.tolist()  # Python ints: no range end can overflow
     sums = np.zeros((3, n_batches), dtype=np.int64)
     actuations = 0
-
-    # One or two flag buffers for every chunk, one threshold buffer and a
-    # draw buffer per drawing thread: fresh ones would fault in their pages
-    # each time.  Drawing ahead, the helper thread claims pieces of chunk i+1,
-    # in the other flag buffer, while the calling thread scans chunk i; then
-    # the calling thread claims the pieces still undrawn and waits for the
-    # helper's last one.  Both claim chunk 0 at once.  Drawing in place, the
-    # calling thread claims every piece of chunk i+1 once the scan of chunk i
-    # is done.  Each piece's draws come from its own place in the stream, so
-    # the flags are the same whichever thread draws it.
-    ahead = _draws_ahead()
-    chunk = min(_CHUNK, slots)
-    thr = np.empty((min(_DRAW, chunk), 2))
-    thr[:] = p.lambda1, p.lambda2
-    calling_draw, helper_draw = _drawer(seed, thr), ahead and _drawer(seed, thr)
-    flags = np.empty((2 if ahead else 1, chunk, 2), dtype=bool)
-
-    def drawn(helper):
-        def share(lo: int):  # chunk lo's claims, handed first to the helper if there is one
-            job = flags[lo // chunk % len(flags), :min(chunk, slots - lo)], lo, itertools.count()
-            return job, helper and helper.submit(_draw_claimed, helper_draw, *job)
-
-        job, helped = share(0)
-        for lo in range(0, slots, chunk):
-            events = _draw_claimed(calling_draw, *job)
-            if helped:
-                helped.result()
-            if lo + chunk < slots:
-                job, helped = share(lo + chunk)
-            yield events
-
-    with ThreadPoolExecutor(1) if ahead else nullcontext() as helper:
-        lo = 0
-        cuts = edges.tolist()  # Python ints: no range end can overflow
-        for act, st, sd, sa, base in _replay(drawn(helper)):
-            # Renewal-reward age sums from the event slots alone, over each
-            # batch's share of the chunk.
-            for b in range(n_batches):
-                a, z = max(cuts[b] - lo, 0), min(cuts[b + 1] - lo, len(act))
-                if a < z:
-                    sums[0, b] += _age_sums(sd, (1,), a, z)[0]
-                    sums[1:, b] += _age_sums(sa, (1, base), a, z)
-            # sa[0], the carried actuation, is negative and never counted.
-            actuations += len(sa) - int(np.searchsorted(sa, max(warmup - lo, 0)))
-            lo += chunk
-            del act, st, sd, sa, base  # else alive while `_replay` builds the next: +4 MiB at 0.9
-
+    for lo, flags, act, st, sd, sa, base in _replay(_drawn(p, slots, seed)):
+        # Renewal-reward age sums from the event slots alone, over each
+        # batch's share of the chunk.
+        for b in range(n_batches):
+            a, z = max(cuts[b] - lo, 0), min(cuts[b + 1] - lo, len(act))
+            if a < z:
+                sums[0, b] += _age_sums(sd, (1,), a, z)[0]
+                sums[1:, b] += _age_sums(sa, (1, base), a, z)
+        # sa[0], the carried actuation, is negative and never counted.
+        actuations += len(sa) - int(np.searchsorted(sa, max(warmup - lo, 0)))
+        del act, st, sd, sa, base  # else alive while `_replay` builds the next: +4 MiB at 0.9
     return edges, sums, actuations
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -243,3 +244,17 @@ class TestBelowFloatResolution:
     def test_denominator_underflow(self, evaluator):
         with pytest.raises(NumericalError, match="denominator underflowed to zero"):
             evaluator(Params(1e-170, 1e-170))
+
+    @pytest.mark.parametrize("evaluator", [aoa_seed_probs, aoai_seed_probs])
+    @pytest.mark.parametrize("l1,l2", [(1e-100, 1e-100), (1e-160, 1e-160)])
+    def test_positive_mass_that_rounds_to_zero(self, evaluator, l1, l2):
+        # Both masses are positive below lambda = 1.  At (1e-100, 1e-100),
+        # 1 - q1 q2 rounds to 0 in the AoA v100, and the AoAI v111, about
+        # 3.3e-201, is a product below the smallest double.
+        with pytest.raises(NumericalError,
+                           match=f"{evaluator.__name__}: a positive mass rounds to 0"):
+            evaluator(Params(l1, l2))
+
+    @pytest.mark.parametrize("evaluator", [aoa_seed_probs, aoai_seed_probs])
+    def test_masses_that_stay_positive_are_returned(self, evaluator):
+        assert min(dataclasses.astuple(evaluator(Params(1e-160, 0.5)))) > 0

@@ -478,6 +478,14 @@ class TestTrace:
         assert out == ""
         assert "line 3" in err
 
+    @pytest.mark.parametrize("row, fields", [("2,1", 2), ("2,1,0,1", 4)])
+    def test_wrong_field_count_exit_two_names_line(self, capsys, tmp_path, row, fields):
+        f = tmp_path / "ev.csv"
+        f.write_text(f"t,data,energy\n1,0,0\n{row}\n")
+        code, out, err = run_cli(capsys, "trace", "--events", str(f))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 3: expected 3 fields, got {fields}\n"
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "trace", "--events", str(tmp_path / "nope.csv"))
         assert code == 2
@@ -564,6 +572,42 @@ class TestSweep:
         assert (code, err) == (0, "")
         assert got[0].splitlines()[0] == CSV_HEADER and len(got[0].splitlines()) == 4
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    @staticmethod
+    def _sweep_into_stdout_file(tmp_path, emit_fails):
+        """`sweep --out L` in a fresh process, L a symlink to its own descriptor 1,
+        with stdout a file that already holds a first line, as in
+        `{ echo first-line; aoa-lab sweep --out L; echo last-line; } > f`.
+        Returns the exit code, stderr, the file's text and whether L is left."""
+        link, stdout_file = tmp_path / "L", tmp_path / "f.txt"
+        link.symlink_to("/proc/self/fd/1")
+        script = ("import sys\nfrom aoa_lab import cli\n"
+                  "def fail(rows, as_json, out):\n"
+                  "    raise OSError(28, 'No space left on device')\n"
+                  f"if {emit_fails}:\n    cli._emit = fail\n"
+                  f"sys.exit(cli.main(['sweep', '--grid', '0.5:0.5:0.1', '--out', {str(link)!r}]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        with open(stdout_file, "wb") as out:
+            out.write(b"first-line\n")
+            out.flush()
+            proc = subprocess.run([sys.executable, "-c", script], stdout=out,
+                                  stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                                  timeout=60)
+            out.write(b"last-line\n")
+        return proc.returncode, proc.stderr.decode(), stdout_file.read_text(), link.is_symlink()
+
+    def test_out_to_stdouts_own_file_follows_what_it_holds(self, tmp_path):
+        # The rows go after the first line, and a later write to stdout after them.
+        code, err, text, kept = self._sweep_into_stdout_file(tmp_path, emit_fails=False)
+        assert (code, err, kept) == (0, "", True)
+        lines = text.splitlines()
+        assert lines[:2] == ["first-line", CSV_HEADER] and lines[-1] == "last-line"
+        assert len(lines) == 6
+
+    def test_failed_write_to_stdouts_own_file_removes_nothing(self, tmp_path):
+        code, err, text, kept = self._sweep_into_stdout_file(tmp_path, emit_fails=True)
+        assert code == 2 and err.startswith("error: [Errno 28] No space left on device")
+        assert kept and text == "first-line\nlast-line\n"
 
     def test_sweep_computes_no_findings(self, capsys, tmp_path, monkeypatch):
         def refuse(points):
@@ -754,4 +798,15 @@ def test_runaway_grid_exit_two_at_once(capsys, tmp_path, command, grid):
     code, out, err = run_cli(capsys, command, "--grid", grid, *extra)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and err.startswith("error: grid range")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_three_grid_ranges_exit_two(capsys, tmp_path, command):
+    grid = "0.1:0.2:0.1,0.1:0.2:0.1,0.1:0.2:0.1"
+    out_file = tmp_path / "s.csv"
+    extra = ("--out", str(out_file)) if command == "sweep" else ()
+    code, out, err = run_cli(capsys, command, "--grid", grid, *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: grid must be A:B:STEP or A:B:STEP,A:B:STEP, got {grid!r}\n"
     assert not out_file.exists()

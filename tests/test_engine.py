@@ -405,6 +405,24 @@ class TestRun:
                 run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
         assert threading.active_count() == threads
 
+    def test_no_thread_outlives_a_failed_run_whose_error_is_kept(self):
+        # The scan's traceback holds the replay's frame, and through it the
+        # draws: the helper thread is joined all the same before the error
+        # reaches the caller, which here keeps it.
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_draws_ahead", lambda: True)
+
+            def scan(*args):
+                raise RuntimeError("scan failed")
+            mp.setattr(engine, "_scan_events", scan)
+            try:
+                run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
+            except RuntimeError as exc:
+                kept = exc
+        assert threading.active_count() == threads
+        assert str(kept) == "scan failed"
+
     @pytest.mark.parametrize("failing", ["calling", "helper"])
     def test_draw_error_on_either_thread_reaches_the_caller(self, failing):
         # Both threads draw; the second chunk's claims fail on one of them.
