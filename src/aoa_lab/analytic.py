@@ -47,10 +47,12 @@ __all__ = [
 class MetricAverages:
     """Stationary averages of the three ages, each >= 1.
 
-    aoai_bar >= max(aoi_bar, aoa_bar) always.  aoi_bar <= aoa_bar holds over
-    most of the parameter square but fails where data is scarce and energy
-    plentiful (for example lambda1=0.1, lambda2=0.3 gives aoa_bar ~ 9.82
-    against aoi_bar = 10); it is therefore not enforced here.
+    aoai_bar >= max(aoi_bar, aoa_bar) always, with aoai_bar = aoa_bar exactly
+    on the edges lambda1 = 1 and lambda2 = 1.  aoa_bar < aoi_bar exactly where
+    data is scarce and energy plentiful: where C = lambda1^2 lambda2 -
+    lambda1^2 - lambda1 lambda2^2 - lambda1 lambda2 + lambda2^2 > 0 and
+    lambda2 < 1 (at (0.1, 0.3), aoa_bar ~ 9.82 against aoi_bar = 10), with
+    aoa_bar = aoi_bar on the edge lambda2 = 1.  Neither is enforced here.
     """
 
     aoi_bar: float

@@ -22,13 +22,12 @@ actuation (the age of the packet just consumed), else +1.
 reference semantics.  `run_batched` simulates long horizons in chunks of
 slots, in three stages, each owned by one function:
 
-* draws, `_drawn`: the events are drawn in pieces of `_DRAW` slots into a
-  small buffer and thresholded, by one compare a piece, into the chunk's
-  (k, 2) flags, one row a slot, data then energy.  Slot s takes PCG64
-  outputs 2s and 2s+1, so any thread with its own copy of the generator,
-  moved on to slot s, draws that piece.  Where a second CPU may run it, a
-  helper thread draws ahead, and no seeded result depends on which thread
-  draws which piece;
+* draws, `_drawn`: the events are drawn on the calling thread in pieces of
+  `_DRAW` slots and thresholded, by one compare a piece, into the chunk's
+  (k, 2) flags, one row a slot, data then energy.  Slot s takes PCG64 output
+  s, the data draw in its low 32 bits and the energy draw in its high 32
+  bits, each compared with an integer threshold (`_threshold`), so an event
+  of rate lambda is flagged with a probability within 2**-32 of lambda;
 * replay, `_replay`: the one loop over chunks and the one counter of slots.
   It alone carries the state across chunk edges.  Its occupancy scan,
   `_scan_events`, bit-packs the flags, by one `np.packbits`, into 8-slot
@@ -53,10 +52,8 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
-import multiprocessing
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,14 +78,11 @@ __all__ = [
 # sparse-rate runs, whose per-chunk overhead dominates: a 10^7-slot run at
 # (0.05, 0.05) took 0.128 s at 2^18 slots, 0.136 s at 2^17 and 0.159 s at 2^16.
 _CHUNK = 1 << 18
-# Slots per draw piece.  Each drawing thread draws a chunk's pieces into a
-# 128 KiB buffer of its own, two float64 draws per slot, and thresholds them
-# against one shared threshold buffer of the same size into the chunk's flags,
-# so no chunk-long float buffer is ever held: 384 KiB with two threads.  At
-# 2^14, 768 KiB, the `sim` benchmark's peak resident memory rose by 0.3-0.4 MB
-# and its time fell in one of two rounds of runs (BENCH_sim_split_draw.json).
-# Results do not depend on the size.
-_DRAW = 1 << 13
+# Slots per draw piece: a piece's 64-bit outputs, 128 KiB, and a uint32
+# threshold buffer of as many rows, 128 KiB, so no chunk-long draw buffer is
+# held.  At 2^13 `sim` was slower in 4 of 4 alternating benchmark runs, at no
+# lower peak (BENCH_sim_one_draw.json).  Results do not depend on the size.
+_DRAW = 1 << 14
 # Slots per piece of `trace`'s replay, each printed whole: a 600 000-row
 # `--json` trace peaked at 44.4 MiB resident at 2^12, 52.5 at 2^14, 60.5 at 2^15.
 _TRACE_PIECE = 1 << 12
@@ -360,7 +354,7 @@ def _replay(chunks):
             last_a = lo + int(sa[-1])
             aoi_at_last_act = int(base[-1])
             lo += len(flags)
-    finally:  # on an error too, so that `_drawn` joins its helper thread at once
+    finally:  # on an error too, so that the draws' buffers are freed at once
         chunks.close()
 
 
@@ -412,93 +406,39 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _draws_ahead() -> bool:
-    """Whether `_drawn` draws each next chunk on a helper thread.
+def _threshold(rate: float) -> int:
+    """The largest 32-bit draw that flags an event of rate `rate`, 0 < rate <= 1.
 
-    Only where this process may run on more than one CPU, and not in a
-    `multiprocessing` worker: `validation.sweep`'s pool already runs one
-    worker process per usable CPU, and a helper thread in each slowed it down.
+    A uniform 32-bit draw is at most it with probability ceil(rate * 2**32)
+    / 2**32: within 2**-32 of `rate`, exactly `rate` where rate * 2**32 is
+    an integer, and 1 at rate 1.
     """
-    return _usable_cpus() > 1 and multiprocessing.parent_process() is None
-
-
-def _drawer(seed: int, thr: np.ndarray):
-    """A draw function with a generator and a draw buffer of its own.
-
-    `draw(flags, slot)` fills `flags`, an (n, 2) bool array with n <=
-    len(thr), with the events of slots slot to slot + n - 1, whatever it drew
-    before: the rows of `default_rng(seed).random((slots, 2)) < thr[0]`.
-    Slot s takes outputs 2s and 2s+1 of the PCG64 stream, the data draw then
-    the energy draw, and `Generator.random` makes one double of each, so
-    `advance` moves the generator to any slot.  Each drawing thread needs its
-    own: a shared generator's lock would run their draws one after the other.
-    The draws are compared in one pass with `thr`, whose every row is
-    (lambda1, lambda2): against a broadcast (2,) row, numpy loops over rows
-    of two, and the compare took 12 times as long.
-    """
-    bits = np.random.PCG64(seed)
-    rng = np.random.Generator(bits)
-    u = np.empty_like(thr)
-    at = 0  # the slot whose draws the generator gives next
-
-    def draw(flags: np.ndarray, slot: int) -> None:
-        nonlocal at
-        bits.advance(2 * (slot - at))
-        piece = u[:len(flags)]
-        rng.random(out=piece)
-        np.less(piece, thr[:len(piece)], out=flags)
-        at = slot + len(flags)
-
-    return draw
-
-
-def _draw_claimed(draw, flags: np.ndarray, lo: int, pieces) -> np.ndarray:
-    """Draw the pieces of one chunk that `pieces` hands out, until none is left.
-
-    `flags` holds the chunk's slots lo to lo + k - 1 and `pieces` counts its
-    pieces of `_DRAW` slots, from 0.  Two threads may claim pieces from the
-    same counter, each with its own `draw`; each piece is drawn once, by
-    whichever thread took its number.  Returns `flags`.
-    """
-    for i in pieces:
-        a = i * _DRAW
-        if a >= len(flags):
-            break
-        draw(flags[a:a + _DRAW], lo + a)
-    return flags
+    return math.ceil(rate * 2**32) - 1
 
 
 def _drawn(p: Params, slots: int, seed: int):
     """Yield the (k, 2) event flags of each chunk of `slots` slots, in order.
 
-    One or two flag buffers serve every chunk, with one threshold buffer and
-    a draw buffer per drawing thread: fresh ones would fault in their pages
-    each time.  Drawing ahead, the helper thread claims pieces of chunk i+1,
-    in the other flag buffer, while the caller scans chunk i; then the
-    calling thread claims the pieces still undrawn and waits for the
-    helper's last one.  Both claim chunk 0 at once.  Drawing in place, the
-    calling thread claims every piece of a chunk when it is asked for, and
-    the pool, which starts its thread at its first `submit`, starts none.
+    Slot s takes output s of the PCG64 stream of `seed`, as `run_batched`
+    states.  Each piece of `_DRAW` slots is compared in one pass with a
+    threshold buffer whose every row is the pair of `_threshold`s: against a
+    broadcast (2,) row, numpy loops over rows of two, 12 times as slow.  One
+    flag buffer serves every chunk: a fresh one would fault in its pages
+    each time.
     """
-    ahead = _draws_ahead()
+    bits = np.random.PCG64(seed)
     chunk = min(_CHUNK, slots)
-    thr = np.empty((min(_DRAW, chunk), 2))
-    thr[:] = p.lambda1, p.lambda2
-    calling_draw, helper_draw = _drawer(seed, thr), ahead and _drawer(seed, thr)
-    flags = np.empty((2 if ahead else 1, chunk, 2), dtype=bool)
-    with ThreadPoolExecutor(1) as helper:
-        def share(lo: int):  # chunk lo's claims, handed first to the helper when drawing ahead
-            job = flags[lo // chunk % len(flags), :min(chunk, slots - lo)], lo, itertools.count()
-            return job, ahead and helper.submit(_draw_claimed, helper_draw, *job)
-
-        job, helped = share(0)
-        for lo in range(0, slots, chunk):
-            events = _draw_claimed(calling_draw, *job)
-            if helped:
-                helped.result()
-            if lo + chunk < slots:
-                job, helped = share(lo + chunk)
-            yield events
+    thr = np.empty((min(_DRAW, chunk), 2), dtype=np.uint32)
+    thr[:] = _threshold(p.lambda1), _threshold(p.lambda2)
+    flags = np.empty((chunk, 2), dtype=bool)
+    for lo in range(0, slots, chunk):
+        events = flags[:min(chunk, slots - lo)]
+        for a in range(0, len(events), _DRAW):
+            piece = events[a:a + _DRAW]
+            n = len(piece)
+            # A uint64's low half comes first on a little-endian host.
+            np.less_equal(bits.random_raw(n).view(np.uint32).reshape(n, 2), thr[:n], out=piece)
+        yield events
 
 
 def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
@@ -544,8 +484,11 @@ def _check_run(slots: int, seed: int) -> None:
 def run_batched(p: Params, slots: int, seed: int) -> RunSummary:
     """Simulate `slots` slots with a seeded generator and average the ages.
 
-    Per slot the generator draws the data event first, then the energy event.
-    The one run rule: the first warmup = min(1000, slots // 10) slots are left
+    Slot s takes output s of `np.random.PCG64(seed)`: its low 32 bits are the
+    data draw and its high 32 bits the energy draw, and an event of rate
+    lambda happens where its draw is at most ceil(lambda * 2**32) - 1, with a
+    probability within 2**-32 of lambda (exactly 1 at rate 1).  The one run
+    rule: the first warmup = min(1000, slots // 10) slots are left
     out of the averages, and the rest is split into min(`N_BATCHES`, slots -
     warmup) batches, two or more: `slots` runs from 2 to `_MAX_SLOTS`, and
     `seed` is nonnegative.  Identical arguments give a bit-identical summary.

@@ -31,11 +31,8 @@ most one per point, when it runs the sim or chain route; a grid of closed
 forms alone runs in the calling process.  Its report depends neither on the
 worker count nor on the host's CPU count: each worker's numerics run on one
 thread, since no route passes BLAS a vector long enough for BLAS to split
-across its threads (see `chains.mean_age`) and the workers' simulations draw
-in place.  Outside a pool, a simulation shares the draw between the calling
-thread and one helper thread (`engine._draws_ahead`); each piece of slots is
-drawn from its own position in the seeded stream, so the result does not
-depend on which thread draws which piece.
+across its threads (see `chains.mean_age`) and a simulation draws on its
+calling thread alone.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import analytic, chains, engine
@@ -305,6 +303,17 @@ def _neighbour_steps(keys):
                 yield (axis, lo[fixed], lo[1 - fixed], hi[1 - fixed]), lo, hi
 
 
+def _aoa_below_aoi(lambda1: float, lambda2: float) -> bool:
+    """Whether the exact closed forms put aoa_bar below aoi_bar: where C > 0 and lambda2 < 1.
+
+    C = l1^2 l2 - l1^2 - l1 l2^2 - l1 l2 + l2^2 is the factor that sets the
+    sign of aoi_bar - aoa_bar (tests/test_analytic.py proves the factoring),
+    here evaluated on the float rates' exact `Fraction`s, so no rounding does.
+    """
+    l1, l2 = Fraction(lambda1), Fraction(lambda2)
+    return l2 < 1 and l1 * l1 * l2 - l1 * l1 - l1 * l2 * l2 - l1 * l2 + l2 * l2 > 0
+
+
 def findings(points: Sequence[Params]):
     """Closed-form findings over the grid of `points`, in any order.
 
@@ -314,10 +323,10 @@ def findings(points: Sequence[Params]):
     ("lambda1" or "lambda2") goes from `low` to its next grid value `high`,
     the other rate at `fixed`; aoai_monotone says the actuated-information
     age falls on all.  The violations are (lambda1, lambda2, description)
-    where the mean ordering aoi <= aoa <= aoai fails; the first leg genuinely
-    fails in the data-scarce / energy-rich corner of the parameter square.
-    The symmetry deviation is reported, never asserted: the closed forms are
-    only approximately symmetric in their arguments.
+    where the exact mean ordering aoi <= aoa <= aoai fails (`_aoa_below_aoi`):
+    only the first leg ever fails, in the data-scarce / energy-rich corner of
+    the parameter square.  The symmetry deviation is reported, never asserted:
+    the closed forms are only approximately symmetric in their arguments.
     """
     avg = {(p.lambda1, p.lambda2): analytic.averages(p) for p in points}
     sym_dev = 0.0
@@ -331,13 +340,9 @@ def findings(points: Sequence[Params]):
     witnesses = tuple(step for step, lo, hi in steps if avg[lo].aoa_bar < avg[hi].aoa_bar)
     monotone = not any(avg[hi].aoai_bar >= avg[lo].aoai_bar for _, lo, hi in steps)
 
-    violations = []
-    for (a, b), m in sorted(avg.items()):
-        if m.aoi_bar > m.aoa_bar:
-            violations.append((a, b, f"aoi_bar {m.aoi_bar:.6g} > aoa_bar {m.aoa_bar:.6g}"))
-        if m.aoa_bar > m.aoai_bar:
-            violations.append((a, b, f"aoa_bar {m.aoa_bar:.6g} > aoai_bar {m.aoai_bar:.6g}"))
-    return sym_dev, tuple(witnesses), monotone, tuple(violations)
+    violations = tuple((a, b, f"aoi_bar {m.aoi_bar:.6g} > aoa_bar {m.aoa_bar:.6g}")
+                       for (a, b), m in sorted(avg.items()) if _aoa_below_aoi(a, b))
+    return sym_dev, witnesses, monotone, violations
 
 
 def default_workers() -> int:

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aoa_lab import engine
-from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, averages,
-                              avg_aoa, avg_aoai, avg_aoi)
+from aoa_lab.analytic import (_aoa_factored, _aoai_factored, aoa_seed_probs,
+                              aoai_seed_probs, averages, avg_aoa, avg_aoai, avg_aoi)
 from aoa_lab.chains import aoa_series_mean
 from aoa_lab.core import Params, make_params
 from aoa_lab.errors import NumericalError
@@ -121,7 +121,81 @@ class TestFormulaVsSimulation:
         assert s.mean_aoai == pytest.approx(avg_aoai(p), rel=0.01)
 
 
+@dataclasses.dataclass(frozen=True)
+class Degree:
+    """Bounds on a polynomial's degree in lambda1 and in lambda2.
+
+    Run through a function that uses only +, -, * and integer powers, as
+    `_aoa_factored` and `_aoai_factored` do, it bounds the degrees of what
+    the function computes; an integer literal has degree (0, 0).
+    """
+
+    d1: int
+    d2: int
+
+    def __add__(self, other):
+        other = other if isinstance(other, Degree) else Degree(0, 0)
+        return Degree(max(self.d1, other.d1), max(self.d2, other.d2))
+
+    def __mul__(self, other):
+        other = other if isinstance(other, Degree) else Degree(0, 0)
+        return Degree(self.d1 + other.d1, self.d2 + other.d2)
+
+    def __pow__(self, n):
+        return Degree(self.d1 * n, self.d2 * n)
+
+    def __neg__(self):
+        return self
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+
+def _c(l1, l2):
+    return l1 * l1 * l2 - l1 * l1 - l1 * l2 * l2 - l1 * l2 + l2 * l2
+
+
+def _k(l1, l2):
+    return l1 * l1 * (1 - l2) ** 2 + l1 * l2 * (1 - 2 * l2) + l2 * l2
+
+
+def _aoa_minus_aoi(l1, l2):
+    """Both sides of aoa - aoi = l1 (1 - l2)^2 C / (l2 (l1 l2 - l1 - l2) K),
+    with aoa = num / den and aoi = 1 / l1, times both denominators."""
+    num, den = _aoa_factored(l1, l2)
+    return ((num * l1 - den) * l2 * (l1 * l2 - l1 - l2) * _k(l1, l2),
+            l1 * (1 - l2) ** 2 * _c(l1, l2) * den * l1)
+
+
+def _aoai_minus_aoa(l1, l2):
+    """Both sides of aoai - aoa = l1 (1 - l1) (1 - l2)^2 P / ((l1 + l2 - l1 l2)^2 K),
+    times both denominators."""
+    num_a, den_a = _aoa_factored(l1, l2)
+    num_i, den_i = _aoai_factored(l1, l2)
+    p = l1 * l1 * (1 - l2) + l1 * l2 * (1 - l2) + l2 * l2
+    return ((num_i * den_a - num_a * den_i) * (l1 + l2 - l1 * l2) ** 2 * _k(l1, l2),
+            l1 * (1 - l1) * (1 - l2) ** 2 * p * den_i * den_a)
+
+
+def _k_as_squares(l1, l2):
+    """K = x^2 + l2 x + l2^2 (1 - l1), x = l1 (1 - l2): K > 0 on (0, 1]^2 but at (1, 1)."""
+    x = l1 * (1 - l2)
+    return _k(l1, l2), x * x + l2 * x + l2 * l2 * (1 - l1)
+
+
 class TestOrderingFacts:
+    @pytest.mark.parametrize("sides", [_aoa_minus_aoi, _aoai_minus_aoa, _k_as_squares])
+    def test_factored_differences_are_polynomial_identities(self, sides):
+        # Two polynomials of degree at most d in each rate that agree on a
+        # grid of (d + 1)^2 points, d + 1 distinct values per rate, are the
+        # same polynomial.  The shipped forms, run on degree bounds, give d.
+        d = max(max(side.d1, side.d2) for side in sides(Degree(1, 0), Degree(0, 1)))
+        values = [Fraction(i + 1, d + 2) for i in range(d + 1)]
+        for l1 in values:
+            for l2 in values:
+                lhs, rhs = sides(l1, l2)
+                assert lhs == rhs, (l1, l2)
+
     def test_aoai_dominates_both_on_wide_grid(self):
         grid = [k / 20 for k in range(1, 21)]
         for l1 in grid:

@@ -1,8 +1,7 @@
 import itertools
-import multiprocessing
 import threading
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,22 +180,37 @@ class TestKernels:
 
     @pytest.mark.parametrize("piece", [1, 3, 8, 64, engine._DRAW])
     def test_drawn_pieces_are_the_thresholded_draws_at_their_slot(self, piece):
-        # One draw function draws pieces of every length up to its buffer's,
-        # odd ones among them, at slots forward and back in the stream; each
-        # must be the matching rows of one long draw from the same seed.
+        # Slot s takes output s of the seed's PCG64 stream: its low 32 bits
+        # are the data draw and its high 32 bits the energy draw, each an
+        # event where it is at most its rate's threshold.  Chunks of
+        # 2 * piece + 5 slots end in a short piece, and the run in a short
+        # chunk; the yielded buffer is reused, so each chunk is copied.
         l1, l2 = 0.3, 0.8
         k = 4 * piece + 1000
-        expected = np.random.default_rng(8).random((k, 2)) < (l1, l2)
-        thr = np.empty((piece, 2))
-        thr[:] = l1, l2
-        draw = engine._drawer(8, thr)
-        rng = np.random.default_rng(5)
-        lengths = [piece, piece, 1, piece] + rng.integers(1, piece + 1, 30).tolist()
-        slots = [0, piece, 2 * piece + 5, 1] + [int(rng.integers(0, k - n + 1)) for n in lengths[4:]]
-        for n, slot in zip(lengths, slots):
-            flags = np.empty((n, 2), dtype=bool)
-            draw(flags, slot)
-            assert np.array_equal(flags, expected[slot:slot + n]), (n, slot)
+        raw = np.random.PCG64(8).random_raw(k)
+        expected = np.column_stack((raw & 0xFFFFFFFF <= engine._threshold(l1),
+                                    raw >> 32 <= engine._threshold(l2)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CHUNK", 2 * piece + 5)
+            mp.setattr(engine, "_DRAW", piece)
+            chunks = [flags.copy() for flags in engine._drawn(make_params(l1, l2), k, 8)]
+        assert [len(c) for c in chunks[:-1]] == [2 * piece + 5] * (len(chunks) - 1)
+        assert np.array_equal(np.concatenate(chunks), expected)
+
+    @pytest.mark.parametrize("rate", [1e-300, 2.0**-40, 2.0**-32, 1e-9, 0.01, 0.05, 0.1,
+                                      0.3, 0.5, 0.7, 0.9, 1 - 2.0**-53, 1.0])
+    def test_threshold_flags_within_two_to_the_minus_32_of_the_rate(self, rate):
+        # A uniform 32-bit draw is at most t with probability (t + 1) / 2^32.
+        t = engine._threshold(rate)
+        assert 0 <= t <= 2**32 - 1  # fits the uint32 threshold buffer
+        flagged = Fraction(t + 1, 2**32)
+        assert abs(flagged - Fraction(rate)) <= Fraction(1, 2**32)
+        assert flagged >= Fraction(rate)
+
+    def test_threshold_is_exact_at_a_half_and_at_one(self):
+        assert engine._threshold(0.5) == 2**31 - 1
+        assert engine._threshold(1.0) == 2**32 - 1
+        assert engine._threshold(0.25) == 2**30 - 1
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.001, max_value=1.0),
@@ -206,8 +220,7 @@ class TestKernels:
            st.sampled_from([engine._CHUNK, 7, 8, 9, 511, 512, 513]),
            st.integers(min_value=0, max_value=200),
            st.integers(min_value=1, max_value=4),
-           st.sampled_from([engine._DRAW, 1, 3, 8, 64]),
-           st.booleans())
+           st.sampled_from([engine._DRAW, 1, 3, 8, 64]))
     # A 7-slot chunk makes every carry (occupancy, last arrival, last
     # actuation, aoi at the last actuation) cross chunk edges inside the
     # warmup and inside each measured batch; 7, 8 and 9 cut chunks short of,
@@ -215,35 +228,29 @@ class TestKernels:
     # past the 64 blocks of a power-of-two scan tree.  Draws of 1, 3, 8 and
     # 64 slots put the edges of the draw pieces inside chunks and blocks.
     # Rates down to 0.001 draw chunks and runs without an arrival or an
-    # actuation.  `ahead` has the helper thread and the calling thread share
-    # each chunk's pieces (True) or the calling thread draw them all (False);
-    # every example runs both ways.
-    @example(0.3, 0.6, 5, 1000, 7, 100, 4, 3, False)
-    @example(0.3, 0.6, 5, 1000, 7, 100, 4, 3, True)
-    @example(1.0, 1.0, 3, 300, 9, 20, 3, 8, False)  # an arrival and an actuation every slot
-    @example(1.0, 1.0, 3, 300, 9, 20, 3, 8, True)
-    @example(0.001, 0.5, 1, 50, 8, 10, 2, 1, False)  # no arrival, so no actuation
-    @example(0.001, 0.5, 1, 50, 8, 10, 2, 1, True)
-    @example(0.4, 0.7, 9, 1500, 513, 30, 4, 64, False)
-    @example(0.4, 0.7, 9, 1500, 513, 30, 4, 64, True)
+    # actuation.
+    @example(0.3, 0.6, 5, 1000, 7, 100, 4, 3)
+    @example(1.0, 1.0, 3, 300, 9, 20, 3, 8)  # an arrival and an actuation every slot
+    @example(0.001, 0.5, 1, 50, 8, 10, 2, 1)  # no arrival, so no actuation
+    @example(0.4, 0.7, 9, 1500, 513, 30, 4, 64)
     # The chunk is the warmup and the batch length: every batch edge is a
     # chunk edge, and each batch one chunk's whole range.
-    @example(0.3, 0.6, 5, 1500, 300, 300, 4, 64, False)
-    @example(0.3, 0.6, 5, 1500, 300, 300, 4, 64, True)
-    @example(1.0, 1.0, 2, 1200, 300, 300, 3, 8, False)  # and every slot a restart
+    @example(0.3, 0.6, 5, 1500, 300, 300, 4, 64)
+    @example(1.0, 1.0, 2, 1200, 300, 300, 3, 8)  # and every slot a restart
     def test_fast_path_matches_reference_step_loop(self, l1, l2, seed, slots, chunk,
-                                                   warmup, n_batches, draw, ahead):
+                                                   warmup, n_batches, draw):
         warmup = min(warmup, slots - 1)
         n_batches = min(n_batches, slots - warmup)
         p = make_params(l1, l2)
-        # Reconstruct the exact event stream the fast path consumes.
-        u = np.random.default_rng(seed).random((slots, 2))
-        events = [SlotEvents(bool(u[t, 0] < l1), bool(u[t, 1] < l2)) for t in range(slots)]
+        # Reconstruct the exact event stream the fast path consumes: slot t
+        # takes output t, the data draw in its low half, energy in its high.
+        raw = np.random.PCG64(seed).random_raw(slots).tolist()
+        t1, t2 = engine._threshold(l1), engine._threshold(l2)
+        events = [SlotEvents(u & 0xFFFFFFFF <= t1, u >> 32 <= t2) for u in raw]
         traj = run_trace(events)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_CHUNK", chunk)
             mp.setattr(engine, "_DRAW", draw)
-            mp.setattr(engine, "_draws_ahead", lambda: ahead)
             edges, sums, actuations = _simulate(p, slots, seed, warmup=warmup,
                                                 n_batches=n_batches)
         edges = edges.tolist()
@@ -350,31 +357,36 @@ class TestRun:
 
     @pytest.mark.parametrize("l1, l2, seed, slots, expected, expected_stderrs", [
         (0.1, 0.3, 3, 5_000_001,
-         (9.986689340530239, 9.804566752437138, 10.162281023748545, 477369),
-         (0.015362188518301009, 0.015606831972805286, 0.014924940972902404)),
+         (9.99028405875494, 9.811979233450844, 10.165402447408992, 477136),
+         (0.013342360796116393, 0.013922491703519396, 0.012869461878777601)),
         (1.0, 0.3, 2, 2_100_000,
-         (1.0, 3.336772748928061, 3.336772748928061, 628829),
-         (0.0, 0.003761845853990246, 0.003761845853990246)),
+         (1.0, 3.335963792282039, 3.335963792282039, 629201),
+         (0.0, 0.004804956475903376, 0.004804956475903376)),
         (0.05, 0.05, 1, 10_000_000,
-         (19.944430343034302, 23.27245904590459, 27.94295919591959, 339227),
-         (0.032789565060840416, 0.03458039650170059, 0.045651123460611336)),
+         (19.987170217021703, 23.24249694969497, 27.905376537653765, 339361),
+         (0.042555508688176695, 0.042784435343242895, 0.05021818013103326)),
     ])
     def test_seeded_runs_across_chunk_edges_match_frozen_values(
             self, l1, l2, seed, slots, expected, expected_stderrs):
         # Frozen values: a change to the draw order, the scan or the age sums
         # shows here.  Every run spans several `_CHUNK`-slot chunks; the
-        # last is the `simulate` run of the benchmark's `sim` workload.
-        s = run_batched(make_params(l1, l2), slots, seed)
+        # last is the `simulate` run of the benchmark's `sim` workload.  The
+        # frozen means lie within 3 standard errors of the closed forms.
+        p = make_params(l1, l2)
+        s = run_batched(p, slots, seed)
         assert (s.mean_aoi, s.mean_aoa, s.mean_aoai, s.actuation_count) == expected
         assert (s.stderr_aoi, s.stderr_aoa, s.stderr_aoai) == expected_stderrs
+        ref = analytic.averages(p)
+        for mean, exact, stderr in zip(expected, (ref.aoi_bar, ref.aoa_bar, ref.aoai_bar),
+                                       expected_stderrs):
+            assert abs(mean - exact) <= 3 * stderr
 
     def test_memory_peak_does_not_grow_with_the_run(self):
-        # A run reuses a draw buffer of `_DRAW` slots for each of its two
-        # drawing threads, one threshold buffer of the same size and two flag
-        # buffers of `_CHUNK` slots, one drawn while the other is scanned,
-        # and each chunk's temporaries are freed before the next, so
-        # 4e6 slots, 16 chunks, allocate at most a fixed amount at any one time
-        # (tracemalloc counts numpy's buffers, on every thread): 32 MiB at
+        # A run reuses one flag buffer of `_CHUNK` slots and one threshold
+        # buffer of `_DRAW` slots, draws each piece of `_DRAW` slots into a
+        # fresh array of as many outputs, and frees each chunk's temporaries
+        # before the next, so 4e6 slots, 16 chunks, allocate at most a fixed
+        # amount at any one time (tracemalloc counts numpy's buffers): 32 MiB at
         # dense rates, whose event lists are long, and 5 MiB at sparse rates,
         # where the buffers are most of the peak.  The block table, built
         # once per process, is built before the measurement.
@@ -388,133 +400,13 @@ class TestRun:
                 tracemalloc.stop()
             assert peak <= bound_mib * 2 ** 20, rate
 
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_no_thread_outlives_a_run(self, fail):
-        # The helper thread is joined when the run returns and when the scan
-        # raises while it is drawing the next chunk.
-        threads = threading.active_count()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_draws_ahead", lambda: True)
-            if fail:
-                def scan(*args):
-                    raise RuntimeError("scan failed")
-                mp.setattr(engine, "_scan_events", scan)
-                with pytest.raises(RuntimeError, match="scan failed"):
-                    run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
-            else:
-                run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
-        assert threading.active_count() == threads
-
-    def test_no_thread_outlives_a_failed_run_whose_error_is_kept(self):
-        # The scan's traceback holds the replay's frame, and through it the
-        # draws: the helper thread is joined all the same before the error
-        # reaches the caller, which here keeps it.
-        threads = threading.active_count()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_draws_ahead", lambda: True)
-
-            def scan(*args):
-                raise RuntimeError("scan failed")
-            mp.setattr(engine, "_scan_events", scan)
-            try:
-                run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
-            except RuntimeError as exc:
-                kept = exc
-        assert threading.active_count() == threads
-        assert str(kept) == "scan failed"
-
-    @pytest.mark.parametrize("failing", ["calling", "helper"])
-    def test_draw_error_on_either_thread_reaches_the_caller(self, failing):
-        # Both threads draw; the second chunk's claims fail on one of them.
-        draw_claimed = engine._draw_claimed
-        caller = threading.current_thread()
-        calls, raised_on = [], []
-
-        def claim(*args):
-            on_caller = threading.current_thread() is caller
-            if on_caller == (failing == "calling"):
-                calls.append(None)
-                if len(calls) == 2:
-                    raised_on.append(threading.current_thread())
-                    raise RuntimeError("draw failed")
-            return draw_claimed(*args)
-
-        threads = threading.active_count()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_draws_ahead", lambda: True)
-            mp.setattr(engine, "_draw_claimed", claim)
-            with pytest.raises(RuntimeError, match="draw failed"):
-                run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK, seed=1)
-        assert len(raised_on) == 1
-        assert (raised_on[0] is caller) == (failing == "calling")
-        assert threading.active_count() == threads
-
-    @pytest.mark.parametrize("stalled", ["helper", "calling"])
-    @pytest.mark.parametrize("l1, l2, slots, chunk, piece", [
-        (0.05, 0.05, 5003, 1000, 64),
-        (0.3, 0.6, 5003, 1000, 64),
-        (0.9, 0.9, 4000, 1000, 64),
-        (0.5, 0.5, 2503, 1000, 3),
-        (0.3, 0.6, 3 * engine._CHUNK + 5, engine._CHUNK, engine._DRAW),
-    ])
-    def test_result_does_not_depend_on_which_thread_draws(self, l1, l2, slots, chunk, piece,
-                                                          stalled):
-        # The stalled thread takes the first piece of each chunk and draws it
-        # only once the other thread has drawn all the rest, so the other
-        # thread draws almost every piece and skips the first of each chunk,
-        # and the stalled one jumps a chunk's length between its pieces.
-        # 1000-slot chunks of 64-slot pieces end in a short piece, and 3-slot
-        # pieces in a piece of one slot.
-        drawer, draw_claimed = engine._drawer, engine._draw_claimed
-        caller = threading.current_thread()
-        n_chunks = -(-slots // chunk)
-        taken, done = ([threading.Event() for _ in range(n_chunks)] for _ in range(2))
-        pieces = {"stalled": 0, "busy": 0}
-
-        def stalls():
-            return (threading.current_thread() is caller) == (stalled == "calling")
-
-        def stalling_drawer(seed, thr):
-            draw = drawer(seed, thr)
-
-            def stalling_draw(flags, slot):
-                if stalls():
-                    taken[slot // chunk].set()
-                    assert done[slot // chunk].wait(60)
-                pieces["stalled" if stalls() else "busy"] += 1
-                draw(flags, slot)
-            return stalling_draw
-
-        def claim(draw, flags, lo, counter):
-            if stalls():
-                return draw_claimed(draw, flags, lo, counter)
-            assert taken[lo // chunk].wait(60)
-            draw_claimed(draw, flags, lo, counter)
-            done[lo // chunk].set()
-            return flags
-
-        p = make_params(l1, l2)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_CHUNK", chunk)
-            mp.setattr(engine, "_DRAW", piece)
-            mp.setattr(engine, "_draws_ahead", lambda: False)
-            edges, sums, actuations = _simulate(p, slots, 3, 100, 4)
-            mp.setattr(engine, "_draws_ahead", lambda: True)
-            mp.setattr(engine, "_drawer", stalling_drawer)
-            mp.setattr(engine, "_draw_claimed", claim)
-            edges2, sums2, actuations2 = _simulate(p, slots, 3, 100, 4)
-        assert np.array_equal(edges2, edges) and np.array_equal(sums2, sums)
-        assert actuations2 == actuations
-        assert pieces["stalled"] == n_chunks
-        assert pieces["stalled"] + pieces["busy"] == sum(
-            -(-min(chunk, slots - lo) // piece) for lo in range(0, slots, chunk))
-
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_pool_workers_draw_in_place(self, method):
-        # `validation.sweep`'s pool already runs one worker process per CPU.
-        ctx = multiprocessing.get_context(method)
-        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            assert pool.submit(engine._draws_ahead).result(timeout=60) is False
+    def test_a_run_starts_no_thread(self, monkeypatch):
+        # Every piece is drawn on the calling thread, whatever CPUs it may use.
+        def start(thread):
+            raise AssertionError(f"a run started {thread}")
+        monkeypatch.setattr(threading.Thread, "start", start)
+        s = run_batched(make_params(0.5, 0.5), 3 * engine._CHUNK + 5, seed=1)
+        assert s.slots == 3 * engine._CHUNK + 5
 
     def test_actuation_rate_matches_age_one_mass(self):
         p = make_params(0.2, 0.1)

@@ -221,6 +221,15 @@ class TestSweep:
         # Analytic-only rows have nothing to disagree with.
         assert sweep(points, methods=("analytic",), slots=10 ** 5, seed=0).all_passed
 
+    def test_ordering_is_decided_exactly_at_rates_of_one(self):
+        # At (0.1, 1), (1, 0.1) and (1, 0.7) the exact means tie, but the
+        # floats do not: aoa_bar comes out 6 ulps above aoai_bar at (1, 0.7).
+        g = grid_range("0.1:1:0.3")
+        assert g == [0.1, 0.4, 0.7, 1.0]
+        _, _, _, violations = findings([Params(a, b) for a in g for b in g])
+        assert [(a, b) for a, b, _ in violations] == [(0.1, 0.4), (0.1, 0.7)]
+        assert all(msg.startswith("aoi_bar ") for _, _, msg in violations)
+
     def test_point_order_does_not_matter(self):
         g = grid_range("0.1:0.9:0.2")
         points = [Params(a, b) for a in g for b in g]
