@@ -27,35 +27,39 @@ slots, in three stages, each owned by one function:
   (k, 2) flags, one row a slot, data then energy.  Slot s takes PCG64 output
   s, the data draw in its low 32 bits and the energy draw in its high 32
   bits, each compared with an integer threshold (`_threshold`), so an event
-  of rate lambda is flagged with a probability within 2**-32 of lambda;
+  of rate lambda is flagged with a probability within 2**-32 of lambda.
+  Chunks are cut at the warmup and batch edges too;
 * replay, `_replay`: the one loop over chunks and the one counter of slots.
-  It alone carries the state across chunk edges.  Its occupancy scan,
+  It alone carries the occupancy across chunk edges.  Its occupancy scan,
   `_scan_events`, bit-packs the flags, by one `np.packbits`, into 8-slot
-  blocks and looks them up in a table that composes the one-slot table of
-  the same slot rules (`_step_core`).  A prefix scan over the blocks' maps
-  of the 3 occupancy states hands each block its start state: an up-sweep
-  composes pairs of maps level by level, and a down-sweep carries the
-  states back down, one vectorised gather per level.  Tests replay it
-  against `step` bit for bit.  It then works out each actuation's packet:
-  the one that arrived in the same slot, else the last arrival before it;
-* tally, `_simulate`: the age sums are renewal-reward sums over the arrival
-  and actuation slots that `_replay` yields: an age that restarts at a and
-  runs n slots adds n*a + n*(n-1)/2, so no per-slot age is stored.  Each
-  batch's share of a chunk is summed in closed form from the starts inside
-  it, and every batch sum is an exact integer.
+  blocks.  A prefix scan over the blocks' maps of the 3 occupancy states,
+  composed from the one-slot table of the slot rules (`_step_core`), hands
+  each block its start state: an up-sweep composes pairs of maps level by
+  level, and a down-sweep carries the states back down, one vectorised
+  gather per level.  Tests replay it against `step` bit for bit;
+* tally, `_tally`, called by `_simulate`, which carries the three ages from
+  chunk to chunk: each chunk lies in one batch, or in the warmup, and its
+  age sums are renewal-reward sums read off its blocks: one gather gives
+  each block its data byte and its actuation byte, and only the nonzero
+  bytes are read further, through per-byte tables of their first and last
+  event, event count and squared inner gaps, and per-(data byte, act byte)
+  tables of the aoai's excess over the aoa.  No per-slot or per-event array
+  is built, and every batch sum is an exact integer.
 
-`trace` expands `_replay`'s events to one row per slot instead
-(`_trace_columns`).
+`trace` expands each block to its slots instead (`_slot_steps`,
+`_trace_columns`).  Every table is built once, on first use
+(`_block_table`).
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,11 +76,11 @@ __all__ = [
     "read_events_csv",
 ]
 
-# Slots per chunk of the scan and the age sums.  A chunk's temporaries take a
-# few MiB, within a few L2 caches (2 MiB per core on the Xeon of the timings in
-# CHANGES.md) rather than tens of MB.  Smaller chunks save memory but slow
-# sparse-rate runs, whose per-chunk overhead dominates: a 10^7-slot run at
-# (0.05, 0.05) took 0.128 s at 2^18 slots, 0.136 s at 2^17 and 0.159 s at 2^16.
+# Most slots per chunk of the scan and the tally; chunks are also cut at the
+# warmup and batch edges.  A chunk's temporaries take a few MiB at most.  In 10
+# alternating pairs of the `sim` benchmark each (BENCH_sim_event_blocks.json),
+# 2^17 was slower in all 10, by 4.6% in median op_s, at 1.2 MB lower peak RSS,
+# and 2^19 faster in all 10, by 1.5%, but at 1.7 MB higher peak RSS.
 _CHUNK = 1 << 18
 # Slots per draw piece: a piece's 64-bit outputs, 128 KiB, and a uint32
 # threshold buffer of as many rows, 128 KiB, so no chunk-long draw buffer is
@@ -240,46 +244,140 @@ _TRANSITIONS = _transition_table()
 _BLOCK = 8  # slots per block: 16 bits, a data bit and an energy bit per slot
 
 
-@functools.cache
-def _block_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_TRANSITIONS` composed over 8-slot blocks; built on first use.
+class _Tables(NamedTuple):
+    """The simulator's lookup tables, built once by `_block_table`.
 
     A block is a 16-bit code with interleaved bits: bit 2i holds the data
     flag of slot i and bit 2i+1 its energy flag, so `np.packbits` of a (k, 2)
     flag array, little bit order, read as little-endian uint16, gives the
-    blocks.  A map of the 3 states to the 3 states is coded
-    f(0) + 3 f(1) + 9 f(2), from 0 to 26.  Returns:
+    blocks.  A block's key is `block << 2 | state`, with its start state
+    (0=(0,0), 1=(0,1), 2=(1,0)).  A map of the 3 states to the 3 states is
+    coded f(0) + 3 f(1) + 9 f(2), from 0 to 26.
+    """
 
-    * `table`, little-endian uint64, indexed by `block << 2 | state` (index 3
-      of each block repeats state 0 and is never read): byte i is the
-      `_TRANSITIONS` entry of slot i, end-of-slot state | actuated << 2;
-    * `maps`, uint8 per block: the code of the block's map from its start
-      state to its end state;
-    * `compose`, a (256, 256) uint8 array: `compose[b, a]` is the code of map
-      a followed by map b, for a, b < 27.  Read flat, its index is
-      `a | b << 8`, so two adjacent uint8 map codes, viewed as one
-      little-endian uint16, index their composition.
+    # uint8 per block: the code of the block's map from its start state to its end state.
+    maps: np.ndarray
+    # (256, 256) uint8: `compose[b, a]` is the code of map a followed by map
+    # b, for a, b < 27.  Read flat, its index is `a | b << 8`, so two adjacent
+    # uint8 map codes, viewed as one little-endian uint16, index their composition.
+    compose: np.ndarray
+    # Little-endian uint16 per key (key 3 of each block repeats state 0 and is
+    # never read): the block's data byte | its actuation byte << 8, bit i of
+    # each for slot i.
+    events: np.ndarray
+    # uint8 per byte: its first and last set bit (0 for the zero byte), its
+    # set bits, and the sum of the squared gaps between adjacent set bits.
+    first: np.ndarray
+    last: np.ndarray
+    count: np.ndarray
+    squares: np.ndarray
+    # uint8 per pair `data byte | act byte << 8`, for a block that starts at
+    # aoi x: sum of n * (beta - 1) over its actuations but the last, each
+    # with its end-of-slot aoi beta and the n slots to the next, is
+    # `inner0 + inner1 * x`; the last actuation's beta - 1 is `last0 + last1 * x`.
+    inner0: np.ndarray
+    inner1: np.ndarray
+    last0: np.ndarray
+    last1: np.ndarray
+
+
+def _slot_steps(blocks: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Each block replayed slot by slot through `_TRANSITIONS` from its start state.
+
+    Returns a (len(blocks), 8) uint8 array: entry i of a block is the
+    `_TRANSITIONS` entry of its slot i, end-of-slot state | actuated << 2.
     """
     step = np.frombuffer(_TRANSITIONS, dtype=np.uint8)
-    block = np.arange(1 << 16)[:, None]
-    state = np.array([0, 1, 2, 0], dtype=np.uint8)[None, :]
-    table = np.zeros((1 << 16, 4, _BLOCK), dtype=np.uint8)
+    state = start.astype(np.uint8)
+    out = np.empty((len(blocks), _BLOCK), dtype=np.uint8)
     for i in range(_BLOCK):
-        table[:, :, i] = step[state * 4 + (block >> 2 * i & 3)]
-        state = table[:, :, i] & 3
-    table = table.view("<u8").ravel()
-    maps = state[:, 0] + 3 * state[:, 1] + 9 * state[:, 2]
+        # Index state * 4 + code, in uint8: a block-wide temporary costs 8 times as much.
+        out[:, i] = step[state << 2 | (blocks >> 2 * i).astype(np.uint8) & 3]
+        state = out[:, i] & 3
+    return out
+
+
+def _occupancy_tables() -> tuple[np.ndarray, np.ndarray]:
+    """`_Tables.maps` and `_Tables.events`: every block replayed from each start state."""
+    blocks = np.arange(1 << 16, dtype=np.uint16)
+    data = np.zeros(1 << 16, dtype=np.uint8)
+    for i in range(_BLOCK):
+        data |= (blocks >> 2 * i & 1).astype(np.uint8) << i
+    maps = np.zeros(1 << 16, dtype=np.uint8)
+    acts = []
+    for state in range(3):  # one start state at a time: each replay takes 512 KiB
+        steps = _slot_steps(blocks, np.full(1 << 16, state, dtype=np.uint8))
+        acts.append(sum((steps[:, i] >> 2) << i for i in range(_BLOCK)))
+        maps += (steps[:, -1] & 3) * 3 ** state
+        del steps  # else alive while the next is built
+    events = np.empty((1 << 16, 4), dtype="<u2")
+    for state, act in enumerate(acts + acts[:1]):  # key 3 repeats state 0
+        events[:, state] = data | act.astype("<u2") << 8
+    return maps, events.ravel()
+
+
+def _byte_tables() -> tuple[np.ndarray, ...]:
+    """`_Tables.first`, `last`, `count` and `squares`, per byte."""
+    byte = np.arange(256, dtype=np.uint8)
+    first, last, count, squares = (np.zeros(256, dtype=np.uint8) for _ in range(4))
+    for i in reversed(range(_BLOCK)):  # high bits first, so the lowest set bit writes last
+        first[byte >> i & 1 == 1] = i
+    seen = np.zeros(256, dtype=bool)
+    for i in range(_BLOCK):
+        bit = byte >> i & 1 == 1
+        squares += np.where(bit & seen, (i - last) ** 2, 0).astype(np.uint8)
+        last[bit] = i
+        count += bit
+        seen |= bit
+    return first, last, count, squares
+
+
+def _pair_tables() -> tuple[np.ndarray, ...]:
+    """`_Tables.inner0`, `inner1`, `last0` and `last1`: `step`'s aoi rule,
+    slot by slot, over each pair `data byte | act byte << 8`."""
+    pair = np.arange(1 << 16, dtype=np.uint16)
+    arrivals, actuations = (pair & 0xFF).astype(np.uint8), (pair >> 8).astype(np.uint8)
+    aoi0 = np.zeros(1 << 16, dtype=np.uint8)  # aoi = aoi0 + aoi1 * x
+    aoi1 = np.ones(1 << 16, dtype=bool)
+    acted = np.full(1 << 16, -1, dtype=np.int8)  # the last actuation's slot, -1 before any
+    inner0, inner1, last0, last1 = (np.zeros(1 << 16, dtype=np.uint8) for _ in range(4))
+    for i in range(_BLOCK):
+        arrived = (arrivals >> i & 1).astype(bool)
+        actuated = (actuations >> i & 1).astype(bool)
+        aoi0 = np.where(arrived, 1, aoi0 + 1).astype(np.uint8)
+        aoi1 &= ~arrived
+        n = np.where(actuated & (acted >= 0), i - acted, 0).astype(np.uint8)
+        inner0 += n * last0
+        inner1 += n * last1
+        last0 = np.where(actuated, aoi0 - 1, last0).astype(np.uint8)
+        last1 = np.where(actuated, aoi1, last1).astype(np.uint8)
+        acted[actuated] = i
+    return inner0, inner1, last0, last1
+
+
+@functools.cache
+def _block_table() -> _Tables:
+    """Every `_Tables` table, built once, on first use.
+
+    The occupancy tables replay `_TRANSITIONS`, so `_step_core`'s rules,
+    over each block (`_slot_steps`); the pair tables follow `step`'s aoi
+    rule, with the aoi kept as a function a + b x of the aoi x before the
+    block.  Each part is built by its own function, so that its temporaries
+    are freed before the next part's.
+    """
+    maps, events = _occupancy_tables()
     codes = np.arange(27)
     image = codes // np.array([[1], [3], [9]]) % 3  # image[s, f] = f(s)
     compose = np.zeros((256, 256), dtype=np.uint8)
     compose[:27, :27] = sum(image[image[s], codes[:, None]] * 3 ** s for s in range(3))
-    for array in (table, maps, compose):
+    tables = _Tables(maps, compose, events, *_byte_tables(), *_pair_tables())
+    for array in tables:
         array.flags.writeable = False
-    return table, maps, compose
+    return tables
 
 
 def _scan_events(flags: np.ndarray, cache: int, battery: int):
-    """Run the occupancy recursion over one chunk; returns (act, state, C, B).
+    """Run the occupancy recursion over one chunk; returns (keys, C, B).
 
     `flags` is the chunk's (k, 2) bool array, one row a slot, data then
     energy.  One `np.packbits` turns it into 16-bit blocks of 8 slots, padded
@@ -287,72 +385,51 @@ def _scan_events(flags: np.ndarray, cache: int, battery: int):
     slots, so it changes none of their states.  A prefix scan over the
     blocks' maps then gives each block its start state (Blelloch's up-sweep
     and down-sweep): each up-sweep level composes adjacent pairs of maps by
-    one gather in `compose`, up to the map of the whole chunk; each
-    down-sweep level hands a left child its parent's start state and a right
-    child that state carried through its left sibling's map, one gather
-    again.  A state s is carried as the constant map to s, code 13 s, so
-    carrying it through a map is a composition too.  One last gather of the
-    blocks' table entries gives each slot's end-of-slot state and actuation
-    bit.
+    one gather in `compose`, up to the map of the whole chunk, which gives
+    the end state (C, B); each down-sweep level hands a left child its
+    parent's start state and a right child that state carried through its
+    left sibling's map, one gather again.  A state s is carried as the
+    constant map to s, code 13 s, so carrying it through a map is a
+    composition too.  `keys` holds each of the ceil(k / 8) blocks as
+    `block << 2 | start state`, the index of `_Tables.events`.
     """
     k = len(flags)
-    table, maps, compose = _block_table()
+    tables = _block_table()
     n_blocks = -(-k // _BLOCK)
     blocks = np.zeros(1 << (n_blocks - 1).bit_length(), dtype="<u2")
     blocks.view(np.uint8)[:-(-k // 4)] = np.packbits(flags.ravel(), bitorder="little")
-    pairs = compose.ravel()
-    levels = [maps.take(blocks)]
+    pairs = tables.compose.ravel()
+    levels = [tables.maps.take(blocks)]
     while len(levels[-1]) > 1:
         levels.append(pairs.take(levels[-1].view("<u2")))
-    start = np.array([13 * (cache * 2 + battery)], dtype=np.uint8)
+    state = cache * 2 + battery
+    end = int(levels[-1][0]) // 3 ** state % 3
+    start = np.array([13 * state], dtype=np.uint8)
     for level in reversed(levels[:-1]):
         below = np.empty(len(level), dtype=np.uint8)
         below[0::2] = start
         below[1::2] = level[0::2]
         below[1::2] = pairs.take(below.view("<u2"))
         start = below
-    index = blocks[:n_blocks].astype(np.intp) << 2
-    index |= start[:n_blocks] // 13
-    packed = table.take(index).view(np.uint8)[:k]
-    state = packed & 3
-    end = int(state[-1])
-    return packed > 3, state, end >> 1, end & 1
+    keys = blocks[:n_blocks].astype(np.intp) << 2
+    keys |= start[:n_blocks] // 13
+    return keys, end >> 1, end & 1
 
 
 def _replay(chunks):
     """Scan consecutive (k, 2) flag chunks from the canonical start.
 
-    Yields per chunk its first slot `lo`, its `flags`, the scan's `act` and
-    `st`, and in chunk-local slots the arrivals `sd`, the actuations `sa` and
-    the end-of-slot aoi `base` at each actuation, each led by the last one of
-    the earlier chunks (before any: slot -1, the virtual slot of age 1, and
-    aoi 1).  A chunk's flags are not read once the next chunk is asked for.
-    `chunks` is a generator, closed when the replay ends or fails.
+    Yields per chunk its first slot `lo`, its `flags` and its blocks' `keys`
+    (`_scan_events`); it alone carries the occupancy across chunk edges.  A
+    chunk's flags are not read once the next chunk is asked for.  `chunks`
+    is a generator, closed when the replay ends or fails.
     """
     cache = battery = 0
-    last_d = last_a = -1
-    aoi_at_last_act = 1
     lo = 0
     try:
         for flags in chunks:
-            act, st, cache, battery = _scan_events(flags, cache, battery)
-            data = flags[:, 0]
-            pd = np.flatnonzero(data)
-            pa = np.flatnonzero(act)
-            sd = np.concatenate(([last_d - lo], pd))
-            sa = np.concatenate(([last_a - lo], pa))
-            # The aoi at an actuation.  The cache holds only the last arrival,
-            # so the actuated packet is the one that arrived in the same slot,
-            # of aoi 1, or else the last arrival before it.
-            base = np.ones(len(sa), dtype=np.int64)
-            base[0] = aoi_at_last_act
-            stale = np.flatnonzero(~data[pa])
-            t = pa[stale]
-            base[stale + 1] = t + 1 - sd[np.searchsorted(sd, t) - 1]
-            yield lo, flags, act, st, sd, sa, base
-            last_d = lo + int(sd[-1])
-            last_a = lo + int(sa[-1])
-            aoi_at_last_act = int(base[-1])
+            keys, cache, battery = _scan_events(flags, cache, battery)
+            yield lo, flags, keys
             lo += len(flags)
     finally:  # on an error too, so that the draws' buffers are freed at once
         chunks.close()
@@ -364,41 +441,85 @@ TRACE_FIELDS = ("t", "data", "energy", "cache", "battery", "actuated", "aoi", "a
 def _trace_columns(flags: np.ndarray):
     """`run_trace` of a whole (slots, 2) flag array, on `_replay`: yields int64
     rows of the `TRACE_FIELDS`, t counted from 1, one array per piece of
-    `_TRACE_PIECE` slots.  From each event of `_replay` to the next, the aoi
-    and aoa grow from 1 and the aoai from `base`.
+    `_TRACE_PIECE` slots.  Each slot's occupancy and actuation come from
+    `_slot_steps`; the aoi and aoa grow from 1 after each arrival and
+    actuation, and the aoai from the aoi at the last actuation.
     """
     pieces = (flags[lo:lo + _TRACE_PIECE] for lo in range(0, len(flags), _TRACE_PIECE))
-    for lo, piece, act, st, sd, sa, base in _replay(pieces):
+    aoi = aoa = aoai = 1  # at the end of the slot before the piece
+    for lo, piece, keys in _replay(pieces):
         k = len(piece)
+        steps = _slot_steps(keys >> 2, keys & 3).ravel()[:k]
         t = np.arange(k)
-        arrived = np.repeat(sd, np.diff(sd.clip(0), append=k))
-        spans = np.diff(sa.clip(0), append=k)
-        acted, aoi_at_act = np.repeat(sa, spans), np.repeat(base, spans)
-        yield np.column_stack((lo + t + 1, piece, st >> 1, st & 1, act,
-                               t - arrived + 1, t - acted + 1, t - acted + aoi_at_act))
+        aoi_t = t - np.maximum.accumulate(np.where(piece[:, 0], t, -aoi)) + 1
+        acted = np.maximum.accumulate(np.where(steps > 3, t, -aoa))
+        aoa_t = t - acted + 1
+        aoai_t = aoa_t + np.where(acted < 0, aoai - aoa, aoi_t.take(acted, mode="clip") - 1)
+        rows = np.column_stack((lo + t + 1, piece, steps >> 1 & 1, steps & 1, steps >> 2,
+                                aoi_t, aoa_t, aoai_t))
+        aoi, aoa, aoai = rows[-1, 6:].tolist()
+        yield rows
 
 
-def _age_sums(starts: np.ndarray, bases, a: int, z: int) -> list[int]:
-    """Sums of ages over the slot range [a, z), a < z: one per entry of `bases`.
+def _renewal_sum(blocks: np.ndarray, byte: np.ndarray, k: int, age: int, tables: _Tables):
+    """Sum over k slots of an age that is `age` before slot 0 and restarts at 1
+    at each event; returns (sum, age at slot k - 1, firsts, lasts).
 
-    Each age restarts at `base[j]` (a scalar `base` is used at every start)
-    at slot `starts[j]`, sorted with starts[0] <= a, and grows by one each
-    slot until the next start.  A segment that starts at age b and lasts n
-    slots adds n*b + n*(n-1)/2, so only the start slots are needed.  The range
-    spans segment i, the last to start at or before a, to segment j-1, the
-    last to start before z: the segments between whole, less the h slots of
-    segment i before a, and segment j-1 cut to its m slots before z.  Their
-    n*(n-1)/2 terms come to (n.n + m*m - h*h - (z - a)) / 2.  Every sum is
-    exact.
+    The events are the set bits of the nonzero bytes `byte` of the blocks
+    `blocks`, bit i of block j for slot 8 j + i; `firsts` and `lasts` are
+    each block's first and last event slot.  An age adds n (n + 1) / 2 over
+    the n slots from an event to the next or to the end, and those gaps are
+    the ones inside each byte (`squares`) and the ones from a byte's last
+    event to the next byte's first.
     """
-    i = int(starts.searchsorted(a, "right")) - 1
-    j = int(starts.searchsorted(z))
-    n = np.diff(starts[i:j])
-    h, m = a - int(starts[i]), z - int(starts[j - 1])
-    ramp = (int(n @ n) + m * m - h * h - (z - a)) // 2
-    return [ramp + base * (z - a) if np.ndim(base) == 0
-            else ramp + int(n @ base[i:j - 1]) + m * int(base[j - 1]) - h * int(base[i])
-            for base in bases]
+    firsts = (blocks << 3) + tables.first.take(byte)
+    lasts = (blocks << 3) + tables.last.take(byte)
+    if not len(blocks):
+        return k * age + k * (k + 1) // 2, age + k, firsts, lasts
+    between = firsts[1:] - lasts[:-1]
+    f, z = int(firsts[0]), int(lasts[-1])
+    squared = int(tables.squares.take(byte).sum()) + int(between @ between) + (k - z) ** 2
+    total = f * age + f * (f + 1) // 2 + (squared + k - f) // 2
+    return total, k - z, firsts, lasts
+
+
+def _tally(keys: np.ndarray, k: int, ages: tuple[int, int, int]):
+    """Age sums of one piece of k slots; returns (sums, actuations, ages').
+
+    `keys` are the piece's blocks (`_scan_events`), and `ages` the aoi, aoa
+    and aoai at the end of the slot before the piece; `sums` are the sums of
+    the three ages over the piece, `ages'` the ages at its last slot.  Each
+    block gives its data and actuation bytes (`_Tables.events`), and only the
+    nonzero bytes are read (`_renewal_sum`).  After an actuation whose
+    end-of-slot aoi is beta the aoai exceeds the aoa by beta - 1, which the
+    pair tables give as a linear function of the aoi before its block; that
+    aoi comes from the last arrival in an earlier block.  Every sum is exact.
+    """
+    tables = _block_table()
+    pairs = tables.events.take(keys)
+    aoi, aoa, aoai = ages
+    # Nonzero bytes found on bools: `flatnonzero` of uint8 is 5 times as slow.
+    arrived = pairs & 0xFF != 0
+    arrivals = np.flatnonzero(arrived)
+    aoi_sum, aoi_end, _, arrival_lasts = _renewal_sum(arrivals, pairs.take(arrivals) & 0xFF,
+                                                      k, aoi, tables)
+    acts = np.flatnonzero(pairs > 0xFF)
+    pair = pairs.take(acts).astype(np.intp)
+    byte = pair >> 8
+    aoa_sum, aoa_end, firsts, lasts = _renewal_sum(acts, byte, k, aoa, tables)
+    if not len(acts):
+        return [aoi_sum, aoa_sum, aoa_sum + k * (aoai - aoa)], 0, (aoi_end, aoa_end, aoai + k)
+    # The aoi x before each actuation's block, from the last arrival in an
+    # earlier block, or from `aoi` before any.
+    earlier = np.cumsum(arrived, dtype=np.int32).take(acts) - arrived.take(acts)
+    x = (acts << 3) - np.concatenate(([-aoi], arrival_lasts)).take(earlier)
+    to_next = np.append(firsts[1:], k) - lasts  # from each block's last actuation
+    lead = (int(tables.inner0.take(pair).sum()) + int(to_next @ tables.last0.take(pair))
+            + int((tables.inner1.take(pair) + to_next * tables.last1.take(pair)) @ x))
+    aoai_sum = aoa_sum + int(firsts[0]) * (aoai - aoa) + lead
+    aoai_end = aoa_end + int(tables.last0[pair[-1]]) + int(tables.last1[pair[-1]]) * int(x[-1])
+    return ([aoi_sum, aoa_sum, aoai_sum], int(tables.count.take(byte).sum()),
+            (aoi_end, aoa_end, aoai_end))
 
 
 def _usable_cpus() -> int:
@@ -416,29 +537,31 @@ def _threshold(rate: float) -> int:
     return math.ceil(rate * 2**32) - 1
 
 
-def _drawn(p: Params, slots: int, seed: int):
-    """Yield the (k, 2) event flags of each chunk of `slots` slots, in order.
+def _drawn(p: Params, seed: int, cuts: Sequence[int]):
+    """Yield the (k, 2) event flags of slots cuts[0] = 0 to cuts[-1], in order.
 
-    Slot s takes output s of the PCG64 stream of `seed`, as `run_batched`
-    states.  Each piece of `_DRAW` slots is compared in one pass with a
-    threshold buffer whose every row is the pair of `_threshold`s: against a
-    broadcast (2,) row, numpy loops over rows of two, 12 times as slow.  One
-    flag buffer serves every chunk: a fresh one would fault in its pages
-    each time.
+    Chunks hold at most `_CHUNK` slots and never span a cut.  Slot s takes
+    output s of the PCG64 stream of `seed`, as `run_batched` states.  Each
+    piece of `_DRAW` slots is compared in one pass with a threshold buffer
+    whose every row is the pair of `_threshold`s: against a broadcast (2,)
+    row, numpy loops over rows of two, 12 times as slow.  One flag buffer
+    serves every chunk: a fresh one would fault in its pages each time.
     """
     bits = np.random.PCG64(seed)
-    chunk = min(_CHUNK, slots)
+    chunk = min(_CHUNK, cuts[-1])
     thr = np.empty((min(_DRAW, chunk), 2), dtype=np.uint32)
     thr[:] = _threshold(p.lambda1), _threshold(p.lambda2)
     flags = np.empty((chunk, 2), dtype=bool)
-    for lo in range(0, slots, chunk):
-        events = flags[:min(chunk, slots - lo)]
-        for a in range(0, len(events), _DRAW):
-            piece = events[a:a + _DRAW]
-            n = len(piece)
-            # A uint64's low half comes first on a little-endian host.
-            np.less_equal(bits.random_raw(n).view(np.uint32).reshape(n, 2), thr[:n], out=piece)
-        yield events
+    for a, z in zip(cuts, cuts[1:]):
+        for lo in range(a, z, chunk):
+            events = flags[:min(chunk, z - lo)]
+            for b in range(0, len(events), _DRAW):
+                piece = events[b:b + _DRAW]
+                n = len(piece)
+                # A uint64's low half comes first on a little-endian host.
+                np.less_equal(bits.random_raw(n).view(np.uint32).reshape(n, 2), thr[:n],
+                              out=piece)
+            yield events
 
 
 def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
@@ -455,17 +578,15 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
     cuts = edges.tolist()  # Python ints: no range end can overflow
     sums = np.zeros((3, n_batches), dtype=np.int64)
     actuations = 0
-    for lo, flags, act, st, sd, sa, base in _replay(_drawn(p, slots, seed)):
-        # Renewal-reward age sums from the event slots alone, over each
-        # batch's share of the chunk.
-        for b in range(n_batches):
-            a, z = max(cuts[b] - lo, 0), min(cuts[b + 1] - lo, len(act))
-            if a < z:
-                sums[0, b] += _age_sums(sd, (1,), a, z)[0]
-                sums[1:, b] += _age_sums(sa, (1, base), a, z)
-        # sa[0], the carried actuation, is negative and never counted.
-        actuations += len(sa) - int(np.searchsorted(sa, max(warmup - lo, 0)))
-        del act, st, sd, sa, base  # else alive while `_replay` builds the next: +4 MiB at 0.9
+    ages = (1, 1, 1)  # the virtual slot before slot 0
+    # Chunks are cut at the warmup and batch edges, so each is tallied whole
+    # into one batch, or into none in the warmup.
+    for lo, flags, keys in _replay(_drawn(p, seed, [0] + cuts)):
+        tally, count, ages = _tally(keys, len(flags), ages)
+        b = bisect.bisect_right(cuts, lo) - 1
+        if b >= 0:
+            sums[:, b] += tally
+            actuations += count
     return edges, sums, actuations
 
 

@@ -384,7 +384,7 @@ def sweep(
     workers = min(default_workers() if max_workers is None else max(1, max_workers), len(jobs))
     if workers > 1 and ("sim" in methods or "chain" in methods):
         # Forked workers inherit what this process has set up, so build the
-        # scan's block table and import the chain solver once, here, rather
+        # simulator's tables and import the chain solver once, here, rather
         # than once in every worker of every pool.
         if "sim" in methods:
             engine._block_table()

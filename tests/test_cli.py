@@ -414,8 +414,8 @@ class TestTrace:
         # of `_TRACE_PIECE` slots, scanned and printed, at a time
         # (tracemalloc counts numpy's buffers), so beyond what
         # parsing the file takes, its peak stays near 2 MiB whether the file
-        # spans 3 pieces or 15.  The scan's block table, built once
-        # per process, is built before the measurement.
+        # spans 3 pieces or 15.  The simulator's tables, built once
+        # per process, are built before the measurement.
         engine._block_table()
         rng = np.random.default_rng(5)
         for n in (10_000, 60_000):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from aoa_lab import analytic, engine
 from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params
 from aoa_lab.engine import (_TRANSITIONS, EngineState, _block_table,
-                            _scan_events, _simulate, initial_state,
-                            read_events_csv, run_batched, run_trace, step)
+                            _scan_events, _simulate, _slot_steps, _tally,
+                            initial_state, read_events_csv, run_batched,
+                            run_trace, step)
 from aoa_lab.errors import DomainError
 
 # Most slots a run takes: above it the int64 batch edges would wrap.
@@ -140,13 +141,17 @@ class TestKernels:
         # The scan pads its blocks to a power of two and sweeps a binary tree
         # over them: 1, 2 and 3 blocks and 2^j - 1, 2^j and 2^j + 1 blocks
         # cross the tree's edges, each with its last block full and short.
+        # Each block's key, replayed slot by slot, gives every slot's state
+        # and actuation.
         rng = np.random.default_rng(1234)
         counts = [1, 2, 3] + [(1 << j) + d for j in range(2, 10) for d in (-1, 0, 1)]
         for cache, battery in ((0, 0), (0, 1), (1, 0)):
             for n in [8 * b - short for b in counts for short in (0, 5)]:
                 flags = rng.random((n, 2)) < 0.5
-                act, stt, c, b = _scan_events(flags, cache, battery)
-                assert len(act) == len(stt) == n
+                keys, c, b = _scan_events(flags, cache, battery)
+                assert len(keys) == -(-n // 8)
+                steps = _slot_steps(keys >> 2, keys & 3).ravel()[:n]
+                act, stt = steps >> 2, steps & 3
                 state = _state(cache, battery, 1, 1, 1)
                 for t, (x, y) in enumerate(flags.tolist()):
                     state, actuated = step(state, SlotEvents(x, y))
@@ -156,23 +161,29 @@ class TestKernels:
 
     def test_block_table_entries_are_eight_slot_steps(self):
         # A block interleaves its slots' flags, bit 2i data and bit 2i+1
-        # energy of slot i; `table` is indexed by `block << 2 | state` and
-        # `maps` holds each block's map f as f(0) + 3 f(1) + 9 f(2).
-        table, maps, _ = _block_table()
+        # energy of slot i; its key is `block << 2 | state`.  `_slot_steps`
+        # gives each slot's `_TRANSITIONS` entry, `maps` holds each block's
+        # map f as f(0) + 3 f(1) + 9 f(2), and `events` the block's data
+        # byte and actuation byte, bit i for slot i.
+        tables = _block_table()
         rng = np.random.default_rng(77)
         blocks = [0x0000, 0x5555, 0xAAAA, 0xFFFF] + rng.integers(0, 1 << 16, 4096).tolist()
-        for block in blocks:
-            for start in range(3):
-                entry = int(table[block << 2 | start])
-                state = start
+        for start in range(3):
+            steps = _slot_steps(np.array(blocks), np.full(len(blocks), start))
+            for block, entries in zip(blocks, steps.tolist()):
+                state, data, acts = start, 0, 0
                 for i in range(8):
-                    expected = _TRANSITIONS[state * 4 + (block >> 2 * i & 3)]
-                    assert entry >> (8 * i) & 0xFF == expected
+                    code = block >> 2 * i & 3
+                    expected = _TRANSITIONS[state * 4 + code]
+                    assert entries[i] == expected
                     state = expected & 3
-                assert maps[block] // 3 ** start % 3 == state
+                    data |= (code & 1) << i
+                    acts |= (expected >> 2) << i
+                assert tables.maps[block] // 3 ** start % 3 == state
+                assert tables.events[block << 2 | start] == data | acts << 8
 
     def test_compose_table_applies_two_maps_in_turn(self):
-        _, _, compose = _block_table()
+        compose = _block_table().compose
         for a, b in itertools.product(range(27), repeat=2):
             after = [b // 3 ** (a // 3 ** s % 3) % 3 for s in range(3)]
             assert compose[b, a] == after[0] + 3 * after[1] + 9 * after[2]
@@ -185,17 +196,25 @@ class TestKernels:
         # event where it is at most its rate's threshold.  Chunks of
         # 2 * piece + 5 slots end in a short piece, and the run in a short
         # chunk; the yielded buffer is reused, so each chunk is copied.
+        # Cuts inside a chunk, at its edge and 1 slot apart end chunks early,
+        # and no chunk spans a cut.
         l1, l2 = 0.3, 0.8
         k = 4 * piece + 1000
         raw = np.random.PCG64(8).random_raw(k)
         expected = np.column_stack((raw & 0xFFFFFFFF <= engine._threshold(l1),
                                     raw >> 32 <= engine._threshold(l2)))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_CHUNK", 2 * piece + 5)
-            mp.setattr(engine, "_DRAW", piece)
-            chunks = [flags.copy() for flags in engine._drawn(make_params(l1, l2), k, 8)]
-        assert [len(c) for c in chunks[:-1]] == [2 * piece + 5] * (len(chunks) - 1)
-        assert np.array_equal(np.concatenate(chunks), expected)
+        chunk = 2 * piece + 5
+        for cuts in ([0, k], [0, 7, chunk + 7, k - 1, k]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_CHUNK", chunk)
+                mp.setattr(engine, "_DRAW", piece)
+                chunks = [flags.copy() for flags in engine._drawn(make_params(l1, l2), 8, cuts)]
+            ends = np.cumsum([len(c) for c in chunks]).tolist()
+            assert set(cuts[1:]) <= set(ends)
+            assert all(0 < len(c) <= chunk for c in chunks)
+            # Only a cut ends a chunk early.
+            assert all(len(c) == chunk for c, end in zip(chunks, ends) if end not in cuts)
+            assert np.array_equal(np.concatenate(chunks), expected)
 
     @pytest.mark.parametrize("rate", [1e-300, 2.0**-40, 2.0**-32, 1e-9, 0.01, 0.05, 0.1,
                                       0.3, 0.5, 0.7, 0.9, 1 - 2.0**-53, 1.0])
@@ -263,27 +282,61 @@ class TestKernels:
             assert sums[2, b] == sum(s.ages.aoai for s, _ in batch)
         assert actuations == sum(act for _, act in traj[warmup:])
 
-    def test_age_sums_match_per_slot_sums(self):
-        # Every range [a, z) of 40 slots, so ranges that begin or end on an
-        # age restart, ranges without one inside and ranges whose age began
-        # at the carried start, far before slot 0, are all among them.
+    def test_piece_tally_matches_step_replay(self):
+        # Every piece length from 1 to 40 slots, so full and partial last
+        # blocks, from each start state, with ages carried from 1 and from
+        # events 10^9 slots back, at event densities from none to every slot.
         rng = np.random.default_rng(23)
-        k = 40
-        for carried, density in itertools.product((-1, -10 ** 9), (0.0, 0.1, 0.5, 1.0)):
-            inside = np.flatnonzero(rng.random(k) < density)
-            starts = np.concatenate(([carried], inside)).astype(np.int64)
-            base = rng.integers(1, 10 ** 6, len(starts))
-            restarts = dict(zip(starts.tolist(), base.tolist()))
-            ages, ones = [], []  # per slot, with `base` and with every base 1
-            age, one = int(base[0]) - 1 - carried, -carried  # at slot -1
-            for t in range(k):
-                age, one = (restarts[t], 1) if t in restarts else (age + 1, one + 1)
-                ages.append(age)
-                ones.append(one)
-            for a, z in itertools.combinations(range(k + 1), 2):
-                assert engine._age_sums(starts, (1, base), a, z) == [sum(ones[a:z]),
-                                                                     sum(ages[a:z])]
+        carried = [(1, 1, 1), (10 ** 9, 3, 10 ** 9 + 7), (5, 10 ** 9, 2 * 10 ** 9)]
+        for k, density, (cache, battery), ages in itertools.product(
+                range(1, 41), (0.0, 0.1, 0.5, 1.0), ((0, 0), (0, 1), (1, 0)), carried):
+            flags = rng.random((k, 2)) < density
+            keys, _, _ = _scan_events(flags, cache, battery)
+            state = _state(cache, battery, *ages)
+            sums, actuations = [0, 0, 0], 0
+            for x, y in flags.tolist():
+                state, actuated = step(state, SlotEvents(x, y))
+                sums = [total + age for total, age in zip(sums, (
+                    state.ages.aoi, state.ages.aoa, state.ages.aoai))]
+                actuations += actuated
+            end = (state.ages.aoi, state.ages.aoa, state.ages.aoai)
+            assert _tally(keys, k, ages) == (sums, actuations, end), (k, density, ages)
 
+    def test_byte_and_pair_tables_match_step_replay(self):
+        # Per byte: its first and last set bit, its set bits and its squared
+        # gaps between adjacent set bits.  Per (data byte, act byte) pair of
+        # a block replayed by `step` from aoi x: the sum of n * (beta - 1)
+        # over its actuations but the last, with beta the end-of-slot aoi at
+        # one and n the slots to the next, is inner0 + inner1 x, and the last
+        # one's beta - 1 is last0 + last1 x, at x = 1 and at x = 10^6.
+        tables = _block_table()
+        for byte in range(256):
+            bits = [i for i in range(8) if byte >> i & 1]
+            gaps = np.diff(bits)
+            assert tables.count[byte] == len(bits)
+            assert tables.squares[byte] == int(gaps @ gaps)
+            if bits:
+                assert (tables.first[byte], tables.last[byte]) == (bits[0], bits[-1])
+        rng = np.random.default_rng(78)
+        blocks = [0x0000, 0x5555, 0xAAAA, 0xFFFF] + rng.integers(0, 1 << 16, 4096).tolist()
+        for block, (cache, battery), x in itertools.product(
+                blocks, ((0, 0), (0, 1), (1, 0)), (1, 10 ** 6)):
+            state = _state(cache, battery, x, 1, x)
+            data = acts = inner = 0
+            last = None  # (slot, beta - 1) of the last actuation so far
+            for i in range(8):
+                d, e = block >> 2 * i & 1, block >> 2 * i + 1 & 1
+                state, actuated = step(state, SlotEvents(bool(d), bool(e)))
+                data |= d << i
+                if actuated:
+                    acts |= 1 << i
+                    if last is not None:
+                        inner += (i - last[0]) * last[1]
+                    last = (i, state.ages.aoi - 1)
+            pair = data | acts << 8
+            assert int(tables.inner0[pair]) + int(tables.inner1[pair]) * x == inner
+            if last is not None:
+                assert int(tables.last0[pair]) + int(tables.last1[pair]) * x == last[1]
 
 class TestRun:
     def test_deterministic_for_fixed_inputs(self):
@@ -384,21 +437,33 @@ class TestRun:
     def test_memory_peak_does_not_grow_with_the_run(self):
         # A run reuses one flag buffer of `_CHUNK` slots and one threshold
         # buffer of `_DRAW` slots, draws each piece of `_DRAW` slots into a
-        # fresh array of as many outputs, and frees each chunk's temporaries
-        # before the next, so 4e6 slots, 16 chunks, allocate at most a fixed
-        # amount at any one time (tracemalloc counts numpy's buffers): 32 MiB at
-        # dense rates, whose event lists are long, and 5 MiB at sparse rates,
-        # where the buffers are most of the peak.  The block table, built
-        # once per process, is built before the measurement.
+        # fresh array of as many outputs, and tallies each chunk from its
+        # blocks' event bytes, with no per-slot or per-event array, so 4e6
+        # slots, 16 chunks, allocate at most a fixed amount at any one time
+        # (tracemalloc counts numpy's buffers), at dense and sparse rates
+        # alike.  The block tables, built once per process, are built before
+        # the measurement.
         _block_table()
-        for rate, bound_mib in ((0.9, 32), (0.05, 5)):
+        for rate in (0.9, 0.05):
             tracemalloc.start()
             try:
                 run_batched(make_params(rate, rate), 4_000_000, seed=1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= bound_mib * 2 ** 20, rate
+            assert peak <= 8 * 2 ** 20, rate
+
+    def test_table_build_peak_is_the_tables_and_at_most_a_mebibyte(self):
+        # The tables are built one start state and one part at a time, from
+        # uint8 and uint16 temporaries, so the build's transient stays small.
+        _block_table.cache_clear()
+        tracemalloc.start()
+        try:
+            tables = _block_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(array.nbytes for array in tables) + 2 ** 20
 
     def test_a_run_starts_no_thread(self, monkeypatch):
         # Every piece is drawn on the calling thread, whatever CPUs it may use.

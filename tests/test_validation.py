@@ -245,6 +245,26 @@ class TestSweep:
         kw = dict(methods=METHOD_ORDER, slots=50_000, seed=5)
         assert sweep(points, max_workers=1, **kw) == sweep(points, max_workers=2, **kw)
 
+    def test_pool_workers_build_no_kernel_table(self, monkeypatch):
+        # `sweep` builds the simulator's tables before its pool forks, so
+        # every worker's lookup hits the cache it inherits; a worker that
+        # missed would build them again in every pool.
+        parent = os.getpid()
+        cached = engine._block_table
+        cached.cache_clear()
+
+        def lookup():
+            misses = cached.cache_info().misses
+            tables = cached()
+            if os.getpid() != parent and cached.cache_info().misses != misses:
+                raise AssertionError(f"pool worker {os.getpid()} built the kernel tables")
+            return tables
+
+        monkeypatch.setattr(engine, "_block_table", lookup)
+        points = [Params(0.3, 0.6), Params(0.6, 0.3), Params(0.9, 0.9)]
+        sweep(points, methods=("sim",), slots=2000, seed=1, max_workers=2)
+        assert cached.cache_info().misses == 1
+
     def test_rows_sorted_by_point(self):
         points = [Params(0.7, 0.2), Params(0.2, 0.7)]
         rep = sweep(points, methods=("analytic",), slots=10 ** 5, seed=0)
