@@ -23,20 +23,22 @@ reference semantics.  `run_batched` simulates long horizons in chunks of
 slots, in three stages, each owned by one function:
 
 * draws, `_drawn`: the events are drawn on the calling thread in pieces of
-  `_DRAW` slots and thresholded, by one compare a piece, into the chunk's
-  (k, 2) flags, one row a slot, data then energy.  Slot s takes PCG64 output
-  s, the data draw in its low 32 bits and the energy draw in its high 32
-  bits, each compared with an integer threshold (`_threshold`), so an event
-  of rate lambda is flagged with a probability within 2**-32 of lambda.
-  Chunks are cut at the warmup and batch edges too;
+  `_DRAW` slots, thresholded, by one compare a piece, into one reused
+  (`_DRAW`, 2) flag buffer, one row a slot, data then energy, and bit-packed,
+  by one `np.packbits` a piece, straight into the chunk's packed bytes, four
+  slots a byte.  Slot s takes PCG64 output s, the data draw in its low 32
+  bits and the energy draw in its high 32 bits, each compared with an
+  integer threshold (`_threshold`), so an event of rate lambda is flagged
+  with a probability within 2**-32 of lambda.  Chunks are cut at the warmup
+  and batch edges too;
 * replay, `_replay`: the one loop over chunks and the one counter of slots.
   It alone carries the occupancy across chunk edges.  Its occupancy scan,
-  `_scan_events`, bit-packs the flags, by one `np.packbits`, into 8-slot
-  blocks.  A prefix scan over the blocks' maps of the 3 occupancy states,
-  composed from the one-slot table of the slot rules (`_step_core`), hands
-  each block its start state: an up-sweep composes pairs of maps level by
-  level, and a down-sweep carries the states back down, one vectorised
-  gather per level.  Tests replay it against `step` bit for bit;
+  `_scan_events`, reads the packed bytes as 8-slot blocks.  A prefix scan
+  over the blocks' maps of the 3 occupancy states, composed from the
+  one-slot table of the slot rules (`_step_core`), hands each block its
+  start state: an up-sweep composes pairs of maps level by level, and a
+  down-sweep carries the states back down, one vectorised gather per level.
+  Tests replay it against `step` bit for bit;
 * tally, `_tally`, called by `_simulate`, which carries the three ages from
   chunk to chunk: each chunk lies in one batch, or in the warmup, and its
   age sums are renewal-reward sums read off its blocks: one gather gives
@@ -46,9 +48,9 @@ slots, in three stages, each owned by one function:
   tables of the aoai's excess over the aoa.  No per-slot or per-event array
   is built, and every batch sum is an exact integer.
 
-`trace` expands each block to its slots instead (`_slot_steps`,
-`_trace_columns`).  Every table is built once, on first use
-(`_block_table`).
+`trace` packs its own pieces of the parsed flags and expands each block to
+its slots instead (`_slot_steps`, `_trace_columns`).  Every table is built
+once, on first use (`_block_table`).
 """
 
 from __future__ import annotations
@@ -82,10 +84,12 @@ __all__ = [
 # 2^17 was slower in all 10, by 4.6% in median op_s, at 1.2 MB lower peak RSS,
 # and 2^19 faster in all 10, by 1.5%, but at 1.7 MB higher peak RSS.
 _CHUNK = 1 << 18
-# Slots per draw piece: a piece's 64-bit outputs, 128 KiB, and a uint32
-# threshold buffer of as many rows, 128 KiB, so no chunk-long draw buffer is
-# held.  At 2^13 `sim` was slower in 4 of 4 alternating benchmark runs, at no
-# lower peak (BENCH_sim_one_draw.json).  Results do not depend on the size.
+# Slots per draw piece, a multiple of 4, so that each piece packs into whole
+# bytes (`_drawn` checks it): a piece's 64-bit outputs, 128 KiB, a uint32
+# threshold buffer of as many rows, 128 KiB, and a flag buffer, 32 KiB.  The
+# only chunk-long draw buffer is the packed bytes, 64 KiB.  At 2^13 `sim` was
+# slower in 4 of 4 alternating benchmark runs, at no lower peak
+# (BENCH_sim_one_draw.json).  Results do not depend on the size.
 _DRAW = 1 << 14
 # Slots per piece of `trace`'s replay, each printed whole: a 600 000-row
 # `--json` trace peaked at 44.4 MiB resident at 2^12, 52.5 at 2^14, 60.5 at 2^15.
@@ -182,10 +186,10 @@ def run_trace(events: Sequence[SlotEvents]) -> list[tuple[EngineState, bool]]:
 def read_events_csv(path) -> np.ndarray:
     """Parse an event-trace file: header `t,data,energy`, one {0,1} row per slot.
 
-    Returns the (slots, 2) bool array that the scan reads, one row a slot,
-    data then energy.  Slots must be numbered consecutively from 1; blank
-    lines take no number.  Raises DomainError naming the offending line on
-    any malformed content.
+    Returns a (slots, 2) bool array, one row a slot, data then energy, which
+    `_trace_columns` packs for the scan.  Slots must be numbered
+    consecutively from 1; blank lines take no number.  Raises DomainError
+    naming the offending line on any malformed content.
     """
     codes = bytearray()  # data | energy << 1, one byte a slot
     # A leading byte-order mark, as spreadsheet CSV exports write, is dropped;
@@ -376,28 +380,28 @@ def _block_table() -> _Tables:
     return tables
 
 
-def _scan_events(flags: np.ndarray, cache: int, battery: int):
-    """Run the occupancy recursion over one chunk; returns (keys, C, B).
+def _scan_events(packed: np.ndarray, k: int, cache: int, battery: int):
+    """Run the occupancy recursion over one chunk of k slots; returns (keys, C, B).
 
-    `flags` is the chunk's (k, 2) bool array, one row a slot, data then
-    energy.  One `np.packbits` turns it into 16-bit blocks of 8 slots, padded
-    with empty blocks to a power of two; padding only follows the chunk's
-    slots, so it changes none of their states.  A prefix scan over the
-    blocks' maps then gives each block its start state (Blelloch's up-sweep
-    and down-sweep): each up-sweep level composes adjacent pairs of maps by
-    one gather in `compose`, up to the map of the whole chunk, which gives
-    the end state (C, B); each down-sweep level hands a left child its
-    parent's start state and a right child that state carried through its
-    left sibling's map, one gather again.  A state s is carried as the
-    constant map to s, code 13 s, so carrying it through a map is a
-    composition too.  `keys` holds each of the ceil(k / 8) blocks as
-    `block << 2 | start state`, the index of `_Tables.events`.
+    `packed` holds the chunk's ceil(k / 4) bytes of flags, `np.packbits` of
+    its (k, 2) bool flags, one row a slot, data then energy, in little bit
+    order.  They are read as 16-bit blocks of 8 slots, padded with empty
+    blocks to a power of two; padding only follows the chunk's slots, so it
+    changes none of their states.  A prefix scan over the blocks' maps then
+    gives each block its start state (Blelloch's up-sweep and down-sweep):
+    each up-sweep level composes adjacent pairs of maps by one gather in
+    `compose`, up to the map of the whole chunk, which gives the end state
+    (C, B); each down-sweep level hands a left child its parent's start state
+    and a right child that state carried through its left sibling's map, one
+    gather again.  A state s is carried as the constant map to s, code 13 s,
+    so carrying it through a map is a composition too.  `keys` holds each of
+    the ceil(k / 8) blocks as `block << 2 | start state`, the index of
+    `_Tables.events`, built in place as one intp array.
     """
-    k = len(flags)
     tables = _block_table()
     n_blocks = -(-k // _BLOCK)
     blocks = np.zeros(1 << (n_blocks - 1).bit_length(), dtype="<u2")
-    blocks.view(np.uint8)[:-(-k // 4)] = np.packbits(flags.ravel(), bitorder="little")
+    blocks.view(np.uint8)[:len(packed)] = packed
     pairs = tables.compose.ravel()
     levels = [tables.maps.take(blocks)]
     while len(levels[-1]) > 1:
@@ -411,26 +415,27 @@ def _scan_events(flags: np.ndarray, cache: int, battery: int):
         below[1::2] = level[0::2]
         below[1::2] = pairs.take(below.view("<u2"))
         start = below
-    keys = blocks[:n_blocks].astype(np.intp) << 2
+    keys = np.left_shift(blocks[:n_blocks], 2, dtype=np.intp)
     keys |= start[:n_blocks] // 13
     return keys, end >> 1, end & 1
 
 
 def _replay(chunks):
-    """Scan consecutive (k, 2) flag chunks from the canonical start.
+    """Scan consecutive chunks, each its packed flags and its slot count k,
+    from the canonical start.
 
-    Yields per chunk its first slot `lo`, its `flags` and its blocks' `keys`
+    Yields per chunk its first slot `lo`, its k and its blocks' `keys`
     (`_scan_events`); it alone carries the occupancy across chunk edges.  A
-    chunk's flags are not read once the next chunk is asked for.  `chunks`
-    is a generator, closed when the replay ends or fails.
+    chunk's packed flags are not read once the next chunk is asked for.
+    `chunks` is a generator, closed when the replay ends or fails.
     """
     cache = battery = 0
     lo = 0
     try:
-        for flags in chunks:
-            keys, cache, battery = _scan_events(flags, cache, battery)
-            yield lo, flags, keys
-            lo += len(flags)
+        for packed, k in chunks:
+            keys, cache, battery = _scan_events(packed, k, cache, battery)
+            yield lo, k, keys
+            lo += k
     finally:  # on an error too, so that the draws' buffers are freed at once
         chunks.close()
 
@@ -441,14 +446,16 @@ TRACE_FIELDS = ("t", "data", "energy", "cache", "battery", "actuated", "aoi", "a
 def _trace_columns(flags: np.ndarray):
     """`run_trace` of a whole (slots, 2) flag array, on `_replay`: yields int64
     rows of the `TRACE_FIELDS`, t counted from 1, one array per piece of
-    `_TRACE_PIECE` slots.  Each slot's occupancy and actuation come from
-    `_slot_steps`; the aoi and aoa grow from 1 after each arrival and
-    actuation, and the aoai from the aoi at the last actuation.
+    `_TRACE_PIECE` slots, which it packs for `_replay` as `_drawn` packs a
+    chunk.  Each slot's occupancy and actuation come from `_slot_steps`; the
+    aoi and aoa grow from 1 after each arrival and actuation, and the aoai
+    from the aoi at the last actuation.
     """
-    pieces = (flags[lo:lo + _TRACE_PIECE] for lo in range(0, len(flags), _TRACE_PIECE))
+    pieces = ((np.packbits(flags[lo:lo + _TRACE_PIECE].ravel(), bitorder="little"),
+               min(_TRACE_PIECE, len(flags) - lo)) for lo in range(0, len(flags), _TRACE_PIECE))
     aoi = aoa = aoai = 1  # at the end of the slot before the piece
-    for lo, piece, keys in _replay(pieces):
-        k = len(piece)
+    for lo, k, keys in _replay(pieces):
+        piece = flags[lo:lo + k]
         steps = _slot_steps(keys >> 2, keys & 3).ravel()[:k]
         t = np.arange(k)
         aoi_t = t - np.maximum.accumulate(np.where(piece[:, 0], t, -aoi)) + 1
@@ -538,30 +545,39 @@ def _threshold(rate: float) -> int:
 
 
 def _drawn(p: Params, seed: int, cuts: Sequence[int]):
-    """Yield the (k, 2) event flags of slots cuts[0] = 0 to cuts[-1], in order.
+    """Yield the packed event flags and the slot count k of each chunk of
+    slots cuts[0] = 0 to cuts[-1], in order.
 
-    Chunks hold at most `_CHUNK` slots and never span a cut.  Slot s takes
-    output s of the PCG64 stream of `seed`, as `run_batched` states.  Each
-    piece of `_DRAW` slots is compared in one pass with a threshold buffer
-    whose every row is the pair of `_threshold`s: against a broadcast (2,)
-    row, numpy loops over rows of two, 12 times as slow.  One flag buffer
-    serves every chunk: a fresh one would fault in its pages each time.
+    Chunks hold at most `_CHUNK` slots and never span a cut; a chunk's
+    ceil(k / 4) bytes are `np.packbits` of its (k, 2) bool flags, one row a
+    slot, data then energy, in little bit order, as `_scan_events` reads
+    them.  Slot s takes output s of the PCG64 stream of `seed`, as
+    `run_batched` states.  Each piece of `_DRAW` slots is compared in one
+    pass with a threshold buffer whose every row is the pair of
+    `_threshold`s (against a broadcast (2,) row, numpy loops over rows of
+    two, 12 times as slow) into one flag buffer, and packed into the chunk's
+    bytes: `_DRAW` is a multiple of 4, so every piece but a chunk's last
+    fills whole bytes.  One byte buffer serves every chunk: a fresh one would
+    fault in its pages each time.
     """
+    assert _DRAW % 4 == 0, f"a draw piece must fill whole bytes, got {_DRAW} slots"
     bits = np.random.PCG64(seed)
     chunk = min(_CHUNK, cuts[-1])
     thr = np.empty((min(_DRAW, chunk), 2), dtype=np.uint32)
     thr[:] = _threshold(p.lambda1), _threshold(p.lambda2)
-    flags = np.empty((chunk, 2), dtype=bool)
+    flags = np.empty_like(thr, dtype=bool)
+    packed = np.empty(-(-chunk // 4), dtype=np.uint8)
     for a, z in zip(cuts, cuts[1:]):
         for lo in range(a, z, chunk):
-            events = flags[:min(chunk, z - lo)]
-            for b in range(0, len(events), _DRAW):
-                piece = events[b:b + _DRAW]
-                n = len(piece)
+            k = min(chunk, z - lo)
+            for b in range(0, k, _DRAW):
+                n = min(_DRAW, k - b)
+                piece = flags[:n]
                 # A uint64's low half comes first on a little-endian host.
                 np.less_equal(bits.random_raw(n).view(np.uint32).reshape(n, 2), thr[:n],
                               out=piece)
-            yield events
+                packed[b // 4:(b + n + 3) // 4] = np.packbits(piece.ravel(), bitorder="little")
+            yield packed[:-(-k // 4)], k
 
 
 def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
@@ -581,8 +597,8 @@ def _simulate(p: Params, slots: int, seed: int, warmup: int, n_batches: int):
     ages = (1, 1, 1)  # the virtual slot before slot 0
     # Chunks are cut at the warmup and batch edges, so each is tallied whole
     # into one batch, or into none in the warmup.
-    for lo, flags, keys in _replay(_drawn(p, seed, [0] + cuts)):
-        tally, count, ages = _tally(keys, len(flags), ages)
+    for lo, k, keys in _replay(_drawn(p, seed, [0] + cuts)):
+        tally, count, ages = _tally(keys, k, ages)
         b = bisect.bisect_right(cuts, lo) - 1
         if b >= 0:
             sums[:, b] += tally

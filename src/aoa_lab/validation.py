@@ -28,11 +28,12 @@ expected sampling fluctuations, but 0.205 at 2 slots, with two batches.
 
 `sweep` spreads the points over a pool of `default_workers()` processes, at
 most one per point, when it runs the sim or chain route; a grid of closed
-forms alone runs in the calling process.  Its report depends neither on the
-worker count nor on the host's CPU count: each worker's numerics run on one
-thread, since no route passes BLAS a vector long enough for BLAS to split
-across its threads (see `chains.mean_age`) and a simulation draws on its
-calling thread alone.
+forms alone, or a sweep on one worker, runs in the calling process, and only
+a pooled sweep imports the pool.  Its report depends neither on the worker
+count nor on the host's CPU count: each worker's numerics run on one thread,
+since no route passes BLAS a vector long enough for BLAS to split across its
+threads (see `chains.mean_age`) and a simulation draws on its calling thread
+alone.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import analytic, chains, engine
@@ -309,7 +308,10 @@ def _aoa_below_aoi(lambda1: float, lambda2: float) -> bool:
     C = l1^2 l2 - l1^2 - l1 l2^2 - l1 l2 + l2^2 is the factor that sets the
     sign of aoi_bar - aoa_bar (tests/test_analytic.py proves the factoring),
     here evaluated on the float rates' exact `Fraction`s, so no rounding does.
+    `fractions` is imported in the call: only `findings` needs it.
     """
+    from fractions import Fraction
+
     l1, l2 = Fraction(lambda1), Fraction(lambda2)
     return l2 < 1 and l1 * l1 * l2 - l1 * l1 - l1 * l2 * l2 - l1 * l2 + l2 * l2 > 0
 
@@ -390,6 +392,10 @@ def sweep(
             engine._block_table()
         if "chain" in methods:
             chains._splu()
+        # Imported here, so that no command but a pooled one loads
+        # `multiprocessing`.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_point = list(pool.map(_point_worker, jobs))
     else:

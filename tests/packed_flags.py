@@ -1,0 +1,11 @@
+"""The occupancy scan of bool flags, for tests that build their own flags."""
+
+import numpy as np
+
+from aoa_lab.engine import _scan_events
+
+
+def scan_flags(flags: np.ndarray, cache: int, battery: int):
+    """`_scan_events` of a (k, 2) bool flag array, packed as `_drawn` packs a chunk."""
+    return _scan_events(np.packbits(flags.ravel(), bitorder="little"), len(flags), cache,
+                        battery)

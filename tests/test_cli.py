@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import stat
@@ -779,7 +780,7 @@ def test_bad_argument_fails_before_any_route_runs(capsys, tmp_path, monkeypatch,
     if message is not None:
         monkeypatch.setattr(engine, "run_batched", refuse)
         monkeypatch.setattr(validation.chains, "choose_cap", refuse)
-        monkeypatch.setattr(validation, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     out_file = tmp_path / "s.csv"
     extra = ("--out", str(out_file)) if command == "sweep" else ()
     code, out, err = run_cli(capsys, command, "--grid", "0.1:0.9:0.2", "--slots", "3000000",

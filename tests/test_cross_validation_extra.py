@@ -13,8 +13,9 @@ from aoa_lab.chains import (build_aoa_chain, build_aoai_chain, choose_cap,
                             level_masses, stationary)
 from aoa_lab.cli import TRACE_FIELDS
 from aoa_lab.core import make_params, shorthand
-from aoa_lab.engine import _scan_events, _simulate, _slot_steps, _trace_columns
+from aoa_lab.engine import _simulate, _slot_steps, _trace_columns
 from aoa_lab.errors import DomainError
+from packed_flags import scan_flags
 
 
 class TestStationaryBalancePatterns:
@@ -63,7 +64,7 @@ class TestKernelFuzz:
         rng = np.random.default_rng(99)
         for l1, l2 in [(0.05, 0.95), (0.5, 0.5), (0.95, 0.05), (1.0, 0.3), (0.3, 1.0)]:
             u = rng.random((1_000_000, 2))
-            keys, cache, battery = _scan_events(u < (l1, l2), 0, 0)
+            keys, cache, battery = scan_flags(u < (l1, l2), 0, 0)
             st = _slot_steps(keys >> 2, keys & 3) & 3
             assert not (st == 3).any()
             assert (cache, battery) != (1, 1)

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from aoa_lab import analytic, engine
 from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params
 from aoa_lab.engine import (_TRANSITIONS, EngineState, _block_table,
-                            _scan_events, _simulate, _slot_steps, _tally,
-                            initial_state, read_events_csv, run_batched,
-                            run_trace, step)
+                            _simulate, _slot_steps, _tally, initial_state,
+                            read_events_csv, run_batched, run_trace, step)
 from aoa_lab.errors import DomainError
+from packed_flags import scan_flags
 
 # Most slots a run takes: above it the int64 batch edges would wrap.
 MAX_SLOTS = (2**63 - 1) // engine.N_BATCHES
@@ -148,7 +148,7 @@ class TestKernels:
         for cache, battery in ((0, 0), (0, 1), (1, 0)):
             for n in [8 * b - short for b in counts for short in (0, 5)]:
                 flags = rng.random((n, 2)) < 0.5
-                keys, c, b = _scan_events(flags, cache, battery)
+                keys, c, b = scan_flags(flags, cache, battery)
                 assert len(keys) == -(-n // 8)
                 steps = _slot_steps(keys >> 2, keys & 3).ravel()[:n]
                 act, stt = steps >> 2, steps & 3
@@ -189,15 +189,16 @@ class TestKernels:
             assert compose[b, a] == after[0] + 3 * after[1] + 9 * after[2]
             assert compose.ravel()[a | b << 8] == compose[b, a]
 
-    @pytest.mark.parametrize("piece", [1, 3, 8, 64, engine._DRAW])
+    @pytest.mark.parametrize("piece", [4, 12, 8, 64, engine._DRAW])
     def test_drawn_pieces_are_the_thresholded_draws_at_their_slot(self, piece):
         # Slot s takes output s of the seed's PCG64 stream: its low 32 bits
         # are the data draw and its high 32 bits the energy draw, each an
-        # event where it is at most its rate's threshold.  Chunks of
-        # 2 * piece + 5 slots end in a short piece, and the run in a short
-        # chunk; the yielded buffer is reused, so each chunk is copied.
-        # Cuts inside a chunk, at its edge and 1 slot apart end chunks early,
-        # and no chunk spans a cut.
+        # event where it is at most its rate's threshold, and a chunk's bytes
+        # are `np.packbits` of its slots' flags.  Chunks of 2 * piece + 5
+        # slots end in a short piece that fills no whole byte, and the run in
+        # a short chunk; the yielded buffer is reused, so each chunk is
+        # copied.  Cuts inside a chunk, at its edge and 1 slot apart end
+        # chunks early, and no chunk spans a cut.
         l1, l2 = 0.3, 0.8
         k = 4 * piece + 1000
         raw = np.random.PCG64(8).random_raw(k)
@@ -208,13 +209,24 @@ class TestKernels:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "_CHUNK", chunk)
                 mp.setattr(engine, "_DRAW", piece)
-                chunks = [flags.copy() for flags in engine._drawn(make_params(l1, l2), 8, cuts)]
-            ends = np.cumsum([len(c) for c in chunks]).tolist()
+                chunks = [(packed.copy(), n)
+                          for packed, n in engine._drawn(make_params(l1, l2), 8, cuts)]
+            ends = np.cumsum([n for _, n in chunks]).tolist()
+            assert ends[-1] == k
             assert set(cuts[1:]) <= set(ends)
-            assert all(0 < len(c) <= chunk for c in chunks)
+            assert all(0 < n <= chunk for _, n in chunks)
             # Only a cut ends a chunk early.
-            assert all(len(c) == chunk for c, end in zip(chunks, ends) if end not in cuts)
-            assert np.array_equal(np.concatenate(chunks), expected)
+            assert all(n == chunk for (_, n), end in zip(chunks, ends) if end not in cuts)
+            for (packed, n), end in zip(chunks, ends):
+                flags = expected[end - n:end].ravel()
+                assert np.array_equal(packed, np.packbits(flags, bitorder="little"))
+
+    def test_drawn_pieces_fill_whole_bytes(self, monkeypatch):
+        # A piece of 6 slots would end inside a byte, and the next piece
+        # would overwrite it.
+        monkeypatch.setattr(engine, "_DRAW", 6)
+        with pytest.raises(AssertionError, match="whole bytes"):
+            next(engine._drawn(make_params(0.5, 0.5), 1, [0, 100]))
 
     @pytest.mark.parametrize("rate", [1e-300, 2.0**-40, 2.0**-32, 1e-9, 0.01, 0.05, 0.1,
                                       0.3, 0.5, 0.7, 0.9, 1 - 2.0**-53, 1.0])
@@ -239,18 +251,19 @@ class TestKernels:
            st.sampled_from([engine._CHUNK, 7, 8, 9, 511, 512, 513]),
            st.integers(min_value=0, max_value=200),
            st.integers(min_value=1, max_value=4),
-           st.sampled_from([engine._DRAW, 1, 3, 8, 64]))
+           st.sampled_from([engine._DRAW, 4, 12, 8, 64]))
     # A 7-slot chunk makes every carry (occupancy, last arrival, last
     # actuation, aoi at the last actuation) cross chunk edges inside the
     # warmup and inside each measured batch; 7, 8 and 9 cut chunks short of,
     # at and past the 8-slot block of the scan, and 511, 512 and 513 at and
-    # past the 64 blocks of a power-of-two scan tree.  Draws of 1, 3, 8 and
-    # 64 slots put the edges of the draw pieces inside chunks and blocks.
+    # past the 64 blocks of a power-of-two scan tree.  Draws of 4, 12, 8 and
+    # 64 slots put the edges of the draw pieces inside chunks, and those of
+    # 4 and 12 inside blocks.
     # Rates down to 0.001 draw chunks and runs without an arrival or an
     # actuation.
-    @example(0.3, 0.6, 5, 1000, 7, 100, 4, 3)
+    @example(0.3, 0.6, 5, 1000, 7, 100, 4, 12)
     @example(1.0, 1.0, 3, 300, 9, 20, 3, 8)  # an arrival and an actuation every slot
-    @example(0.001, 0.5, 1, 50, 8, 10, 2, 1)  # no arrival, so no actuation
+    @example(0.001, 0.5, 1, 50, 8, 10, 2, 4)  # no arrival, so no actuation
     @example(0.4, 0.7, 9, 1500, 513, 30, 4, 64)
     # The chunk is the warmup and the batch length: every batch edge is a
     # chunk edge, and each batch one chunk's whole range.
@@ -291,7 +304,7 @@ class TestKernels:
         for k, density, (cache, battery), ages in itertools.product(
                 range(1, 41), (0.0, 0.1, 0.5, 1.0), ((0, 0), (0, 1), (1, 0)), carried):
             flags = rng.random((k, 2)) < density
-            keys, _, _ = _scan_events(flags, cache, battery)
+            keys, _, _ = scan_flags(flags, cache, battery)
             state = _state(cache, battery, *ages)
             sums, actuations = [0, 0, 0], 0
             for x, y in flags.tolist():
@@ -435,9 +448,10 @@ class TestRun:
             assert abs(mean - exact) <= 3 * stderr
 
     def test_memory_peak_does_not_grow_with_the_run(self):
-        # A run reuses one flag buffer of `_CHUNK` slots and one threshold
-        # buffer of `_DRAW` slots, draws each piece of `_DRAW` slots into a
-        # fresh array of as many outputs, and tallies each chunk from its
+        # A run reuses one byte buffer of `_CHUNK` slots, four a byte, and
+        # one flag and one threshold buffer of `_DRAW` slots, draws each piece
+        # of `_DRAW` slots into a fresh array of as many outputs, packs its
+        # flags into the chunk's bytes, and tallies each chunk from its
         # blocks' event bytes, with no per-slot or per-event array, so 4e6
         # slots, 16 chunks, allocate at most a fixed amount at any one time
         # (tracemalloc counts numpy's buffers), at dense and sparse rates

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -300,7 +301,9 @@ class TestWorkers:
     def _pool_sizes(monkeypatch, threads, max_workers, n_points, methods):
         """The sizes of the pools `sweep` starts, whose report is the serial one.
 
-        A thread pool stands in for the process pool and records its size.
+        A thread pool stands in for the process pool and records its size;
+        `sweep` imports the process pool's name from `concurrent.futures`
+        when it starts one.
         """
         sizes = []
 
@@ -309,7 +312,7 @@ class TestWorkers:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(validation, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setenv("AOA_LAB_THREADS", threads)
         points = [Params(0.5 + 0.4 * (i // 2), 0.5 + 0.4 * (i % 2)) for i in range(n_points)]
         kw = dict(methods=methods, slots=300, seed=0)
