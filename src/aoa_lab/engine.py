@@ -59,7 +59,6 @@ import bisect
 import csv
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -254,7 +253,7 @@ class _Tables(NamedTuple):
     A block is a 16-bit code with interleaved bits: bit 2i holds the data
     flag of slot i and bit 2i+1 its energy flag, so `np.packbits` of a (k, 2)
     flag array, little bit order, read as little-endian uint16, gives the
-    blocks.  A block's key is `block << 2 | state`, with its start state
+    blocks.  A block's key is `3 * block + state`, with its start state
     (0=(0,0), 1=(0,1), 2=(1,0)).  A map of the 3 states to the 3 states is
     coded f(0) + 3 f(1) + 9 f(2), from 0 to 26.
     """
@@ -265,9 +264,8 @@ class _Tables(NamedTuple):
     # b, for a, b < 27.  Read flat, its index is `a | b << 8`, so two adjacent
     # uint8 map codes, viewed as one little-endian uint16, index their composition.
     compose: np.ndarray
-    # Little-endian uint16 per key (key 3 of each block repeats state 0 and is
-    # never read): the block's data byte | its actuation byte << 8, bit i of
-    # each for slot i.
+    # Little-endian uint16 per key: the block's data byte | its actuation
+    # byte << 8, bit i of each for slot i.
     events: np.ndarray
     # uint8 per byte: its first and last set bit (0 for the zero byte), its
     # set bits, and the sum of the squared gaps between adjacent set bits.
@@ -314,8 +312,8 @@ def _occupancy_tables() -> tuple[np.ndarray, np.ndarray]:
         acts.append(sum((steps[:, i] >> 2) << i for i in range(_BLOCK)))
         maps += (steps[:, -1] & 3) * 3 ** state
         del steps  # else alive while the next is built
-    events = np.empty((1 << 16, 4), dtype="<u2")
-    for state, act in enumerate(acts + acts[:1]):  # key 3 repeats state 0
+    events = np.empty((1 << 16, 3), dtype="<u2")
+    for state, act in enumerate(acts):
         events[:, state] = data | act.astype("<u2") << 8
     return maps, events.ravel()
 
@@ -380,8 +378,9 @@ def _block_table() -> _Tables:
     return tables
 
 
-def _scan_events(packed: np.ndarray, k: int, cache: int, battery: int):
-    """Run the occupancy recursion over one chunk of k slots; returns (keys, C, B).
+def _scan_events(packed: np.ndarray, k: int, state: int):
+    """Run the occupancy recursion over one chunk of k slots from occupancy
+    state `state` (`_Tables`); returns (keys, the state at its end).
 
     `packed` holds the chunk's ceil(k / 4) bytes of flags, `np.packbits` of
     its (k, 2) bool flags, one row a slot, data then energy, in little bit
@@ -390,12 +389,12 @@ def _scan_events(packed: np.ndarray, k: int, cache: int, battery: int):
     changes none of their states.  A prefix scan over the blocks' maps then
     gives each block its start state (Blelloch's up-sweep and down-sweep):
     each up-sweep level composes adjacent pairs of maps by one gather in
-    `compose`, up to the map of the whole chunk, which gives the end state
-    (C, B); each down-sweep level hands a left child its parent's start state
+    `compose`, up to the map of the whole chunk, which gives the end state;
+    each down-sweep level hands a left child its parent's start state
     and a right child that state carried through its left sibling's map, one
     gather again.  A state s is carried as the constant map to s, code 13 s,
     so carrying it through a map is a composition too.  `keys` holds each of
-    the ceil(k / 8) blocks as `block << 2 | start state`, the index of
+    the ceil(k / 8) blocks as `3 * block + start state`, the index of
     `_Tables.events`, built in place as one intp array.
     """
     tables = _block_table()
@@ -406,7 +405,6 @@ def _scan_events(packed: np.ndarray, k: int, cache: int, battery: int):
     levels = [tables.maps.take(blocks)]
     while len(levels[-1]) > 1:
         levels.append(pairs.take(levels[-1].view("<u2")))
-    state = cache * 2 + battery
     end = int(levels[-1][0]) // 3 ** state % 3
     start = np.array([13 * state], dtype=np.uint8)
     for level in reversed(levels[:-1]):
@@ -415,9 +413,9 @@ def _scan_events(packed: np.ndarray, k: int, cache: int, battery: int):
         below[1::2] = level[0::2]
         below[1::2] = pairs.take(below.view("<u2"))
         start = below
-    keys = np.left_shift(blocks[:n_blocks], 2, dtype=np.intp)
-    keys |= start[:n_blocks] // 13
-    return keys, end >> 1, end & 1
+    keys = np.multiply(blocks[:n_blocks], 3, dtype=np.intp)
+    keys += start[:n_blocks] // 13
+    return keys, end
 
 
 def _replay(chunks):
@@ -429,11 +427,10 @@ def _replay(chunks):
     chunk's packed flags are not read once the next chunk is asked for.
     `chunks` is a generator, closed when the replay ends or fails.
     """
-    cache = battery = 0
-    lo = 0
+    state = lo = 0
     try:
         for packed, k in chunks:
-            keys, cache, battery = _scan_events(packed, k, cache, battery)
+            keys, state = _scan_events(packed, k, state)
             yield lo, k, keys
             lo += k
     finally:  # on an error too, so that the draws' buffers are freed at once
@@ -456,7 +453,7 @@ def _trace_columns(flags: np.ndarray):
     aoi = aoa = aoai = 1  # at the end of the slot before the piece
     for lo, k, keys in _replay(pieces):
         piece = flags[lo:lo + k]
-        steps = _slot_steps(keys >> 2, keys & 3).ravel()[:k]
+        steps = _slot_steps(*divmod(keys, 3)).ravel()[:k]
         t = np.arange(k)
         aoi_t = t - np.maximum.accumulate(np.where(piece[:, 0], t, -aoi)) + 1
         acted = np.maximum.accumulate(np.where(steps > 3, t, -aoa))
@@ -527,11 +524,6 @@ def _tally(keys: np.ndarray, k: int, ages: tuple[int, int, int]):
     aoai_end = aoa_end + int(tables.last0[pair[-1]]) + int(tables.last1[pair[-1]]) * int(x[-1])
     return ([aoi_sum, aoa_sum, aoai_sum], int(tables.count.take(byte).sum()),
             (aoi_end, aoa_end, aoai_end))
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on: its affinity mask (Linux)."""
-    return len(os.sched_getaffinity(0))
 
 
 def _threshold(rate: float) -> int:

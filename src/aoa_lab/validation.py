@@ -6,10 +6,12 @@ recursive series; `ROUTE_METRICS` says which route covers which metric.
 `route_rows` runs one route at one parameter point and returns one `Row` per
 metric, the long-format record that the CLI prints (one CSV line or JSON
 object per row).  `cross_check` runs all requested routes at one point and
-scores their pairwise agreement; `sweep` does that over a grid, with point i
-of the sorted grid seeded `seed + i`, and nothing more.  `findings` is a
-separate call over the closed form alone: approximate symmetry, mean
-ordering, and the sign of each neighbour step of the grid, along either axis.
+scores their pairwise agreement; `sweep` maps it over a grid with one seed
+for every point, and nothing more: a point's rows depend on it alone, and
+its aoi sim rows, which read only the data flags, repeat along each lambda1
+line.  `findings` is a separate call over the closed form alone: approximate
+symmetry, mean ordering, and the sign of each neighbour step of the grid,
+along either axis.
 
 A point passes when, for every pair of routes, the relative disagreement is
 below tol_rel AND the two 3-sigma-style intervals (value plus or minus three
@@ -289,10 +291,6 @@ def grid_range(spec: str) -> list[float]:
     return [round(a + k * step, 12) for k in range(int(span) + 2) if a + k * step <= top]
 
 
-def _point_worker(args):
-    return cross_check(*args)
-
-
 def _neighbour_steps(keys):
     """Yield `((axis, fixed, low, high), lo, hi)` per neighbour step, along lambda1 first."""
     for axis, fixed in (("lambda1", 1), ("lambda2", 0)):
@@ -348,14 +346,14 @@ def findings(points: Sequence[Params]):
 
 
 def default_workers() -> int:
-    """`AOA_LAB_THREADS` if set, else the number of CPUs this process may use."""
+    """`AOA_LAB_THREADS` if set, else the CPUs of this process's affinity mask (Linux)."""
     env = os.environ.get("AOA_LAB_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise DomainError(f"AOA_LAB_THREADS must be an integer, got {env!r}") from None
-    return engine._usable_cpus()
+    return len(os.sched_getaffinity(0))
 
 
 def sweep(
@@ -369,7 +367,7 @@ def sweep(
 ) -> SweepReport:
     """Cross-check every grid point: one `CrossCheckResult` per point and metric.
 
-    Points are evaluated in sorted order with per-point seeds seed + index,
+    Points are reported in sorted order, each checked with `seed` itself,
     and no route's numbers depend on its thread count, so the report is
     deterministic for fixed inputs regardless of the worker count
     (`max_workers`, default `default_workers()`) and of the CPUs it may use.
@@ -381,9 +379,9 @@ def sweep(
     # Else a bad argument would fail only once the pool had started.
     _check_arguments(methods, slots, seed, tol_rel, tail_eps)
     pts = sorted(points, key=lambda p: (p.lambda1, p.lambda2))
-    jobs = [(p, slots, seed + i, tol_rel, tuple(methods), tail_eps)
-            for i, p in enumerate(pts)]
-    workers = min(default_workers() if max_workers is None else max(1, max_workers), len(jobs))
+    check = functools.partial(cross_check, slots=slots, seed=seed, tol_rel=tol_rel,
+                              methods=tuple(methods), tail_eps=tail_eps)
+    workers = min(default_workers() if max_workers is None else max(1, max_workers), len(pts))
     if workers > 1 and ("sim" in methods or "chain" in methods):
         # Forked workers inherit what this process has set up, so build the
         # simulator's tables and import the chain solver once, here, rather
@@ -397,7 +395,7 @@ def sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(_point_worker, jobs))
+            per_point = list(pool.map(check, pts))
     else:
-        per_point = [_point_worker(j) for j in jobs]
+        per_point = list(map(check, pts))
     return SweepReport(tuple(r for triple in per_point for r in triple))

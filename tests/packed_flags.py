@@ -5,7 +5,6 @@ import numpy as np
 from aoa_lab.engine import _scan_events
 
 
-def scan_flags(flags: np.ndarray, cache: int, battery: int):
+def scan_flags(flags: np.ndarray, state: int):
     """`_scan_events` of a (k, 2) bool flag array, packed as `_drawn` packs a chunk."""
-    return _scan_events(np.packbits(flags.ravel(), bitorder="little"), len(flags), cache,
-                        battery)
+    return _scan_events(np.packbits(flags.ravel(), bitorder="little"), len(flags), state)

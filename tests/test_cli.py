@@ -38,9 +38,10 @@ t,data,energy,cache,battery,actuated,aoi,aoa,aoai
 # Exit code and stdout of five commands, frozen byte for byte: a change to
 # any route's numbers or to the output format shows here.  The 5000-slot run
 # warms up for slots // 10 slots, the 100 000-slot one for 1000.  `validate`
-# exits 1: at 20 000 slots the sim's 3 standard errors at (0.5, 0.5) are 3%
-# of the means, so the 1% `--tol-rel` clause fails two rows whose routes
-# agree within that noise.
+# exits 1: at 20 000 slots the sim's 3 standard errors at lambda1 = 0.5 are
+# 3% of the means, so the 1% `--tol-rel` clause fails four rows whose routes
+# agree within that noise.  Every point draws the same flags, so the aoi rows,
+# which read only the data flags, repeat along each lambda1 line.
 GOLDEN_STDOUT = [
     (("analytic", "--lambda1", "0.2", "--lambda2", "0.4"), 0, """\
 lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap
@@ -64,15 +65,15 @@ lambda1,lambda2,method,metric,value,uncertainty,slots,seed,cap
 FAIL lambda1=0.5 lambda2=0.5 metric=aoi max_rel_disagreement=0.0103684211
 PASS lambda1=0.5 lambda2=0.5 metric=aoa max_rel_disagreement=0.0098374613
 FAIL lambda1=0.5 lambda2=0.5 metric=aoai max_rel_disagreement=0.0100215311
-PASS lambda1=0.5 lambda2=0.9 metric=aoi max_rel_disagreement=0.00873684211
-PASS lambda1=0.5 lambda2=0.9 metric=aoa max_rel_disagreement=0.00797503633
-PASS lambda1=0.5 lambda2=0.9 metric=aoai max_rel_disagreement=0.00838267627
-PASS lambda1=0.9 lambda2=0.5 metric=aoi max_rel_disagreement=0.00155547148
-PASS lambda1=0.9 lambda2=0.5 metric=aoa max_rel_disagreement=0.00174078801
-PASS lambda1=0.9 lambda2=0.5 metric=aoai max_rel_disagreement=0.00231435603
-PASS lambda1=0.9 lambda2=0.9 metric=aoi max_rel_disagreement=0.000893937004
-PASS lambda1=0.9 lambda2=0.9 metric=aoa max_rel_disagreement=0.00312247556
-PASS lambda1=0.9 lambda2=0.9 metric=aoai max_rel_disagreement=0.00321182616
+FAIL lambda1=0.5 lambda2=0.9 metric=aoi max_rel_disagreement=0.0103684211
+PASS lambda1=0.5 lambda2=0.9 metric=aoa max_rel_disagreement=0.00957957371
+FAIL lambda1=0.5 lambda2=0.9 metric=aoai max_rel_disagreement=0.0101927714
+PASS lambda1=0.9 lambda2=0.5 metric=aoi max_rel_disagreement=0.000715789474
+PASS lambda1=0.9 lambda2=0.5 metric=aoa max_rel_disagreement=0.00527383245
+PASS lambda1=0.9 lambda2=0.5 metric=aoai max_rel_disagreement=0.0055680619
+PASS lambda1=0.9 lambda2=0.9 metric=aoi max_rel_disagreement=0.000715789474
+PASS lambda1=0.9 lambda2=0.9 metric=aoa max_rel_disagreement=0.00131440895
+PASS lambda1=0.9 lambda2=0.9 metric=aoai max_rel_disagreement=0.00132209504
 symmetry_max_rel_dev=0.0110455842
 aoa_nonmonotone_witnesses=none
 aoai_monotone=true
@@ -688,9 +689,8 @@ class TestSweep:
             for m, metrics in (("sim", ("aoi", "aoa", "aoai")), ("chain", ("aoa", "aoai")))
             for metric in metrics]
         for r in rows:
-            index = ("0.4", "0.6").index(r["lambda1"])
-            if r["method"] == "sim":
-                assert (r["slots"], r["seed"], r["cap"]) == ("20000", str(7 + index), "")
+            if r["method"] == "sim":  # every point takes the sweep's own seed
+                assert (r["slots"], r["seed"], r["cap"]) == ("20000", "7", "")
             else:
                 cap = choose_cap(Params(float(r["lambda1"]), 0.5), 1e-7)
                 assert (r["slots"], r["seed"], r["cap"]) == ("", "", str(cap))

@@ -148,20 +148,20 @@ class TestKernels:
         for cache, battery in ((0, 0), (0, 1), (1, 0)):
             for n in [8 * b - short for b in counts for short in (0, 5)]:
                 flags = rng.random((n, 2)) < 0.5
-                keys, c, b = scan_flags(flags, cache, battery)
+                keys, end = scan_flags(flags, cache * 2 + battery)
                 assert len(keys) == -(-n // 8)
-                steps = _slot_steps(keys >> 2, keys & 3).ravel()[:n]
+                steps = _slot_steps(*divmod(keys, 3)).ravel()[:n]
                 act, stt = steps >> 2, steps & 3
                 state = _state(cache, battery, 1, 1, 1)
                 for t, (x, y) in enumerate(flags.tolist()):
                     state, actuated = step(state, SlotEvents(x, y))
                     assert act[t] == actuated
                     assert stt[t] == state.system.cache * 2 + state.system.battery
-                assert (c, b) == (state.system.cache, state.system.battery)
+                assert end == state.system.cache * 2 + state.system.battery
 
     def test_block_table_entries_are_eight_slot_steps(self):
         # A block interleaves its slots' flags, bit 2i data and bit 2i+1
-        # energy of slot i; its key is `block << 2 | state`.  `_slot_steps`
+        # energy of slot i; its key is `3 * block + state`.  `_slot_steps`
         # gives each slot's `_TRANSITIONS` entry, `maps` holds each block's
         # map f as f(0) + 3 f(1) + 9 f(2), and `events` the block's data
         # byte and actuation byte, bit i for slot i.
@@ -180,7 +180,7 @@ class TestKernels:
                     data |= (code & 1) << i
                     acts |= (expected >> 2) << i
                 assert tables.maps[block] // 3 ** start % 3 == state
-                assert tables.events[block << 2 | start] == data | acts << 8
+                assert tables.events[3 * block + start] == data | acts << 8
 
     def test_compose_table_applies_two_maps_in_turn(self):
         compose = _block_table().compose
@@ -304,7 +304,7 @@ class TestKernels:
         for k, density, (cache, battery), ages in itertools.product(
                 range(1, 41), (0.0, 0.1, 0.5, 1.0), ((0, 0), (0, 1), (1, 0)), carried):
             flags = rng.random((k, 2)) < density
-            keys, _, _ = scan_flags(flags, cache, battery)
+            keys, _ = scan_flags(flags, cache * 2 + battery)
             state = _state(cache, battery, *ages)
             sums, actuations = [0, 0, 0], 0
             for x, y in flags.tolist():

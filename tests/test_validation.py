@@ -266,6 +266,39 @@ class TestSweep:
         sweep(points, methods=("sim",), slots=2000, seed=1, max_workers=2)
         assert cached.cache_info().misses == 1
 
+    def test_sim_rows_are_route_rows_at_their_point(self):
+        # Every point takes the sweep's seed, so its sim rows are `route_rows`
+        # there with that seed, what `simulate` prints, also through a pool.
+        g = (0.3, 0.6, 0.9)
+        points = [Params(a, b) for a in g for b in g]
+        rep = sweep(points, methods=("sim",), slots=20_000, seed=9, max_workers=2)
+        for r in rep.rows:
+            sim = by_method(r)["sim"]
+            assert [sim] == route_rows(r.params, "sim", (r.metric,), slots=20_000, seed=9)
+
+    def test_sub_grid_rows_are_the_full_grid_rows(self):
+        # A point's rows depend on the point alone, by every route: dropping
+        # points, the first sorted one among them, changes no other row.
+        g = (0.3, 0.6, 0.9)
+        full = [Params(a, b) for a in g for b in g]
+        sub = [Params(0.6, 0.3), Params(0.9, 0.9), Params(0.3, 0.9)]
+        kw = dict(methods=METHOD_ORDER, slots=20_000, seed=4, tail_eps=1e-7)
+        rows = {(r.params, r.metric): r for r in sweep(full, **kw).rows}
+        sub_rows = sweep(sub, **kw).rows
+        assert len(sub_rows) == 3 * len(sub)
+        assert all(r == rows[r.params, r.metric] for r in sub_rows)
+
+    def test_aoi_sim_rows_repeat_along_each_lambda1_line(self):
+        # Every point thresholds the same draws, and the aoi reads only the
+        # data flags, whose threshold is lambda1's.
+        g = (0.3, 0.6, 0.9)
+        rep = sweep([Params(a, b) for a in g for b in g], methods=("sim",), slots=20_000,
+                    seed=2)
+        for a in g:
+            line = {(by_method(r)["sim"].value, by_method(r)["sim"].uncertainty)
+                    for r in rep.rows if r.metric == "aoi" and r.params.lambda1 == a}
+            assert len(line) == 1
+
     def test_rows_sorted_by_point(self):
         points = [Params(0.7, 0.2), Params(0.2, 0.7)]
         rep = sweep(points, methods=("analytic",), slots=10 ** 5, seed=0)
