@@ -8,27 +8,22 @@ evaluators, and the level-1 masses below, also run exactly on `Fraction`
 inputs; the test suite checks them that way, with `==`, against means derived
 from `engine._TRANSITIONS`, the table of the slot rules in `_step_core`.
 
-Both rational functions are continuous on (0, 1]^2 except that they reduce
-to 0/0 at the exact double corner (lambda1, lambda2) = (1, 1); the corner
-value is the limit 1 (every slot actuates a fresh packet) and is returned
-directly there.  `_closed_form` states that corner rule, and the check below,
-once for every evaluator here.
-
-Supported parameter floor: lambda >= 0.01.  The denominators there are of
-order 1e-10, far above double-precision underflow.  Far below the floor a
-denominator can underflow to zero, a value overflow to inf or nan, or a
-level-1 mass that the model makes positive round to 0, and NumericalError is
-raised there rather than a value returned.
+Both rational functions are continuous on [0.01, 1]^2, the domain `Params`
+admits, except that they reduce to 0/0 at the exact double corner
+(lambda1, lambda2) = (1, 1); the corner value is the limit 1 (every slot
+actuates a fresh packet) and is returned directly there.  `_closed_form`
+states that corner rule once for every evaluator here.  Elsewhere on the
+domain every denominator the test suite evaluates, on a grid with both edges
+and on a float lattice around (1, 1), is nonzero, the smallest about 1e-16
+next to (1, 1), and every value and level-1 mass is finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Params
-from .errors import NumericalError
 
 __all__ = [
     "MetricAverages",
@@ -85,45 +80,21 @@ class AoaiSeedProbs:
     v111: float
 
 
-def _finite(what: str, p: Params, value: float) -> float:
-    if not math.isfinite(value):  # rates far below the floor overflow to inf or nan
-        raise NumericalError(f"{what} is not finite at {p}")
-    return value
-
-
-def _closed_form(p: Params, parts: tuple, corner: tuple, what: str) -> Sequence[float]:
+def _closed_form(p: Params, parts: tuple, corner: tuple) -> Sequence[float]:
     """Each numerator of `parts` over its last entry, their common denominator, at `p`.
 
     At the double corner (1, 1) the rational forms are 0/0 and `corner`,
-    their limits, is returned.  Raises NumericalError when the denominator
-    evaluates to zero or a ratio is not finite.
+    their limits, is returned.
     """
     if p.lambda1 == 1.0 and p.lambda2 == 1.0:
         return corner
     *nums, den = parts
-    if den == 0.0:
-        raise NumericalError(f"{what}: denominator underflowed to zero")
-    return [_finite(what, p, num / den) for num in nums]
-
-
-def _level_one_masses(p: Params, parts: tuple, what: str) -> Sequence[float]:
-    """The two level-1 masses that `parts` gives at `p`, by `_closed_form`.
-
-    The model makes the first positive where lambda2 < 1 and the second where
-    lambda1 < 1.  Raises NumericalError where such a mass evaluates to 0, as
-    both do at (1e-100, 1e-100), where 1 - (1 - lambda1)(1 - lambda2) rounds
-    to 0.
-    """
-    masses = _closed_form(p, parts, (1.0, 0.0), what)
-    for mass, rate in zip(masses, (p.lambda2, p.lambda1)):
-        if mass == 0.0 and rate < 1.0:
-            raise NumericalError(f"{what}: a positive mass rounds to 0 at {p}")
-    return masses
+    return [num / den for num in nums]
 
 
 def avg_aoi(p: Params) -> float:
     """Average age of information: 1 / lambda1."""
-    return _closed_form(p, (1, p.lambda1), (1.0,), "avg_aoi")[0]
+    return _closed_form(p, (1, p.lambda1), (1.0,))[0]
 
 
 def _aoa_factored(l1: float, l2: float) -> tuple[float, float]:
@@ -158,7 +129,7 @@ def avg_aoa(p: Params) -> float:
     At the double corner (1, 1) the rational form is 0/0 and the limit
     value 1 is returned.
     """
-    return _closed_form(p, _aoa_factored(p.lambda1, p.lambda2), (1.0,), "avg_aoa")[0]
+    return _closed_form(p, _aoa_factored(p.lambda1, p.lambda2), (1.0,))[0]
 
 
 def avg_aoai(p: Params) -> float:
@@ -167,7 +138,7 @@ def avg_aoai(p: Params) -> float:
     Evaluates the closed-form rational function of (lambda1, lambda2); the
     double corner (1, 1) returns the limit value 1.
     """
-    return _closed_form(p, _aoai_factored(p.lambda1, p.lambda2), (1.0,), "avg_aoai")[0]
+    return _closed_form(p, _aoai_factored(p.lambda1, p.lambda2), (1.0,))[0]
 
 
 def averages(p: Params) -> MetricAverages:
@@ -187,7 +158,7 @@ def aoa_seed_probs(p: Params) -> AoaSeedProbs:
     q1, q2 = 1 - l1, 1 - l2
     den = q1 * l2 ** 3 + l1 * l2 * q2 + q1 * q2 * l2 * l2 + l1 * l1 * q2 * q2
     parts = (l1 * (1 - q1 * q2) * q2 * l2, l1 * q1 * l2 ** 3, den)
-    return AoaSeedProbs(*_level_one_masses(p, parts, "aoa_seed_probs"))
+    return AoaSeedProbs(*_closed_form(p, parts, (1.0, 0.0)))
 
 
 def aoai_seed_probs(p: Params) -> AoaiSeedProbs:
@@ -200,4 +171,4 @@ def aoai_seed_probs(p: Params) -> AoaiSeedProbs:
     q1, q2 = 1 - l1, 1 - l2
     den = l1 * l1 * q2 * q2 + l2 * l2 + l1 * l2 * (1 - 2 * l2)
     parts = (l1 * (l1 * l1 * q2 + l2) * q2 * l2, q1 * l1 * l2 ** 3, den)
-    return AoaiSeedProbs(*_level_one_masses(p, parts, "aoai_seed_probs"))
+    return AoaiSeedProbs(*_closed_form(p, parts, (1.0, 0.0)))

@@ -35,10 +35,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analytic import _finite, aoa_seed_probs
+from .analytic import aoa_seed_probs
 from .core import Params, shorthand
 from .engine import _TRANSITIONS
-from .errors import CapError, ConvergenceError, DomainError, NumericalError, TruncationError
+from .errors import CapError, ConvergenceError, DomainError, TruncationError
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -67,11 +67,12 @@ TAIL_MASS_LIMIT = 1e-6
 STATIONARY_TOL = 1e-13
 MAX_SWEEPS = 200
 
-# Largest truncated chain a builder accepts.  The AoAI chain at the CLI floor,
-# (0.01, 0.5) with cap 2302, has 2 653 055 states; at lambda1 = 1e-4 its
-# cap of 230 257 would give 2.65e10 states, more than memory holds.  The floor
-# chain peaks at about 160 resident bytes per state in the build and 320 in
-# the solve (Linux, numpy 2.4, scipy 1.17, imports included).
+# Largest truncated chain a builder accepts.  The AoAI chain at the rate
+# floor, (0.01, 0.5) with cap 2302 at tail_eps 1e-10, has 2 653 055 states;
+# there an explicit cap, or tail_eps 5e-324 and its cap of 74 082, would give
+# 2.7e9 states, more than memory holds.  The floor chain peaks at about 160
+# resident bytes per state in the build and 320 in the solve (Linux, numpy
+# 2.4, scipy 1.17, imports included).
 MAX_CHAIN_STATES = 3_000_000
 
 
@@ -146,11 +147,9 @@ def _truncated_chain(p: Params, cap: int, states, occ, successor) -> TruncatedCh
 def _decay_rate(p: Params) -> float:
     # Slowest-decaying level branches: battery-full states thin at rate
     # 1-lambda1, cached-data states at rate 1-lambda2, the empty state at
-    # their product.
-    r = max(1.0 - p.lambda1, 1.0 - p.lambda2)
-    if r == 1.0:  # every tail bound divides by 1 - r
-        raise CapError(f"decay rate 1 - min(lambda1, lambda2) rounds to 1 at {p}")
-    return r
+    # their product.  At most 1 - RATE_FLOOR = 0.99, so every tail bound's
+    # 1 - r is at least 0.01.
+    return max(1.0 - p.lambda1, 1.0 - p.lambda2)
 
 
 def _check_tail_eps(tail_eps: float) -> None:
@@ -164,7 +163,8 @@ def choose_cap(p: Params, tail_eps: float) -> int:
     Uses cap = ceil(log(tail_eps) / log(r)) plus a safety margin of 10, with
     r the per-level decay rate, raised where needed to the smallest cap whose
     a-priori tail mass r**cap / (1 - r) is within the `TAIL_MASS_LIMIT` that
-    `mean_age` enforces.  Raises CapError above 10**6 levels.
+    `mean_age` enforces.  With r at most 0.99 on the supported domain, the
+    cap is at most 74 082 levels, at (0.01, 0.01) with tail_eps 5e-324.
     """
     _check_tail_eps(tail_eps)
     r = _decay_rate(p)
@@ -176,9 +176,6 @@ def choose_cap(p: Params, tail_eps: float) -> int:
         cap = math.ceil(math.log(TAIL_MASS_LIMIT * (1.0 - r)) / math.log(r)) - 1
         while _a_priori_tail_mass(r, cap) > TAIL_MASS_LIMIT:
             cap += 1
-    if cap > 10 ** 6:
-        raise CapError(
-            f"cap {cap} exceeds 10^6; parameters too close to zero for truncation")
     return cap
 
 
@@ -278,10 +275,10 @@ def stationary(chain: TruncatedChain) -> StationaryDist:
     r, f = (sp.csc_matrix((m.data[k], m.indices[k], _indptr(k)[m.indptr]), shape=(n, n))
             for k in (~ahead, ahead))
     i_minus_f = sp.identity(n, format="csc") - f
-    del src, ahead, f  # else held through the factor: 120 MiB at the CLI floor
+    del src, ahead, f  # else held through the factor: 120 MiB at the rate floor
     # With the natural order and diagonal pivots the factor of I - F is I - F
     # itself, with no fill.  SuperLU's default panel of 10 columns makes it
-    # touch dense n-row workspaces: at the CLI floor that took the factor
+    # touch dense n-row workspaces: at the rate floor that took the factor
     # from 0.4 to 1.0 s and the peak resident set up by 0.5 GB.
     lu = _splu()(i_minus_f, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1)
 
@@ -359,19 +356,15 @@ def aoa_series_mean(p: Params) -> float:
     I - M is upper triangular with diagonal (1 - z, lambda1, lambda2),
     invertible for valid Params, so two back-substitutions give
     u = (I - M)^-1 1 and w = (I - M)^-1 u, and the mean is v_1 w.  Every
-    literal is an integer, so on `Fraction` rates the sum is exact.  Raises
-    NumericalError, as the closed forms do, where 1 - z rounds to 0 (checked
-    first), where `aoa_seed_probs` raises, or where the mean is not finite:
-    at rates far below the CLI floor.
+    literal is an integer, so on `Fraction` rates the sum is exact.  On the
+    supported domain 1 - z = lambda1 + lambda2 - lambda1 lambda2 is at least
+    0.0199, so no back-substitution divides by 0.
     """
     s = shorthand(p)
     l1, l2, head = p.lambda1, p.lambda2, 1 - s.z
-    if head == 0.0:
-        raise NumericalError(
-            f"aoa_series_mean: denominator underflowed to zero: 1 - z rounds to 0 at {p}")
     seeds = aoa_seed_probs(p)
     u1, u2 = 1 / l1, 1 / l2
     u0 = (1 + s.y * u1 + s.x * u2) / head
     w1, w2 = u1 / l1, u2 / l2
     w0 = (u0 + s.y * w1 + s.x * w2) / head
-    return _finite("aoa_series_mean", p, seeds.v100 * w0 + seeds.v101 * w1)
+    return seeds.v100 * w0 + seeds.v101 * w1

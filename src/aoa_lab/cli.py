@@ -3,9 +3,10 @@
 Subcommands: analytic, simulate, chain, sweep, validate, trace.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or domain error,
-3 numerical failure (any `NumericalError`: non-convergence, truncation, cap
-overflow among them), 141 (128 + SIGPIPE), silently, when the reader of
-stdout closed it, as `| head` does.
+3 numerical failure (any `NumericalError`: a solver that does not converge,
+a tail too heavy for the cap, or a chain too large to build), 141
+(128 + SIGPIPE), silently, when the reader of stdout closed it, as `| head`
+does.
 
 CSV rows have one column per field of `validation.Row`, in its order, with
 real values printed to 9 significant digits and inapplicable fields left
@@ -61,15 +62,6 @@ def _emit(rows: Sequence[validation.Row], as_json: bool, out: TextIO) -> None:
             print(_csv_line(r), file=out)
 
 
-def _cli_params(lambda1: float, lambda2: float) -> Params:
-    # The CLI enforces the documented support floor; the library itself
-    # accepts anything in (0, 1].
-    for name, v in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not 0.01 <= v <= 1.0:
-            raise DomainError(f"{name} must be in [0.01, 1], got {v}")
-    return Params(lambda1, lambda2)
-
-
 def _parse_names(spec: str, allowed: Sequence[str], what: str) -> list[str]:
     names = [m.strip() for m in spec.split(",") if m.strip()]
     if not names or any(m not in allowed for m in names):
@@ -86,7 +78,7 @@ def _parse_grid(spec: str) -> list[Params]:
         ys = validation.grid_range(ranges[1])
     else:
         raise DomainError(f"grid must be A:B:STEP or A:B:STEP,A:B:STEP, got {spec!r}")
-    return [_cli_params(a, b) for a in xs for b in ys]
+    return [Params(a, b) for a in xs for b in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -95,21 +87,21 @@ def _parse_grid(spec: str) -> list[Params]:
 
 
 def cmd_analytic(args) -> int:
-    p = _cli_params(args.lambda1, args.lambda2)
+    p = Params(args.lambda1, args.lambda2)
     metrics = _parse_names(args.metrics, validation.METRICS, "metrics")
     _emit(validation.route_rows(p, "analytic", metrics), args.json, sys.stdout)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    p = _cli_params(args.lambda1, args.lambda2)
+    p = Params(args.lambda1, args.lambda2)
     _emit(validation.route_rows(p, "sim", slots=args.slots, seed=args.seed),
           args.json, sys.stdout)
     return 0
 
 
 def cmd_chain(args) -> int:
-    p = _cli_params(args.lambda1, args.lambda2)
+    p = Params(args.lambda1, args.lambda2)
     _emit(validation.route_rows(p, "chain", (args.metric,), tail_eps=args.tail_eps,
                                 cap=args.cap), args.json, sys.stdout)
     return 0

@@ -12,10 +12,10 @@ class DomainError(AoaLabError, ValueError):
 class NumericalError(AoaLabError, ArithmeticError):
     """A route could not produce a finite, trustworthy number.
 
-    Raised itself when a closed form or the series loses all precision (a
-    denominator underflows to zero, or a value overflows to inf or nan), and
-    the base of the solver and truncation failures below, which keep their
-    builtin bases too.  The CLI exits 3 on any error of this family.
+    The base of the solver, truncation and chain-size failures below, which
+    keep their builtin bases too; nothing in the package raises it itself.
+    The closed forms and the series are total on the domain `Params` admits.
+    The CLI exits 3 on any error of this family.
     """
 
 
@@ -28,9 +28,4 @@ class TruncationError(NumericalError, RuntimeError):
 
 
 class CapError(NumericalError, ValueError):
-    """A truncated chain would be too large to build or bound.
-
-    Raised when the requested tail tolerance needs a level cap above 10^6,
-    when the decay rate max(1 - lambda1, 1 - lambda2) rounds to 1, and when
-    a chain would have more than `chains.MAX_CHAIN_STATES` states.
-    """
+    """A truncated chain would have more than `chains.MAX_CHAIN_STATES` states."""

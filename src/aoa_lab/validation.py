@@ -73,7 +73,7 @@ METHOD_ORDER = tuple(ROUTE_METRICS)
 TAIL_EPS = 1e-10
 TOL_REL = 0.01
 SERIES_ROUNDING_BOUND = 1e-12
-# Most values one `A:B:STEP` grid range may give.  Step 0.001 over the CLI's
+# Most values one `A:B:STEP` grid range may give.  Step 0.001 over the
 # rate range [0.01, 1] gives 991; a larger count is a mistyped step, and the
 # list of grid points grows as its square.
 MAX_GRID_VALUES = 1000
@@ -250,7 +250,7 @@ def cross_check(
     The analytic route always runs, whatever `methods` says.  `tol_rel` must
     be positive.  An undersampled run that misses tolerance yields
     passed=False rather than an error; a route's NumericalError (a solver,
-    truncation or cap failure among them) propagates.
+    truncation or chain-size failure) propagates.
     """
     _check_arguments(methods, slots, seed, tol_rel, tail_eps)
     rows = [r for m in METHOD_ORDER if m == "analytic" or m in methods

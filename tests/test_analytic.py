@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,7 @@ from aoa_lab import engine
 from aoa_lab.analytic import (_aoa_factored, _aoai_factored, aoa_seed_probs,
                               aoai_seed_probs, averages, avg_aoa, avg_aoai, avg_aoi)
 from aoa_lab.chains import aoa_series_mean
-from aoa_lab.core import Params, make_params
-from aoa_lab.errors import NumericalError
+from aoa_lab.core import RATE_FLOOR, Params, make_params
 from exact_law import ExactParams, slot_table_law
 
 valid_prob = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
@@ -293,42 +293,37 @@ class TestSeedProbs:
         assert t.v110 + t.v111 <= 1.0 + 1e-12
 
 
-class TestBelowFloatResolution:
-    """Far below the CLI floor of 0.01, NumericalError where a value is not finite.
+def _near_one():
+    """Every rate 1 - k 2^-53 for k < 64 and 1 - k 2^-40 for k < 16: 79 floats at (1, 1)."""
+    return sorted({1 - k * 2.0 ** -53 for k in range(64)}
+                  | {1 - k * 2.0 ** -40 for k in range(16)})
 
-    No evaluator returns inf or nan there, nor lets a ZeroDivisionError out.
+
+class TestSupportedDomain:
+    """Every closed form and the series are total and finite on [RATE_FLOOR, 1]^2.
+
+    So the package carries no guard for a denominator that evaluates to 0, a
+    value that is not finite or a level-1 mass that rounds to 0.  The points
+    are the floor's two edges, each against 99 rates and the lattice, and the
+    6241 pairs of `_near_one`, where the denominators are smallest (about
+    1e-16).  A zero denominator would raise ZeroDivisionError here.
     """
 
-    @pytest.mark.parametrize("l1,l2", [
-        (1e-100, 1e-100),  # 1 - z rounds to 0
-        (1e-300, 1.0),  # 0 * inf: nan
-        (1e-160, 0.5),  # inf, where avg_aoa is still 1e160
-    ])
-    def test_series(self, l1, l2):
-        with pytest.raises(NumericalError, match="aoa_series_mean"):
-            aoa_series_mean(Params(l1, l2))
+    @staticmethod
+    def _points():
+        near = _near_one()
+        others = [k / 100 for k in range(2, 101)] + near
+        return ([(RATE_FLOOR, RATE_FLOOR)] + [(RATE_FLOOR, b) for b in others]
+                + [(a, RATE_FLOOR) for a in others] + [(a, b) for a in near for b in near])
 
-    def test_averages_overflow(self):
-        assert avg_aoa(Params(1e-160, 0.5)) == pytest.approx(1e160, rel=1e-12)
-        with pytest.raises(NumericalError, match="not finite"):
-            averages(Params(1e-320, 0.5))
-
-    @pytest.mark.parametrize("evaluator", [averages, aoa_seed_probs, aoai_seed_probs,
-                                           aoa_series_mean])
-    def test_denominator_underflow(self, evaluator):
-        with pytest.raises(NumericalError, match="denominator underflowed to zero"):
-            evaluator(Params(1e-170, 1e-170))
-
-    @pytest.mark.parametrize("evaluator", [aoa_seed_probs, aoai_seed_probs])
-    @pytest.mark.parametrize("l1,l2", [(1e-100, 1e-100), (1e-160, 1e-160)])
-    def test_positive_mass_that_rounds_to_zero(self, evaluator, l1, l2):
-        # Both masses are positive below lambda = 1.  At (1e-100, 1e-100),
-        # 1 - q1 q2 rounds to 0 in the AoA v100, and the AoAI v111, about
-        # 3.3e-201, is a product below the smallest double.
-        with pytest.raises(NumericalError,
-                           match=f"{evaluator.__name__}: a positive mass rounds to 0"):
-            evaluator(Params(l1, l2))
-
-    @pytest.mark.parametrize("evaluator", [aoa_seed_probs, aoai_seed_probs])
-    def test_masses_that_stay_positive_are_returned(self, evaluator):
-        assert min(dataclasses.astuple(evaluator(Params(1e-160, 0.5)))) > 0
+    def test_evaluators_total_and_finite(self):
+        for l1, l2 in self._points():
+            p = Params(l1, l2)
+            seeds = [dataclasses.astuple(f(p)) for f in (aoa_seed_probs, aoai_seed_probs)]
+            values = [*dataclasses.astuple(averages(p)), aoa_series_mean(p), *seeds[0], *seeds[1]]
+            assert all(math.isfinite(v) for v in values), p
+            # The model makes the first level-1 mass positive where lambda2 < 1
+            # and the second where lambda1 < 1; none rounds to 0.
+            for first, second in seeds:
+                assert first > 0.0 or l2 == 1.0, p
+                assert second > 0.0 or l1 == 1.0, p

@@ -16,11 +16,11 @@ from aoa_lab.analytic import (aoa_seed_probs, aoai_seed_probs, avg_aoa,
 from aoa_lab.chains import (MAX_CHAIN_STATES, TAIL_MASS_LIMIT, aoa_series_mean,
                             build_aoa_chain, build_aoai_chain, choose_cap,
                             level_masses, mean_age, stationary)
-from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params, shorthand
+from aoa_lab.core import RATE_FLOOR, AgeVector, SlotEvents, SystemState, make_params, shorthand
 from aoa_lab.engine import EngineState, step
 from aoa_lab.errors import (CapError, ConvergenceError, DomainError,
                             TruncationError)
-from aoa_lab.validation import SERIES_ROUNDING_BOUND, route_rows
+from aoa_lab.validation import SERIES_ROUNDING_BOUND
 from chain_readers import occupancy_marginals, seed_masses
 from exact_law import slot_table_law
 
@@ -67,34 +67,27 @@ class TestChooseCap:
         with pytest.raises(DomainError):
             choose_cap(make_params(0.5, 0.5), 1.0)
 
-    def test_cap_overflow(self):
-        with pytest.raises(CapError):
-            choose_cap(make_params(1e-5, 1e-5), 1e-10)
-
-    @pytest.mark.parametrize("l1, l2", [(1e-17, 0.5), (0.5, 1e-17)])
-    def test_decay_rate_of_one_rejected(self, l1, l2):
-        # 1 - 1e-17 rounds to 1, so every tail bound would divide by zero.
-        p = Params(l1, l2)
-        message = "decay rate 1 - min\\(lambda1, lambda2\\) rounds to 1"
-        for route in (lambda: choose_cap(p, 1e-10), lambda: build_aoa_chain(p, 5),
-                      lambda: build_aoai_chain(p, 5), lambda: route_rows(p, "chain")):
-            with pytest.raises(CapError, match=message):
-                route()
+    def test_floor_cap_with_the_smallest_tail_eps(self):
+        # The slowest decay the floor allows, r = 0.99, and the smallest
+        # positive tail_eps give the largest cap `choose_cap` can return.
+        p = make_params(RATE_FLOOR, RATE_FLOOR)
+        assert chains._decay_rate(p) <= 0.99
+        assert choose_cap(p, 5e-324) == 74_082 <= 10 ** 6
 
     def test_saturated_corner(self):
         assert choose_cap(make_params(1.0, 1.0), 1e-10) >= 2
 
     def test_oversized_chains_rejected_before_building(self):
-        p = make_params(1e-4, 0.5)
-        cap = choose_cap(p, 1e-10)
+        p = make_params(RATE_FLOOR, 0.5)
+        cap = choose_cap(p, 5e-324)
         start = time.perf_counter()
         with pytest.raises(CapError):
-            build_aoai_chain(p, cap)  # 2.65e10 states
+            build_aoai_chain(p, cap)  # 2.7e9 states
         with pytest.raises(CapError):
             build_aoa_chain(p, MAX_CHAIN_STATES // 3 + 1)
         assert time.perf_counter() - start < 1.0
-        # The CLI floor stays under the limit.
-        floor_cap = choose_cap(make_params(0.01, 0.5), 1e-10)
+        # The floor stays under the limit at the default tail_eps.
+        floor_cap = choose_cap(p, 1e-10)
         assert floor_cap * (floor_cap + 3) // 2 <= MAX_CHAIN_STATES
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import os
 import stat
 import subprocess
@@ -140,10 +141,12 @@ class TestAnalytic:
         assert code == 2
         assert "lambda1" in err
 
-    def test_below_floor_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "analytic", "--lambda1", "0.5", "--lambda2", "0.005")
-        assert code == 2
-        assert "lambda2" in err
+    @pytest.mark.parametrize("rate", ["0.005", repr(math.nextafter(0.01, 0))])
+    def test_below_floor_rejected(self, capsys, rate):
+        # The message is the one `Params` raises.
+        code, out, err = run_cli(capsys, "analytic", "--lambda1", "0.5", "--lambda2", rate)
+        assert (code, out) == (2, "")
+        assert err == f"error: lambda2 must be in [0.01, 1], got {float(rate)}\n"
 
     def test_bad_metric_name(self, capsys):
         code, _, _ = run_cli(capsys, "analytic", "--lambda1", "0.5", "--lambda2", "0.5",

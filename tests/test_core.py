@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aoa_lab.core import AgeVector, Params, SystemState, make_params, shorthand
+from aoa_lab.core import RATE_FLOOR, AgeVector, Params, SystemState, make_params, shorthand
 from aoa_lab.errors import DomainError
 
-valid_prob = st.floats(min_value=0.001, max_value=1.0, allow_nan=False)
+valid_prob = st.floats(min_value=RATE_FLOOR, max_value=1.0, allow_nan=False)
 
 
 class TestMakeParams:
@@ -34,6 +34,17 @@ class TestMakeParams:
     def test_out_of_domain_rejected_naming_field(self, l1, l2, field):
         with pytest.raises(DomainError, match=field):
             make_params(l1, l2)
+
+    @pytest.mark.parametrize("build", [Params, make_params])
+    def test_domain_is_the_floor_to_one(self, build):
+        assert RATE_FLOOR == 0.01
+        for edge in (RATE_FLOOR, 1.0):
+            assert build(edge, edge) == Params(edge, edge)
+        below = math.nextafter(RATE_FLOOR, 0)
+        for args, field in (((below, 0.5), "lambda1"), ((0.5, below), "lambda2")):
+            with pytest.raises(DomainError) as exc:
+                build(*args)
+            assert str(exc.value) == f"{field} must be in [0.01, 1], got {below}"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoa_lab import analytic, engine
-from aoa_lab.core import AgeVector, Params, SlotEvents, SystemState, make_params
+from aoa_lab.core import RATE_FLOOR, AgeVector, Params, SlotEvents, SystemState, make_params
 from aoa_lab.engine import (_TRANSITIONS, EngineState, _block_table,
                             _simulate, _slot_steps, _tally, initial_state,
                             read_events_csv, run_batched, run_trace, step)
@@ -244,8 +244,8 @@ class TestKernels:
         assert engine._threshold(0.25) == 2**30 - 1
 
     @settings(max_examples=50, deadline=None)
-    @given(st.floats(min_value=0.001, max_value=1.0),
-           st.floats(min_value=0.001, max_value=1.0),
+    @given(st.floats(min_value=RATE_FLOOR, max_value=1.0),
+           st.floats(min_value=RATE_FLOOR, max_value=1.0),
            st.integers(min_value=1, max_value=2 ** 63 - 1),
            st.integers(min_value=2, max_value=1500),
            st.sampled_from([engine._CHUNK, 7, 8, 9, 511, 512, 513]),
@@ -259,11 +259,12 @@ class TestKernels:
     # past the 64 blocks of a power-of-two scan tree.  Draws of 4, 12, 8 and
     # 64 slots put the edges of the draw pieces inside chunks, and those of
     # 4 and 12 inside blocks.
-    # Rates down to 0.001 draw chunks and runs without an arrival or an
+    # Rates down to the floor draw chunks and runs without an arrival or an
     # actuation.
     @example(0.3, 0.6, 5, 1000, 7, 100, 4, 12)
     @example(1.0, 1.0, 3, 300, 9, 20, 3, 8)  # an arrival and an actuation every slot
-    @example(0.001, 0.5, 1, 50, 8, 10, 2, 4)  # no arrival, so no actuation
+    # At rate 0.01 the first data arrival of seed 1 is output 542 of its stream.
+    @example(0.01, 0.5, 1, 50, 8, 10, 2, 4)  # no arrival, so no actuation
     @example(0.4, 0.7, 9, 1500, 513, 30, 4, 64)
     # The chunk is the warmup and the batch length: every batch edge is a
     # chunk edge, and each batch one chunk's whole range.
@@ -493,6 +494,28 @@ class TestRun:
         s = run_batched(p, 10_000_000, seed=42)
         rate = s.actuation_count / (s.slots - s.warmup)
         assert rate == pytest.approx(seeds.v100 + seeds.v101, abs=1e-3)
+
+    @pytest.mark.parametrize("l1", [0.1, 0.5, 0.9])
+    def test_stderr_aoi_matches_the_exact_variance(self, l1):
+        """stderr_aoi^2 times the measured slots estimates the aoi's exact variance.
+
+        Data arrivals are i.i.d., so the aoi is a renewal-reward process: a
+        cycle of G ~ Geometric(lambda1) slots has ages 1..G, and the time
+        average over n slots has variance sigma^2 / n + o(1/n), with sigma^2 =
+        lambda1 E[(G (G + 1) / 2 - G / lambda1)^2] = (1 - lambda1)(2 - lambda1)
+        / lambda1^3.  With 20 normal batch means, each ratio below is
+        chi^2_19 / 19, and the mean of 20 seeds' ratios is chi^2_380 / 380,
+        which leaves [0.7, 1.3] with probability 7.3e-5.  A standard error
+        missing its sqrt(20) would give 20 or 1/20.  At 2 x 10^5 slots and
+        lambda2 = 0.5, seeds 1-20 gave 0.90, 1.06 and 1.07 at lambda1 = 0.1,
+        0.5 and 0.9.
+        """
+        sigma2 = (1 - l1) * (2 - l1) / l1 ** 3
+        ratios = []
+        for seed in range(1, 21):
+            s = run_batched(make_params(l1, 0.5), 200_000, seed=seed)
+            ratios.append(s.stderr_aoi ** 2 * (s.slots - s.warmup) / sigma2)
+        assert 0.7 <= sum(ratios) / len(ratios) <= 1.3
 
 
 class TestEventsCsv:
