@@ -12,6 +12,7 @@ from aoa_lab.analytic import (_aoa_factored, _aoai_factored, aoa_seed_probs,
                               aoai_seed_probs, averages, avg_aoa, avg_aoai, avg_aoi)
 from aoa_lab.chains import aoa_series_mean
 from aoa_lab.core import RATE_FLOOR, Params, make_params
+from aoa_lab.errors import DomainError
 from exact_law import ExactParams, slot_table_law
 
 valid_prob = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
@@ -316,14 +317,43 @@ class TestSupportedDomain:
         return ([(RATE_FLOOR, RATE_FLOOR)] + [(RATE_FLOOR, b) for b in others]
                 + [(a, RATE_FLOOR) for a in others] + [(a, b) for a in near for b in near])
 
-    def test_evaluators_total_and_finite(self):
+    @pytest.mark.parametrize("evaluator", [averages, aoa_series_mean])
+    def test_means_total_and_finite(self, evaluator):
         for l1, l2 in self._points():
             p = Params(l1, l2)
-            seeds = [dataclasses.astuple(f(p)) for f in (aoa_seed_probs, aoai_seed_probs)]
-            values = [*dataclasses.astuple(averages(p)), aoa_series_mean(p), *seeds[0], *seeds[1]]
+            value = evaluator(p)
+            values = dataclasses.astuple(value) if dataclasses.is_dataclass(value) else (value,)
             assert all(math.isfinite(v) for v in values), p
+
+    @pytest.mark.parametrize("evaluator", [aoa_seed_probs, aoai_seed_probs])
+    def test_seed_masses_total_finite_and_positive(self, evaluator):
+        for l1, l2 in self._points():
+            first, second = dataclasses.astuple(evaluator(Params(l1, l2)))
+            assert math.isfinite(first) and math.isfinite(second), (l1, l2)
             # The model makes the first level-1 mass positive where lambda2 < 1
             # and the second where lambda1 < 1; none rounds to 0.
-            for first, second in seeds:
-                assert first > 0.0 or l2 == 1.0, p
-                assert second > 0.0 or l1 == 1.0, p
+            assert first > 0.0 or l2 == 1.0, (l1, l2)
+            assert second > 0.0 or l1 == 1.0, (l1, l2)
+
+
+class TestBelowTheFloor:
+    """The rates that once reached a float or cap guard now stop at `Params`.
+
+    Each pair drove a deleted guard: a series whose 1 - z rounds to 0 or
+    overflows, averages that overflow, a denominator or a level-1 mass that
+    underflows, a decay rate that rounds to 1, or a cap or chain too large to
+    build.  Now no route sees them: `Params` and `make_params` raise a
+    DomainError that names the first field below the floor.
+    """
+
+    @pytest.mark.parametrize("l1,l2", [
+        (1e-100, 1e-100), (1e-300, 1.0), (1e-160, 0.5), (1e-320, 0.5),
+        (1e-170, 1e-170), (1e-17, 0.5), (0.5, 1e-17), (1e-5, 1e-5), (1e-4, 0.5),
+    ])
+    def test_rejected_by_params(self, l1, l2):
+        field, value = ("lambda1", l1) if l1 < RATE_FLOOR else ("lambda2", l2)
+        message = f"{field} must be in [0.01, 1], got {value}"
+        for build in (Params, make_params):
+            with pytest.raises(DomainError) as exc:
+                build(l1, l2)
+            assert str(exc.value) == message
